@@ -140,13 +140,6 @@ def step_rk4(u: Field, p: ModelParams, h: float,
     return _guard_coeffs(grid, grid.to_coeffs(out), blowup_bound)
 
 
-_STEPPERS = {
-    "etd1": step_etd1,
-    "projected_euler": step_projected_euler,
-    "rk4": step_rk4,
-}
-
-
 def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord:
     """Advance the projected flow from renormalize(u0) to t_end.
 

@@ -127,10 +127,27 @@ def _truncate_from_fine(w: Field, grid: SpectralGrid) -> Field:
     return transform_inverse(SpectralField(grid, coeffs))
 
 
+def _odd_power(values: np.ndarray, n: int) -> np.ndarray:
+    """u^(2n-1) for an integer n >= 1, as u * (u^2)^(n-1) multiplied in place.
+
+    Multiplication costs the same for either sign of u (pow is far slower on
+    negative bases), and the chain is exactly odd: (-u)^(2n-1) = -(u^(2n-1)).
+    """
+    if n == 1:
+        return values.copy()
+    w = values * values
+    if n > 2:
+        sq = w.copy()
+        for _ in range(n - 2):
+            w *= sq
+    w *= values
+    return w
+
+
 def _pointwise_power(values: np.ndarray, n, signed: bool) -> np.ndarray:
     if signed:
         return np.sign(values) * np.abs(values) ** (2 * n - 1)
-    return values ** (2 * int(n) - 1)
+    return _odd_power(values, int(n))
 
 
 def _raise_overflow(values: np.ndarray):
@@ -165,7 +182,23 @@ def l2n_power(u: Field, n, dealias: int | None = None, signed: bool = False) -> 
     v = u if dealias is None else _pad_to_fine(u, int(dealias))
     if signed:
         return float(v.grid.weight * np.sum(np.abs(v.values) ** (2 * n)))
-    return float(v.grid.weight * np.sum(v.values ** (2 * int(n))))
+    return _l2n_from_power(v.grid, v.values, _odd_power(v.values, int(n)))
+
+
+def _l2n_from_power(grid: SpectralGrid, values: np.ndarray, w: np.ndarray) -> float:
+    # the integral of u^(2n) = u * u^(2n-1), given w = u^(2n-1)
+    return float(grid.weight * np.sum(w * values))
+
+
+def _power_and_l2n(grid: SpectralGrid, values: np.ndarray,
+                   p: ModelParams) -> tuple[np.ndarray, float]:
+    """(u^(2n-1) values, integral of u^(2n)) as F(u) uses them."""
+    if p.dealias is None and not p.signed_power:
+        w = _power_values(values, p.n, False)
+        return w, _l2n_from_power(grid, values, w)
+    u = Field._wrap(grid, values)
+    return (power_term(u, p.n, p.dealias, p.signed_power).values,
+            l2n_power(u, p.n, p.dealias, p.signed_power))
 
 
 def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
@@ -174,13 +207,7 @@ def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
     c2 = coeffs**2
     h1sq = float((grid.lap_eigs * c2).sum())
     h2sq = float((grid.lap_eigs**2 * c2).sum())
-    if p.dealias is None and not p.signed_power:
-        s = float(grid.weight * np.sum(values ** (2 * int(p.n))))
-        w = _power_values(values, p.n, False)
-    else:
-        u = Field._wrap(grid, values)
-        s = l2n_power(u, p.n, p.dealias, p.signed_power)
-        w = power_term(u, p.n, p.dealias, p.signed_power).values
+    w, s = _power_and_l2n(grid, values, p)
     return (h2sq + 2.0 * h1sq + s) * values - w
 
 

@@ -8,6 +8,7 @@ reduce to per-mode arithmetic on real coefficient arrays.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -27,11 +28,16 @@ class GridMismatch(ValueError):
 
 
 def _workers() -> int:
-    """FFT worker count, capped by the SPHEREFLOW_THREADS environment variable."""
+    """FFT worker count from the SPHEREFLOW_THREADS environment variable
+    (default 1); anything but a positive integer raises ValueError."""
+    raw = os.environ.get("SPHEREFLOW_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SPHEREFLOW_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SPHEREFLOW_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,18 @@ def _sine_matrix(n: int) -> np.ndarray:
     # orthonormal DST-I matrix, symmetric and self-inverse
     j = np.arange(1, n + 1)
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+
+
+def _contract_axes(mats, x: np.ndarray) -> np.ndarray:
+    """Apply mats[k] along axis k of x with one matrix product per axis."""
+    if x.ndim == 1:
+        return mats[0] @ x
+    if x.ndim == 2:
+        return mats[0] @ x @ mats[1].T
+    a, b, c = x.shape
+    y = (x.reshape(a * b, c) @ mats[2].T).reshape(a, b, c)
+    y = mats[1] @ y  # batched over the first axis
+    return (mats[0] @ y.reshape(a, b * c)).reshape(a, b, c)
 
 
 def _periodic_basis(n: int, length: float):
@@ -111,21 +129,25 @@ class SpectralGrid:
                 for n, L in zip(spec.resolution, spec.lengths)
             ]
             axis_mag = [np.arange(1, n + 1, dtype=float) for n in spec.resolution]
-            self._axis_mats = [
-                _sine_matrix(n) if n <= _DENSE_AXIS_LIMIT else None
-                for n in spec.resolution
-            ]
+            # dense matrices only when every axis is small; otherwise dstn.
+            # The orthonormal DST-I is its own inverse.
+            if max(spec.resolution) <= _DENSE_AXIS_LIMIT:
+                self._forward_mats = [_sine_matrix(n) for n in spec.resolution]
+            else:
+                self._forward_mats = None
+            self._inverse_mats = self._forward_mats
         else:
             step = [L / n for L, n in zip(spec.lengths, spec.resolution)]
             self.axis_points = [
                 np.arange(n) * h for n, h in zip(spec.resolution, step)
             ]
-            axis_lam, axis_mag, self._axis_mats = [], [], []
+            axis_lam, axis_mag, self._forward_mats = [], [], []
             for n, L in zip(spec.resolution, spec.lengths):
                 Q, freqs = _periodic_basis(n, L)
-                self._axis_mats.append(Q)
+                self._forward_mats.append(Q)
                 axis_lam.append((2.0 * np.pi * freqs / L) ** 2)
                 axis_mag.append(freqs)
+            self._inverse_mats = [np.ascontiguousarray(q.T) for q in self._forward_mats]
 
         self.weight = float(np.prod(step))
         mesh = np.meshgrid(*axis_lam, indexing="ij")
@@ -147,26 +169,14 @@ class SpectralGrid:
     # -- transforms -------------------------------------------------------
 
     def _ortho_forward(self, values: np.ndarray) -> np.ndarray:
-        if self.spec.boundary == "dirichlet_navier":
-            if all(m is not None for m in self._axis_mats):
-                out = values
-                for ax, m in enumerate(self._axis_mats):
-                    out = np.moveaxis(np.tensordot(m, out, axes=(1, ax)), 0, ax)
-                return out
+        if self._forward_mats is None:
             return dstn(values, type=1, norm="ortho", workers=_workers())
-        out = values
-        for ax, q in enumerate(self._axis_mats):
-            out = np.moveaxis(np.tensordot(q, out, axes=(1, ax)), 0, ax)
-        return out
+        return _contract_axes(self._forward_mats, values)
 
     def _ortho_inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.spec.boundary == "dirichlet_navier":
-            # the orthonormal DST-I is its own inverse
-            return self._ortho_forward(coeffs)
-        out = coeffs
-        for ax, q in enumerate(self._axis_mats):
-            out = np.moveaxis(np.tensordot(q.T, out, axes=(1, ax)), 0, ax)
-        return out
+        if self._inverse_mats is None:
+            return dstn(coeffs, type=1, norm="ortho", workers=_workers())
+        return _contract_axes(self._inverse_mats, coeffs)
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         return self._sqrt_weight * self._ortho_forward(values)
@@ -349,10 +359,11 @@ def seminorm_h2(u: Field) -> float:
 
 def norm_l2n(u: Field, n: int) -> float:
     """L^{2n} norm by collocation quadrature on the native grid."""
+    from .model import l2n_power  # model builds on this module
+
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
-    p = float(u.grid.weight * np.sum(u.values ** (2 * int(n))))
-    return p ** (1.0 / (2 * n))
+    return l2n_power(u, int(n)) ** (1.0 / (2 * n))
 
 
 # -- exponential integrator weights -----------------------------------------
@@ -394,20 +405,36 @@ def write_snapshot(path, f: Field) -> None:
 
 def read_snapshot(path, grid: SpectralGrid | None = None,
                   boundary: str = "dirichlet_navier") -> Field:
-    """Read an MSHF snapshot; validates against ``grid`` when one is supplied."""
+    """Read an MSHF snapshot; validates against ``grid`` when one is supplied.
+
+    The file length must match its header exactly, so a truncated file or
+    one with trailing bytes raises ValueError naming the path.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MSHF_MAGIC:
-            raise ValueError(f"{path}: not an MSHF snapshot")
-        version, dim = struct.unpack("<IB", fh.read(5))
-        if version != _MSHF_VERSION:
-            raise ValueError(f"{path}: unsupported MSHF version {version}")
-        res, lengths = [], []
-        for _ in range(dim):
-            n, L = struct.unpack("<Id", fh.read(12))
-            res.append(n)
-            lengths.append(L)
-        count = int(np.prod(res))
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+        blob = fh.read()
+    if blob[:4] != _MSHF_MAGIC:
+        raise ValueError(f"{path}: not an MSHF snapshot")
+    # 9 fixed bytes (magic, version, dim), then 12 per axis
+    if len(blob) < 9 or len(blob) < 9 + 12 * blob[8]:
+        raise ValueError(f"{path}: truncated MSHF header ({len(blob)} bytes)")
+    version, dim = struct.unpack_from("<IB", blob, 4)
+    if version != _MSHF_VERSION:
+        raise ValueError(f"{path}: unsupported MSHF version {version}")
+    header = 9 + 12 * dim
+    res, lengths = [], []
+    for k in range(dim):
+        n, L = struct.unpack_from("<Id", blob, 9 + 12 * k)
+        res.append(n)
+        lengths.append(L)
+    count = math.prod(res)  # exact: a corrupt header cannot wrap an int64
+    expected = header + 8 * count
+    if len(blob) != expected:
+        what = "truncated" if len(blob) < expected else "trailing bytes in"
+        raise ValueError(
+            f"{path}: {what} MSHF snapshot ({len(blob)} bytes, expected "
+            f"{expected} for shape {tuple(res)})"
+        )
+    values = np.frombuffer(blob, dtype="<f8", count=count, offset=header)
     if grid is None:
         grid = SpectralGrid(DomainSpec(dim, tuple(lengths), tuple(res), boundary))
     else:

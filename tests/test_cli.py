@@ -177,6 +177,16 @@ class TestMainEntry:
         assert code == 2
         assert "model.n" in capsys.readouterr().err
 
+    def test_bad_thread_setting_is_config_error(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write_cfg(tmp_path)
+        for raw in ("abc", "0", "-2"):
+            monkeypatch.setenv("SPHEREFLOW_THREADS", raw)
+            code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "SPHEREFLOW_THREADS" in err and repr(raw) in err
+        assert not (tmp_path / "o").exists()
+
     def test_equilibrium_preset_energy_column_constant(self, tmp_path):
         cfg = tmp_path / "eq.cfg"
         cfg.write_text(MINIMAL + "stepper.h = 0.001\nstepper.t_end = 0.1\n"

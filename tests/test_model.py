@@ -25,6 +25,7 @@ from sphereflow import (
     seminorm_h2,
     unprojected_rhs,
 )
+from sphereflow.model import _power_and_l2n
 
 PI = np.pi
 
@@ -67,8 +68,11 @@ class TestPowerTerm:
         u = random_coeff_field(g, np.random.default_rng(1))
         for n in (2, 3):
             w = power_term(u, n)
-            assert np.array_equal(w.values, u.values ** (2 * n - 1))
-            assert np.max(np.abs(power_term(-1.0 * u, n).values + w.values)) < 1e-15
+            oracle = u.values ** (2 * n - 1)
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(w.values - oracle) <= 4 * eps * np.abs(oracle))
+            # a multiplication chain is exactly odd
+            assert np.array_equal(power_term(-1.0 * u, n).values, -w.values)
 
     def test_dealiased_power_is_exact_projection(self):
         # oracle: padding far beyond the exactness threshold gives the same result
@@ -123,6 +127,16 @@ class TestL2nPower:
 
 
 class TestNonlinearity:
+    def test_energy_term_matches_l2n_power(self):
+        # the L^{2n} term inside F is the energy's quadrature of u^{2n}
+        g = grid_1d()
+        u = random_unit_field(g, np.random.default_rng(12))
+        for n in (1, 2, 3):
+            for v in (u, -1.0 * u):
+                _, s = _power_and_l2n(g, v.values, ModelParams(n=n))
+                ref = l2n_power(v, n)
+                assert abs(s - ref) <= 1e-14 * ref
+
     def test_ground_mode_n1_oracle(self):
         # each norm factor equals 1 by the quadrature oracle, so F(u*) = 3 u*
         g = grid_1d(64)

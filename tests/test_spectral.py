@@ -26,6 +26,7 @@ from sphereflow import (
     transform_inverse,
     write_snapshot,
 )
+from sphereflow.spectral import _periodic_basis, _sine_matrix
 
 PI = np.pi
 
@@ -105,6 +106,34 @@ class TestTransforms:
             f = Field(g, rng.standard_normal(g.shape))
             back = transform_inverse(transform_forward(f))
             assert np.max(np.abs(back.values - f.values)) <= 1e-12
+
+    def test_matmul_contraction_matches_tensordot_reference(self):
+        # reference: the per-axis tensordot + moveaxis loop
+        def reference(mats, x):
+            for ax, m in enumerate(mats):
+                x = np.moveaxis(np.tensordot(m, x, axes=(1, ax)), 0, ax)
+            return x
+
+        rng = np.random.default_rng(5)
+        shapes = ((16,), (12, 8), (8, 10, 12))
+        for boundary in ("dirichlet_navier", "periodic"):
+            for shape in shapes:
+                d = len(shape)
+                g = SpectralGrid(DomainSpec(d, (PI, 2.0, 1.5)[:d], shape, boundary))
+                if boundary == "periodic":
+                    mats = [_periodic_basis(n, L)[0]
+                            for n, L in zip(shape, g.spec.lengths)]
+                else:
+                    mats = [_sine_matrix(n) for n in shape]
+                x = rng.uniform(-1.0, 1.0, size=shape)
+                fwd = g._ortho_forward(x)
+                assert np.max(np.abs(fwd - reference(mats, x))) <= 1e-13
+                inv = g._ortho_inverse(x)
+                assert np.max(np.abs(inv - reference([m.T for m in mats], x))) <= 1e-13
+                if boundary == "dirichlet_navier":
+                    # the orthonormal DST-I is its own inverse
+                    assert np.array_equal(inv, fwd)
+                    assert np.max(np.abs(g._ortho_forward(fwd) - x)) <= 1e-13
 
     def test_scipy_and_dense_paths_agree(self):
         # N=512 exceeds the dense-matrix limit and exercises the FFT path
@@ -328,6 +357,33 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             read_snapshot(path)
 
+    def _written(self, tmp_path):
+        g = grid_2d()
+        path = tmp_path / "state.mshf"
+        write_snapshot(path, Field(g, np.random.default_rng(4).standard_normal(g.shape)))
+        return path, path.read_bytes()
+
+    def test_reader_rejects_truncated_header(self, tmp_path):
+        path, blob = self._written(tmp_path)
+        path.write_bytes(blob[:15])  # cut inside the second axis record
+        with pytest.raises(ValueError, match="truncated MSHF header") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    def test_reader_rejects_truncated_body(self, tmp_path):
+        path, blob = self._written(tmp_path)
+        path.write_bytes(blob[:-8])
+        with pytest.raises(ValueError, match="truncated MSHF snapshot") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    def test_reader_rejects_trailing_bytes(self, tmp_path):
+        path, blob = self._written(tmp_path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
     def test_reader_builds_grid_when_missing(self, tmp_path):
         g = grid_1d(8, L=1.5)
         path = tmp_path / "state.mshf"
@@ -353,6 +409,15 @@ def test_threads_env_does_not_change_results(monkeypatch):
     monkeypatch.setenv("SPHEREFLOW_THREADS", "2")
     threaded = transform_forward(f).coeffs
     assert np.array_equal(base, threaded)
+
+
+def test_threads_env_must_be_positive_integer(monkeypatch):
+    g = grid_1d(512)
+    f = Field(g, np.ones(512))
+    for raw in ("abc", "0", "-1", ""):
+        monkeypatch.setenv("SPHEREFLOW_THREADS", raw)
+        with pytest.raises(ValueError, match="SPHEREFLOW_THREADS"):
+            transform_forward(f)
 
 
 def test_spectral_field_shape_validation():
