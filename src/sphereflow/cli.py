@@ -165,6 +165,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         ModelParams(n=n, a=a, dealias=dealias)
     except ValueError as err:
         raise ConfigError(f"model.n/model.dealias: {err}") from None
+    if dealias is not None and boundary == "periodic":
+        raise ConfigError(
+            "model.dealias: zero-pad dealiasing needs the sine basis, "
+            "not domain.boundary = periodic"
+        )
 
     scheme = seen.get("stepper.scheme", "etd1")
     if scheme not in ("etd1", "projected_euler", "rk4"):

@@ -59,10 +59,19 @@ class EnergyReport:
 
 
 def make_report(u: Field, p: ModelParams, t: float, ut_l2_sq: float,
-                dissipation_integral: float) -> EnergyReport:
-    l2sq, h1sq, h2sq = sobolev_norms_sq(u)
+                dissipation_integral: float, norms_sq=None,
+                l2n: float | None = None) -> EnergyReport:
+    """Energy ledger entry at state u.
+
+    A caller that already holds u's Parseval sums ``norms_sq`` (as
+    ``coeff_norms_sq`` returns them) and the integral ``l2n`` of u^(2n) (as
+    F(u) took it) passes them, and the record then costs no transform and
+    no second power; otherwise both are computed from u.
+    """
+    l2sq, h1sq, h2sq = sobolev_norms_sq(u) if norms_sq is None else norms_sq
     vsq = l2sq + 2.0 * h1sq + h2sq
-    l2n = l2n_power(u, p.n, p.dealias, p.signed_power)
+    if l2n is None:
+        l2n = l2n_power(u, p.n, p.dealias, p.signed_power)
     return EnergyReport(
         t=float(t),
         l2_norm=float(np.sqrt(l2sq)),

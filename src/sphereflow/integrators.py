@@ -1,29 +1,39 @@
 """Time integration of the projected flow with manifold retraction.
 
-ETD1 treats the stiff linear part A exactly through the semigroup and
-freezes the nonlinearity over the step:
+Every scheme runs through one kernel that marches the coefficients c of u.
+A stage evaluates the vector field k = N - A c, N being the coefficients of
+F(u), and a scheme is only its stage coefficients (a, b) in ``TABLEAUS``:
 
-    u+ = exp(-h A) u + h phi1(h A) F(u).
+    c_i = c + h sum_j a[i-1][j] k_j    state of stage i >= 1 (stage 0 at c)
+    c+  = c + h sum_j b[j] k_j         explicit: projected Euler, RK4
+    c+  = exp(-hA) c + h b[0](hA) N_0  exponential (b a function of hA): ETD1
 
-Projected Euler and classical RK4 discretize the projected vector field
-directly and are subject to the explicit stability limit h <~ 2 / mu_max.
-A per-step L2 renormalization (the cheapest retraction consistent with the
-invariance of the unit sphere under the continuous flow) is applied by
-default, and a blow-up guard converts runaway V-norms into errors.
+ETD1 is exact on the stiff linear part; the explicit schemes are subject to
+the stability limit h <~ 2 / mu_max.  A per-step L2 renormalization (the
+cheapest retraction consistent with the invariance of the unit sphere) is
+applied by default, and a blow-up guard turns runaway V-norms into errors.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import energy
-from .model import ModelParams, _F_values, expanded_rhs
-from .spectral import Field, norm_l2, phi1
+from .model import ModelParams, _F_values
+from .spectral import Field, coeff_norms_sq, norm_l2, phi1
 
-SCHEMES = ("etd1", "projected_euler", "rk4")
+
+# scheme -> (a, b) as in the module docstring
+TABLEAUS = {
+    "etd1": ((), (phi1,)),
+    "projected_euler": ((), (1.0,)),
+    "rk4": (((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+}
+SCHEMES = tuple(TABLEAUS)
 DEFAULT_BLOWUP_BOUND = 1e8
 
 
@@ -87,57 +97,77 @@ def renormalize(u: Field) -> Field:
     return Field(u.grid, u.values / r)
 
 
-def _guard_coeffs(grid, out_c: np.ndarray, blowup_bound: float) -> Field:
-    vn_sq = float((grid.V_eigs * out_c**2).sum())
-    if not np.isfinite(vn_sq) or vn_sq > blowup_bound**2:
+class _Kernel:
+    """One scheme for one grid, model and step size, with the h-dependent
+    weights computed once.  A stage is the tuple (values, N, k, s): u at the
+    stage state, N, k = N - A c and the integral s of u^(2n) as F took it."""
+
+    def __init__(self, scheme: str, grid, p: ModelParams, h: float):
+        a, b = TABLEAUS[scheme]
+        self.grid, self.p = grid, p
+        self.ha = [[h * x for x in row] for row in a]
+        if callable(b[0]):
+            z = h * grid.A_eigs
+            self.decay, self.hb = np.exp(-z), [h * f(z) for f in b]
+        else:
+            self.decay, self.hb = None, [h * x for x in b]
+
+    def stage(self, c: np.ndarray, values: np.ndarray | None = None) -> tuple:
+        grid = self.grid
+        if values is None:
+            values = grid.to_values(c)
+        f, s = _F_values(grid, values, c, self.p)
+        n = grid.to_coeffs(f)
+        return values, n, n - grid.A_eigs * c, s
+
+    def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:
+        """The next coefficients, given ``first = stage(c)``."""
+        if self.decay is not None:
+            return self.decay * c + self.hb[0] * first[1]
+        ks = [first[2]]
+        for row in self.ha:
+            ks.append(self.stage(sum((x * k for x, k in zip(row, ks) if x), c))[2])
+        return sum((x * k for x, k in zip(self.hb, ks)), c)
+
+
+def _guard(grid, c: np.ndarray, bound: float, t: float, last_values: np.ndarray) -> None:
+    """Raise BlowUpError if the V-norm of the state c reached at time t is
+    not finite or exceeds bound; ``last_values`` is the state before it."""
+    vn_sq = float(np.vdot(grid.V_eigs * c, c))
+    if not math.isfinite(vn_sq) or vn_sq > bound**2:
         raise BlowUpError(
-            f"V-norm {np.sqrt(max(vn_sq, 0.0))!r} exceeded the blow-up bound "
-            f"{blowup_bound}"
+            f"blow-up at t = {t:.6g}: V-norm {np.sqrt(max(vn_sq, 0.0))!r} exceeded {bound}",
+            t=t, last_state=Field._wrap(grid, last_values),
         )
-    return Field._wrap(grid, grid.to_values(out_c))
 
 
-def _etd1_coeffs(grid, c, values, p, h, decay=None, weight=None):
-    """ETD1 update in coefficient space: exp(-hA) c + h phi1(hA) F(u)."""
-    fc = grid.to_coeffs(_F_values(grid, values, c, p))
-    if decay is None:
-        z = h * grid.A_eigs
-        decay, weight = np.exp(-z), h * phi1(z)
-    return decay * c + weight * fc
+def _one_step(scheme, u: Field, p: ModelParams, h: float, blowup_bound: float) -> Field:
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    grid = u.grid
+    kernel = _Kernel(scheme, grid, p, h)
+    c = grid.to_coeffs(u.values)
+    out = kernel.advance(c, kernel.stage(c, u.values))
+    _guard(grid, out, blowup_bound, h, u.values)
+    return Field._wrap(grid, grid.to_values(out))
 
 
 def step_etd1(u: Field, p: ModelParams, h: float,
               blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> Field:
     """One exponential Euler step, exact on the linear part."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    grid = u.grid
-    c = grid.to_coeffs(u.values)
-    out_c = _etd1_coeffs(grid, c, u.values, p, h)
-    return _guard_coeffs(grid, out_c, blowup_bound)
+    return _one_step("etd1", u, p, h, blowup_bound)
 
 
 def step_projected_euler(u: Field, p: ModelParams, h: float,
                          blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> Field:
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    grid = u.grid
-    r = expanded_rhs(u, p)
-    out_c = grid.to_coeffs(u.values + h * r.values)
-    return _guard_coeffs(grid, out_c, blowup_bound)
+    """One explicit Euler step of the projected vector field."""
+    return _one_step("projected_euler", u, p, h, blowup_bound)
 
 
 def step_rk4(u: Field, p: ModelParams, h: float,
              blowup_bound: float = DEFAULT_BLOWUP_BOUND) -> Field:
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    grid = u.grid
-    k1 = expanded_rhs(u, p).values
-    k2 = expanded_rhs(Field._wrap(grid, u.values + 0.5 * h * k1), p).values
-    k3 = expanded_rhs(Field._wrap(grid, u.values + 0.5 * h * k2), p).values
-    k4 = expanded_rhs(Field._wrap(grid, u.values + h * k3), p).values
-    out = u.values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _guard_coeffs(grid, grid.to_coeffs(out), blowup_bound)
+    """One classical RK4 step of the projected vector field."""
+    return _one_step("rk4", u, p, h, blowup_bound)
 
 
 def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord:
@@ -145,11 +175,12 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
 
     The state marches in coefficient space (so unexcited high modes decay
     to the dynamical floor instead of being pinned at transform roundoff).
-    Records an energy report, the norm drift | |u|_L2^2 - 1 | and
-    (optionally) a snapshot every ``record_every`` steps and at the final
-    time; the dissipation integral is accumulated by trapezoid at every
-    step, with u_t the analytic vector field -A u + F(u).  Raises
-    BlowUpError carrying the last valid state and time if the guard trips.
+    Every ``record_every`` steps and at t_end it records an energy report,
+    the norm drift | |u|_L2^2 - 1 | and optionally a snapshot, all from the
+    first stage of the next step, so a record costs no transform.  The
+    dissipation integral is the trapezoid of |u_t|^2 over every step, with
+    u_t = -A u + F(u).  Raises BlowUpError carrying the last valid state and
+    time if the guard trips.
     """
     grid = u0.grid
     if cfg.scheme != "etd1" and cfg.h > 2.0 / grid.mu_max:
@@ -160,68 +191,38 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
         )
     h = cfg.h
     n_steps = int(round(cfg.t_end / h))
-    mu = grid.A_eigs
-    if cfg.scheme == "etd1":
-        z = h * mu
-        decay, weight = np.exp(-z), h * phi1(z)
+    kernel = _Kernel(cfg.scheme, grid, p, h)
 
     c = grid.to_coeffs(u0.values)
-    r = float(np.sqrt((c**2).sum()))
+    r = math.sqrt(np.vdot(c, c))
     if r == 0.0:
         raise ValueError("cannot renormalize the zero field")
     c = c / r
 
     times, reports, drifts, snaps = [], [], [], [] if cfg.keep_snapshots else None
     dissipation = 0.0
-    prev_ut_sq = None
-    u = None
-
-    def rhs_coeffs(c, values):
-        return grid.to_coeffs(_F_values(grid, values, c, p)) - mu * c
-
+    stage = kernel.stage(c)
     for i in range(n_steps + 1):
-        values = grid.to_values(c)
-        if cfg.scheme == "etd1":
-            fc = grid.to_coeffs(_F_values(grid, values, c, p))
-            rc = fc - mu * c
-        else:
-            rc = rhs_coeffs(c, values)
-        ut_sq = float((rc**2).sum())
-        if prev_ut_sq is not None:
+        values, _, k, s = stage
+        ut_sq = float(np.vdot(k, k))
+        if i:
             dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
         prev_ut_sq = ut_sq
         if i % cfg.record_every == 0 or i == n_steps:
             u = Field._wrap(grid, values)
+            sums = coeff_norms_sq(grid, c)
             times.append(i * h)
-            reports.append(energy.make_report(u, p, i * h, ut_sq, dissipation))
-            drifts.append(abs(float((c**2).sum()) - 1.0))
+            reports.append(energy.make_report(u, p, i * h, ut_sq, dissipation, sums, s))
+            drifts.append(abs(sums[0] - 1.0))
             if snaps is not None:
                 snaps.append(u)
         if i == n_steps:
             break
-        if cfg.scheme == "etd1":
-            c_next = decay * c + weight * fc
-        elif cfg.scheme == "projected_euler":
-            c_next = c + h * rc
-        else:
-            c2 = c + 0.5 * h * rc
-            k2 = rhs_coeffs(c2, grid.to_values(c2))
-            c3 = c + 0.5 * h * k2
-            k3 = rhs_coeffs(c3, grid.to_values(c3))
-            c4 = c + h * k3
-            k4 = rhs_coeffs(c4, grid.to_values(c4))
-            c_next = c + (h / 6.0) * (rc + 2.0 * k2 + 2.0 * k3 + k4)
-        vn_sq = float((grid.V_eigs * c_next**2).sum())
-        if not np.isfinite(vn_sq) or vn_sq > cfg.blowup_bound**2:
-            raise BlowUpError(
-                f"blow-up at t = {(i + 1) * h:.6g}: V-norm "
-                f"{np.sqrt(max(vn_sq, 0.0))!r} exceeded {cfg.blowup_bound}",
-                t=(i + 1) * h,
-                last_state=Field._wrap(grid, grid.to_values(c)),
-            )
-        c = c_next
+        c = kernel.advance(c, stage)
+        _guard(grid, c, cfg.blowup_bound, (i + 1) * h, values)
         if cfg.renormalize:
-            c = c / np.sqrt((c**2).sum())
+            c = c / math.sqrt(np.vdot(c, c))
+        stage = kernel.stage(c)
 
     return TrajectoryRecord(
         times=np.asarray(times),
@@ -258,19 +259,14 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
     for h in h_list + [h_list[0] / ref_factor]:
         if abs(round(t_end / h) * h - t_end) > 1e-9 * t_end:
             raise ValueError(f"step {h} does not divide t_end = {t_end}")
-    ref_cfg = StepperConfig(
-        scheme="rk4", h=h_list[0] / ref_factor, t_end=t_end,
-        renormalize=renormalize_flag, record_every=10**9, keep_snapshots=False,
-    )
-    ref = integrate(u0, p, ref_cfg).final_state
-    errors = []
-    for h in h_list:
-        cfg = StepperConfig(
-            scheme=scheme, h=h, t_end=t_end, renormalize=renormalize_flag,
-            record_every=10**9, keep_snapshots=False,
-        )
-        out = integrate(u0, p, cfg).final_state
-        errors.append(norm_l2(out - ref))
+
+    def final_state(name, h):
+        cfg = StepperConfig(scheme=name, h=h, t_end=t_end, renormalize=renormalize_flag,
+                            record_every=10**9, keep_snapshots=False)
+        return integrate(u0, p, cfg).final_state
+
+    ref = final_state("rk4", h_list[0] / ref_factor)
+    errors = [norm_l2(final_state(scheme, h) - ref) for h in h_list]
     x = np.log(np.asarray(h_list))
     y = np.log(np.asarray(errors))
     A = np.vstack([x, np.ones_like(x)]).T

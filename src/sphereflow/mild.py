@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, check_on_manifold, nonlinearity_F
+from . import model
+from .model import ModelParams, check_on_manifold
 from .spectral import Field, SpectralGrid, phi1
 
 
@@ -46,10 +47,15 @@ class TruncationTheta:
 
 
 def theta_eval(th: TruncationTheta, x):
-    """Evaluate the cutoff at x >= 0 (scalar or array)."""
+    """Evaluate the cutoff at x >= 0 (scalar or array); NaN raises."""
+    if isinstance(x, (float, int)):
+        # same IEEE operations as the array path, without its array calls
+        if not x >= 0:
+            raise ValueError(f"theta is defined on nonnegative arguments, got {x!r}")
+        return min(1.0, max(0.0, 2.0 - x / th.m))
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("theta is defined on nonnegative arguments")
+    if not np.all(x >= 0):
+        raise ValueError("theta is defined on nonnegative arguments, got NaN or x < 0")
     out = np.clip(2.0 - x / th.m, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -156,8 +162,10 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta,
     """One application of the truncated fixed-point map Phi."""
     grid = u.grid
     fc = np.empty_like(u.coeffs)
-    for i in range(u.times.size):
-        fc[i] = grid.to_coeffs(nonlinearity_F(u.field_at(i), p).values)
+    for i, c in enumerate(u.coeffs):
+        # through the module, so that wrappers of model._F_values see the call
+        f, _ = model._F_values(grid, grid.to_values(c), c, p)
+        fc[i] = grid.to_coeffs(f)
     theta = theta_eval(th, np.sqrt(_running_xt_sq(u)))
     scaled = SpaceTimeGrid(grid, u.times,
                            theta.reshape((-1,) + (1,) * grid.lap_eigs.ndim) * fc)

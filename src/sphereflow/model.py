@@ -15,6 +15,7 @@ implemented so their agreement can be checked numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,10 @@ import numpy as np
 from .spectral import (
     DomainSpec,
     Field,
-    SpectralField,
     SpectralGrid,
     inner_l2,
     norm_l2,
     sobolev_norms_sq,
-    transform_inverse,
 )
 
 MANIFOLD_TOL = 1e-8
@@ -106,25 +105,28 @@ def _fine_grid(grid: SpectralGrid, factor: int) -> SpectralGrid:
     return _fine_grid_cache[key]
 
 
-def _pad_to_fine(u: Field, factor: int) -> Field:
-    """Evaluate u on a grid refined by ``factor`` via coefficient zero-padding."""
-    if u.grid.spec.boundary != "dirichlet_navier":
+def _pad_values(grid: SpectralGrid, coeffs: np.ndarray, factor: int):
+    """(fine grid, values of u on it): u evaluated on a grid refined by
+    ``factor`` via coefficient zero-padding."""
+    if grid.spec.boundary != "dirichlet_navier":
         # the periodic basis interleaves cosine/sine pairs and rescales the
         # Nyquist row, so plain coefficient slicing would mis-embed it
         raise NotImplementedError(
             "zero-pad dealiasing is only implemented for the sine basis"
         )
-    fine = _fine_grid(u.grid, factor)
-    coeffs = np.zeros(fine.shape)
-    sl = tuple(slice(0, n) for n in u.grid.shape)
-    coeffs[sl] = u.grid.to_coeffs(u.values)
-    return transform_inverse(SpectralField(fine, coeffs))
+    fine = _fine_grid(grid, factor)
+    padded = np.zeros(fine.shape)
+    padded[tuple(slice(0, n) for n in grid.shape)] = coeffs
+    return fine, fine.to_values(padded)
 
 
-def _truncate_from_fine(w: Field, grid: SpectralGrid) -> Field:
+def _truncate_from_fine(fine: SpectralGrid, w: np.ndarray,
+                        grid: SpectralGrid) -> np.ndarray:
+    """w, given on ``fine``, on grid: its coefficients truncated to grid's."""
+    if fine is grid:
+        return w
     sl = tuple(slice(0, n) for n in grid.shape)
-    coeffs = w.grid.to_coeffs(w.values)[sl]
-    return transform_inverse(SpectralField(grid, coeffs))
+    return grid.to_values(fine.to_coeffs(w)[sl])
 
 
 def _odd_power(values: np.ndarray, n: int) -> np.ndarray:
@@ -157,66 +159,68 @@ def _raise_overflow(values: np.ndarray):
     )
 
 
-def _power_values(values: np.ndarray, n, signed: bool) -> np.ndarray:
+def _fine_power(grid: SpectralGrid, values: np.ndarray, n, dealias=None,
+                signed: bool = False, coeffs: np.ndarray | None = None):
+    """(grid, u^(2n-1) values, integral of u^(2n)) on the grid the power is
+    taken on: the zero-padded one when ``dealias`` is set, padded once from
+    ``coeffs`` (u's coefficients, transformed here when not given).
+
+    The integral is the quadrature of w * u for w = u^(2n-1), so <F(u), u>
+    and the energy share it by construction.  A non-finite w makes the
+    integral non-finite, so the overflow test looks at that one number.
+    """
+    if dealias is None:
+        fine, v = grid, values
+    else:
+        if coeffs is None:
+            coeffs = grid.to_coeffs(values)
+        fine, v = _pad_values(grid, coeffs, int(dealias))
     with np.errstate(over="raise"):
         try:
-            w = _pointwise_power(values, n, signed)
+            w = _pointwise_power(v, n, signed)
+            s = fine.weight * float(np.vdot(w, v))
         except FloatingPointError:
-            _raise_overflow(values)
-    if not np.all(np.isfinite(w)):
-        _raise_overflow(values)
-    return w
+            _raise_overflow(v)
+    if not math.isfinite(s):
+        _raise_overflow(v)
+    return fine, w, s
+
+
+def _power_and_l2n(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
+                   coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """(u^(2n-1) values, integral of u^(2n)) as F(u) uses them."""
+    fine, w, s = _fine_power(grid, values, p.n, p.dealias, p.signed_power, coeffs)
+    return _truncate_from_fine(fine, w, grid), s
 
 
 def power_term(u: Field, n, dealias: int | None = None, signed: bool = False) -> Field:
     """Pointwise odd power u^(2n-1), optionally dealiased by zero padding."""
-    if dealias is None:
-        return Field._wrap(u.grid, _power_values(u.values, n, signed))
-    fine = _pad_to_fine(u, int(dealias))
-    w = Field._wrap(fine.grid, _power_values(fine.values, n, signed))
-    return _truncate_from_fine(w, u.grid)
+    fine, w, _ = _fine_power(u.grid, u.values, n, dealias, signed)
+    return Field._wrap(u.grid, _truncate_from_fine(fine, w, u.grid))
 
 
 def l2n_power(u: Field, n, dealias: int | None = None, signed: bool = False) -> float:
     """The integral of u^{2n}, on the padded grid when dealiasing is active."""
-    v = u if dealias is None else _pad_to_fine(u, int(dealias))
-    if signed:
-        return float(v.grid.weight * np.sum(np.abs(v.values) ** (2 * n)))
-    return _l2n_from_power(v.grid, v.values, _odd_power(v.values, int(n)))
-
-
-def _l2n_from_power(grid: SpectralGrid, values: np.ndarray, w: np.ndarray) -> float:
-    # the integral of u^(2n) = u * u^(2n-1), given w = u^(2n-1)
-    return float(grid.weight * np.sum(w * values))
-
-
-def _power_and_l2n(grid: SpectralGrid, values: np.ndarray,
-                   p: ModelParams) -> tuple[np.ndarray, float]:
-    """(u^(2n-1) values, integral of u^(2n)) as F(u) uses them."""
-    if p.dealias is None and not p.signed_power:
-        w = _power_values(values, p.n, False)
-        return w, _l2n_from_power(grid, values, w)
-    u = Field._wrap(grid, values)
-    return (power_term(u, p.n, p.dealias, p.signed_power).values,
-            l2n_power(u, p.n, p.dealias, p.signed_power))
+    return _fine_power(u.grid, u.values, n, dealias, signed)[2]
 
 
 def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
-              p: ModelParams) -> np.ndarray:
-    """F(u) values given both representations of u."""
-    c2 = coeffs**2
-    h1sq = float((grid.lap_eigs * c2).sum())
-    h2sq = float((grid.lap_eigs**2 * c2).sum())
-    w, s = _power_and_l2n(grid, values, p)
-    return (h2sq + 2.0 * h1sq + s) * values - w
+              p: ModelParams) -> tuple[np.ndarray, float]:
+    """(F(u) values, integral of u^(2n)) given both representations of u.
+
+    |u|_H2^2 + 2|u|_H1^2 is the single Parseval sum of A_k c_k^2; the
+    integral is returned so that energy records reuse it.
+    """
+    a_sq = float(np.vdot(grid.A_eigs * coeffs, coeffs))
+    w, s = _power_and_l2n(grid, values, p, coeffs)
+    return (a_sq + s) * values - w, s
 
 
 def nonlinearity_F(u: Field, p: ModelParams) -> Field:
     """The four-term nonlinearity F(u); every norm factor is quadrature-consistent
     with power_term so the discrete flow keeps the exact gradient structure."""
-    return Field._wrap(
-        u.grid, _F_values(u.grid, u.values, u.grid.to_coeffs(u.values), p)
-    )
+    f, _ = _F_values(u.grid, u.values, u.grid.to_coeffs(u.values), p)
+    return Field._wrap(u.grid, f)
 
 
 def project_tangent(u: Field, h: Field) -> Field:
@@ -234,7 +238,7 @@ def expanded_rhs(u: Field, p: ModelParams) -> Field:
     """
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    f = _F_values(grid, u.values, c, p)
+    f, _ = _F_values(grid, u.values, c, p)
     return Field._wrap(grid, f - grid.to_values(grid.A_eigs * c))
 
 
@@ -254,9 +258,9 @@ def unprojected_rhs(u: Field, p: ModelParams) -> Field:
     """The raw right-hand side -A u - a u - u^(2n-1) before any projection."""
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    w = power_term(u, p.n, p.dealias, p.signed_power)
+    w, _ = _power_and_l2n(grid, u.values, p, c)
     return Field._wrap(
-        grid, -grid.to_values(grid.A_eigs * c) - p.a * u.values - w.values
+        grid, -grid.to_values(grid.A_eigs * c) - p.a * u.values - w
     )
 
 

@@ -132,24 +132,40 @@ class SpectralGrid:
             # dense matrices only when every axis is small; otherwise dstn.
             # The orthonormal DST-I is its own inverse.
             if max(spec.resolution) <= _DENSE_AXIS_LIMIT:
-                self._forward_mats = [_sine_matrix(n) for n in spec.resolution]
+                forward = {n: _sine_matrix(n) for n in set(spec.resolution)}
+                forward = [forward[n] for n in spec.resolution]
             else:
-                self._forward_mats = None
-            self._inverse_mats = self._forward_mats
+                forward = None
+            inverse = forward
         else:
             step = [L / n for L, n in zip(spec.lengths, spec.resolution)]
             self.axis_points = [
                 np.arange(n) * h for n, h in zip(spec.resolution, step)
             ]
-            axis_lam, axis_mag, self._forward_mats = [], [], []
+            axis_lam, axis_mag, forward = [], [], []
             for n, L in zip(spec.resolution, spec.lengths):
                 Q, freqs = _periodic_basis(n, L)
-                self._forward_mats.append(Q)
+                forward.append(Q)
                 axis_lam.append((2.0 * np.pi * freqs / L) ** 2)
                 axis_mag.append(freqs)
-            self._inverse_mats = [np.ascontiguousarray(q.T) for q in self._forward_mats]
+            inverse = [q.T for q in forward]
 
         self.weight = float(np.prod(step))
+        self._sqrt_weight = np.sqrt(self.weight)
+        # sqrt(weight), the product of the per-axis sqrt(step), is folded
+        # into the per-axis matrices, so to_coeffs and to_values are one
+        # matrix product per axis and no extra pass; equal axes share them
+        self._coeff_mats = self._value_mats = None
+        if forward is not None:
+            folded = {}
+            for n, L, h, fwd, inv in zip(spec.resolution, spec.lengths, step,
+                                         forward, inverse):
+                if (n, L) not in folded:
+                    r = np.sqrt(h)
+                    folded[(n, L)] = (r * fwd, np.ascontiguousarray(inv / r))
+            axes = [folded[key] for key in zip(spec.resolution, spec.lengths)]
+            self._coeff_mats = [m for m, _ in axes]
+            self._value_mats = [m for _, m in axes]
         mesh = np.meshgrid(*axis_lam, indexing="ij")
         self.lap_eigs = np.sum(mesh, axis=0) if d > 1 else np.asarray(axis_lam[0])
         self.lap_eigs = self.lap_eigs.reshape(self.shape)
@@ -164,25 +180,29 @@ class SpectralGrid:
             raise ValueError("A must be strictly positive on the sine basis")
         self.mu_min = float(self.A_eigs.min())
         self.mu_max = float(self.A_eigs.max())
-        self._sqrt_weight = np.sqrt(self.weight)
 
     # -- transforms -------------------------------------------------------
 
     def _ortho_forward(self, values: np.ndarray) -> np.ndarray:
-        if self._forward_mats is None:
+        """The orthonormal transform, without the quadrature factor."""
+        if self._coeff_mats is None:
             return dstn(values, type=1, norm="ortho", workers=_workers())
-        return _contract_axes(self._forward_mats, values)
+        return self.to_coeffs(values) / self._sqrt_weight
 
     def _ortho_inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        if self._inverse_mats is None:
-            return dstn(coeffs, type=1, norm="ortho", workers=_workers())
-        return _contract_axes(self._inverse_mats, coeffs)
+        if self.spec.boundary == "dirichlet_navier":
+            return self._ortho_forward(coeffs)  # DST-I is its own inverse
+        return self.to_values(coeffs) * self._sqrt_weight
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self._sqrt_weight * self._ortho_forward(values)
+        if self._coeff_mats is None:
+            return self._sqrt_weight * self._ortho_forward(values)
+        return _contract_axes(self._coeff_mats, values)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._ortho_inverse(coeffs) / self._sqrt_weight
+        if self._value_mats is None:
+            return self._ortho_inverse(coeffs) / self._sqrt_weight
+        return _contract_axes(self._value_mats, coeffs)
 
     def compatible(self, other: "SpectralGrid") -> bool:
         return self is other or self.spec == other.spec
@@ -344,9 +364,14 @@ def norm_l2(u: Field) -> float:
 
 def sobolev_norms_sq(u: Field):
     """(|u|_{L2}^2, |grad u|_{L2}^2, |lap u|_{L2}^2) from one transform."""
-    c2 = u.grid.to_coeffs(u.values) ** 2
-    lam = u.grid.lap_eigs
-    return float(c2.sum()), float((lam * c2).sum()), float((lam**2 * c2).sum())
+    return coeff_norms_sq(u.grid, u.grid.to_coeffs(u.values))
+
+
+def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray):
+    """sobolev_norms_sq from coefficients already at hand: Parseval sums."""
+    c2 = coeffs * coeffs
+    lam_c2 = grid.lap_eigs * c2
+    return float(c2.sum()), float(lam_c2.sum()), float(np.vdot(lam_c2, grid.lap_eigs))
 
 
 def seminorm_h1(u: Field) -> float:

@@ -1,0 +1,18 @@
+import pytest
+
+from sphereflow import SpectralGrid
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Count SpectralGrid.to_coeffs and to_values calls; read ``count[0]``."""
+    count = [0]
+    for name in ("to_coeffs", "to_values"):
+        orig = getattr(SpectralGrid, name)
+
+        def counted(self, x, _orig=orig):
+            count[0] += 1
+            return _orig(self, x)
+
+        monkeypatch.setattr(SpectralGrid, name, counted)
+    return count

@@ -177,6 +177,16 @@ class TestMainEntry:
         assert code == 2
         assert "model.n" in capsys.readouterr().err
 
+    def test_periodic_dealias_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(
+            tmp_path, "domain.boundary = periodic\nmodel.n = 2\nmodel.dealias = 2\n"
+        )
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "model.dealias" in err and "domain.boundary" in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_thread_setting_is_config_error(self, tmp_path, capsys, monkeypatch):
         cfg = self.write_cfg(tmp_path)
         for raw in ("abc", "0", "-2"):

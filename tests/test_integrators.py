@@ -14,6 +14,7 @@ from sphereflow import (
     convergence_order_probe,
     default_step,
     integrate,
+    make_report,
     norm_l2,
     projected_rhs,
     random_unit_field,
@@ -239,6 +240,49 @@ class TestIntegrate:
             gains[h] = sep / delta
         assert all(np.isfinite(k) and k < 1e4 for k in gains.values())
         assert max(gains.values()) / min(gains.values()) < 2.0
+
+
+class TestKernel:
+    SCHEMES = (("etd1", 1e-4), ("projected_euler", 1e-5), ("rk4", 1e-5))
+
+    def test_transforms_per_step_and_records_add_none(self, transform_count):
+        g = grid_1d(16)
+        u0 = random_unit_field(g, np.random.default_rng(11))
+        per_step = {"etd1": 2, "projected_euler": 2, "rk4": 8}
+        for scheme, h in self.SCHEMES:
+            for record_every in (1, 10**9):
+                transform_count[0] = 0
+                integrate(u0, ModelParams(n=2), StepperConfig(
+                    scheme=scheme, h=h, t_end=10 * h, record_every=record_every,
+                    keep_snapshots=False))
+                # the initial transform and the first stage, then each step
+                assert transform_count[0] == 3 + 10 * per_step[scheme]
+
+    def test_records_match_make_report_from_the_state(self):
+        g = grid_1d(16)
+        u0 = random_unit_field(g, np.random.default_rng(12))
+        for p in (ModelParams(n=2), ModelParams(n=2, dealias=2),
+                  ModelParams(n=1.5, signed_power=True)):
+            for scheme, h in self.SCHEMES:
+                traj = integrate(u0, p, StepperConfig(
+                    scheme=scheme, h=h, t_end=20 * h, record_every=3))
+                for rep, u in zip(traj.reports, traj.snapshots):
+                    ref = make_report(u, p, rep.t, rep.ut_l2_sq, rep.dissipation_integral)
+                    for name in ("l2_norm", "h1_seminorm_sq", "h2_seminorm_sq",
+                                 "v_norm_sq", "l2n_pow", "Y"):
+                        new, old = getattr(rep, name), getattr(ref, name)
+                        assert abs(new - old) <= 1e-13 * abs(old), (scheme, name)
+
+    def test_step_wrappers_equal_one_step_integrate(self):
+        g = grid_1d(16)
+        u = random_unit_field(g, np.random.default_rng(13))
+        p = ModelParams(n=2)
+        steps = {"etd1": step_etd1, "projected_euler": step_projected_euler,
+                 "rk4": step_rk4}
+        for scheme, h in self.SCHEMES:
+            traj = integrate(u, p, StepperConfig(scheme=scheme, h=h, t_end=h,
+                                                 renormalize=False))
+            assert norm_l2(steps[scheme](u, p, h) - traj.final_state) <= 1e-14
 
 
 class TestOrders:

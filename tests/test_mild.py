@@ -70,6 +70,24 @@ class TestTheta:
             TruncationTheta(0.0)
         with pytest.raises(ValueError):
             theta_eval(TruncationTheta(1.0), -0.5)
+        for x in (float("nan"), np.float64("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError):
+                theta_eval(TruncationTheta(1.0), x)
+        with pytest.raises(ValueError):
+            theta_eval(TruncationTheta(1.0), np.array([0.5, -1e-300]))
+
+    def test_scalar_and_array_paths_agree_bitwise(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            th = TruncationTheta(rng.uniform(0.05, 20.0))
+            xs = np.concatenate([rng.uniform(0.0, 3.0 * th.m, size=50),
+                                 [0.0, th.m, 2.0 * th.m, 1e300, np.inf]])
+            arr = theta_eval(th, xs)
+            for x, a in zip(xs, arr):
+                for scalar in (float(x), x):
+                    assert np.array_equal(theta_eval(th, scalar), a)
+                assert theta_eval(th, np.array(x)) == a
+            assert theta_eval(th, 3) == theta_eval(th, np.array([3.0]))[0]
 
 
 class TestSpaceTimeGrid:
@@ -145,6 +163,15 @@ class TestConvolution:
 
 
 class TestPhiMap:
+    def test_two_transforms_per_time_slot(self, transform_count):
+        g = grid_1d(16)
+        u0 = random_unit_field(g, np.random.default_rng(4))
+        u = SpaceTimeGrid.from_semigroup(u0, np.linspace(0.0, 0.01, 40))
+        transform_count[0] = 0
+        phi_map(u, u0, TruncationTheta(1e6), ModelParams(n=2))
+        # one to_values and one to_coeffs per slot, plus u0's coefficients
+        assert transform_count[0] == 2 * 40 + 1
+
     def test_constant_equilibrium_is_fixed(self):
         # per-mode identity oracle: e^(-3t) + (1 - e^(-3t)) = 1
         g = grid_1d(32)

@@ -25,7 +25,7 @@ from sphereflow import (
     seminorm_h2,
     unprojected_rhs,
 )
-from sphereflow.model import _power_and_l2n
+from sphereflow.model import _F_values, _power_and_l2n
 
 PI = np.pi
 
@@ -127,6 +127,15 @@ class TestL2nPower:
 
 
 class TestNonlinearity:
+    def test_dealiased_F_pads_once(self, transform_count):
+        g = grid_1d()
+        u = random_unit_field(g, np.random.default_rng(13))
+        c = g.to_coeffs(u.values)
+        transform_count[0] = 0
+        _F_values(g, u.values, c, ModelParams(n=2, dealias=2))
+        # padded inverse, fine forward of the power, coarse inverse
+        assert transform_count[0] == 3
+
     def test_energy_term_matches_l2n_power(self):
         # the L^{2n} term inside F is the energy's quadrature of u^{2n}
         g = grid_1d()
