@@ -228,11 +228,12 @@ def build_params(cfg: RunConfig) -> ModelParams:
     return ModelParams(n=cfg.n, a=cfg.a, dealias=cfg.dealias)
 
 
-def build_stepper(cfg: RunConfig, grid: SpectralGrid) -> StepperConfig:
+def build_stepper(cfg: RunConfig, grid: SpectralGrid,
+                  keep_snapshots: bool = True) -> StepperConfig:
     h = cfg.h if cfg.h is not None else default_step(cfg.scheme, grid)
     return StepperConfig(
         scheme=cfg.scheme, h=h, t_end=cfg.t_end, renormalize=cfg.renormalize,
-        record_every=cfg.record_every, keep_snapshots=True,
+        record_every=cfg.record_every, keep_snapshots=keep_snapshots,
     )
 
 
@@ -255,7 +256,7 @@ def build_initial(cfg: RunConfig, grid: SpectralGrid) -> Field:
 def cmd_run(cfg: RunConfig) -> int:
     grid = build_grid(cfg)
     params = build_params(cfg)
-    stepper = build_stepper(cfg, grid)
+    stepper = build_stepper(cfg, grid, keep_snapshots=cfg.snapshots)
     u0 = build_initial(cfg, grid)
     traj = integrate(u0, params, stepper)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -275,12 +276,12 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_picard(cfg: RunConfig, m: float = 100.0) -> int:
+    if cfg.t_end <= 0:
+        raise ConfigError("stepper.t_end: picard needs a positive horizon")
     grid = build_grid(cfg)
     params = build_params(cfg)
     u0 = build_initial(cfg, grid)
-    res = mild.picard_solve(
-        u0, mild.TruncationTheta(m), params, T=cfg.t_end if cfg.t_end > 0 else 0.05
-    )
+    res = mild.picard_solve(u0, mild.TruncationTheta(m), params, T=cfg.t_end)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "picard.csv")
     with open(path, "w", newline="") as fh:

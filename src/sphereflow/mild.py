@@ -78,6 +78,15 @@ class SpaceTimeGrid:
         if self.coeffs.shape != (self.times.size,) + self.grid.shape:
             raise ValueError("coefficient array does not match times and grid")
 
+    @classmethod
+    def _wrap(cls, grid, times, coeffs):
+        # fast path for grids derived from a validated one; skips validation
+        obj = object.__new__(cls)
+        obj.grid = grid
+        obj.times = times
+        obj.coeffs = coeffs
+        return obj
+
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
@@ -95,21 +104,30 @@ class SpaceTimeGrid:
         return cls(u0.grid, times, coeffs)
 
 
-def _v_norms_sq(st: SpaceTimeGrid) -> np.ndarray:
-    axes = tuple(range(1, st.coeffs.ndim))
-    return (st.grid.V_eigs * st.coeffs**2).sum(axis=axes)
+def _squares(st: SpaceTimeGrid, out=None) -> np.ndarray:
+    """Squared coefficients, one row per time slot; written into ``out``
+    (an array shaped like ``st.coeffs``) when it is given."""
+    c = st.coeffs.reshape(st.times.size, -1)
+    return np.multiply(c, c, out=None if out is None else out.reshape(c.shape))
 
 
-def _e_norms_sq(st: SpaceTimeGrid) -> np.ndarray:
-    axes = tuple(range(1, st.coeffs.ndim))
-    return (st.grid.A_eigs**2 * st.coeffs**2).sum(axis=axes)
+def _v_norms_sq(st: SpaceTimeGrid, sq=None) -> np.ndarray:
+    sq = _squares(st) if sq is None else sq
+    return sq @ st.grid.V_eigs.ravel()
 
 
-def _running_xt_sq(st: SpaceTimeGrid) -> np.ndarray:
+def _e_norms_sq(st: SpaceTimeGrid, sq=None) -> np.ndarray:
+    sq = _squares(st) if sq is None else sq
+    return sq @ (st.grid.A_eigs**2).ravel()
+
+
+def _running_xt_sq(st: SpaceTimeGrid, scratch=None) -> np.ndarray:
     """|u|_{X_t}^2 up to each grid time: running sup of the squared V-norm
-    plus the running trapezoid of |A u|_{L2}^2."""
-    v = _v_norms_sq(st)
-    e = _e_norms_sq(st)
+    plus the running trapezoid of |A u|_{L2}^2.  ``scratch`` (shaped like
+    ``st.coeffs``) holds the squared coefficients when given."""
+    sq = _squares(st, scratch)
+    v = _v_norms_sq(st, sq)
+    e = _e_norms_sq(st, sq)
     running_int = np.concatenate(
         ([0.0], np.cumsum(0.5 * st.dt * (e[1:] + e[:-1])))
     )
@@ -122,12 +140,13 @@ def xt_norm(st: SpaceTimeGrid) -> float:
 
 
 def sup_v_distance(a: SpaceTimeGrid, b: SpaceTimeGrid) -> float:
-    diff = SpaceTimeGrid(a.grid, a.times, a.coeffs - b.coeffs)
-    return float(np.sqrt(_v_norms_sq(diff).max()))
+    diff = SpaceTimeGrid._wrap(a.grid, a.times, a.coeffs - b.coeffs)
+    # the difference is a temporary, so it is squared in place
+    return float(np.sqrt(_v_norms_sq(diff, _squares(diff, diff.coeffs)).max()))
 
 
 def xt_distance(a: SpaceTimeGrid, b: SpaceTimeGrid) -> float:
-    return xt_norm(SpaceTimeGrid(a.grid, a.times, a.coeffs - b.coeffs))
+    return xt_norm(SpaceTimeGrid._wrap(a.grid, a.times, a.coeffs - b.coeffs))
 
 
 def _phi2(z):
@@ -139,39 +158,69 @@ def _phi2(z):
     return np.where(small, series, (zs - 1.0 + np.exp(-zs)) / zs**2)
 
 
+_conv_weights_cache: dict = {}
+_CONV_WEIGHTS_MAX = 8  # entries; each holds three grid-sized arrays
+
+
+def _conv_weights(grid: SpectralGrid, h: float):
+    """(exp(-hA), h (phi1 - phi2)(hA), h phi2(hA)), read-only and cached per
+    grid spec and step, so that repeated solves on one grid share them."""
+    key = (grid.spec, h)
+    weights = _conv_weights_cache.get(key)
+    if weights is None:
+        if len(_conv_weights_cache) >= _CONV_WEIGHTS_MAX:
+            _conv_weights_cache.clear()
+        z = h * grid.A_eigs
+        weights = (np.exp(-z), h * (phi1(z) - _phi2(z)), h * _phi2(z))
+        for w in weights:
+            w.flags.writeable = False
+        _conv_weights_cache[key] = weights
+    return weights
+
+
 def convolve_semigroup(f: SpaceTimeGrid) -> SpaceTimeGrid:
     """u(t_i) = integral_0^{t_i} S(t_i - p) f(p) dp, exact for f piecewise
     linear in time, via the per-mode recurrence
 
         u_i = e^(-mu h) u_{i-1} + h (phi1 - phi2)(mu h) f_{i-1} + h phi2(mu h) f_i.
     """
-    grid = f.grid
-    h = f.dt
-    z = h * grid.A_eigs
-    decay = np.exp(-z)
-    w_left = h * (phi1(z) - _phi2(z))
-    w_right = h * _phi2(z)
-    out = np.zeros_like(f.coeffs)
+    decay, w_left, w_right = _conv_weights(f.grid, f.dt)
+    fc = f.coeffs
+    out = np.empty_like(fc)
+    out[0] = 0.0
+    tmp = np.empty_like(decay)
+    # slot by slot into ``out``: no temporary the size of the trajectory
     for i in range(1, f.times.size):
-        out[i] = decay * out[i - 1] + w_left * f.coeffs[i - 1] + w_right * f.coeffs[i]
-    return SpaceTimeGrid(grid, f.times, out)
+        o = out[i]
+        np.multiply(w_left, fc[i - 1], out=o)
+        o += np.multiply(w_right, fc[i], out=tmp)
+        o += np.multiply(decay, out[i - 1], out=tmp)
+    return SpaceTimeGrid._wrap(f.grid, f.times, out)
 
 
 def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta,
-            p: ModelParams) -> SpaceTimeGrid:
-    """One application of the truncated fixed-point map Phi."""
+            p: ModelParams, *, free: SpaceTimeGrid | None = None) -> SpaceTimeGrid:
+    """One application of the truncated fixed-point map Phi.
+
+    ``free`` is the free evolution S(t) u0 on ``u.times``; a caller that
+    applies Phi repeatedly builds it once and passes it in.
+    """
     grid = u.grid
     fc = np.empty_like(u.coeffs)
+    # fc holds the squared coefficients until the loop below overwrites it
+    theta = theta_eval(th, np.sqrt(_running_xt_sq(u, scratch=fc)))
     for i, c in enumerate(u.coeffs):
         # through the module, so that wrappers of model._F_values see the call
         f, _ = model._F_values(grid, grid.to_values(c), c, p)
         fc[i] = grid.to_coeffs(f)
-    theta = theta_eval(th, np.sqrt(_running_xt_sq(u)))
-    scaled = SpaceTimeGrid(grid, u.times,
-                           theta.reshape((-1,) + (1,) * grid.lap_eigs.ndim) * fc)
-    free = SpaceTimeGrid.from_semigroup(u0, u.times)
-    conv = convolve_semigroup(scaled)
-    return SpaceTimeGrid(grid, u.times, free.coeffs + conv.coeffs)
+    fc *= theta.reshape((-1,) + (1,) * grid.lap_eigs.ndim)
+    if free is None:
+        free = SpaceTimeGrid.from_semigroup(u0, u.times)
+    elif free.times is not u.times and not np.array_equal(free.times, u.times):
+        raise ValueError("free evolution is sampled on a different time grid")
+    out = convolve_semigroup(SpaceTimeGrid._wrap(grid, u.times, fc)).coeffs
+    out += free.coeffs
+    return SpaceTimeGrid._wrap(grid, u.times, out)
 
 
 def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
@@ -196,7 +245,7 @@ def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
         w = random_coeff_field(u0.grid, rng, decay)
         wc = u0.grid.to_coeffs(w.values)
         vn = np.sqrt(float((u0.grid.V_eigs * wc**2).sum()))
-        return SpaceTimeGrid(u0.grid, times, base.coeffs + wc / vn)
+        return SpaceTimeGrid._wrap(u0.grid, base.times, base.coeffs + wc / vn)
 
     worst = 0.0
     for _ in range(samples):
@@ -204,7 +253,8 @@ def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
         d = xt_distance(u1, u2)
         if d == 0.0:
             continue
-        d_img = xt_distance(phi_map(u1, u0, th, p), phi_map(u2, u0, th, p))
+        d_img = xt_distance(phi_map(u1, u0, th, p, free=base),
+                            phi_map(u2, u0, th, p, free=base))
         worst = max(worst, d_img / d)
     return worst
 
@@ -233,11 +283,12 @@ def picard_solve(u0: Field, th: TruncationTheta, p: ModelParams, T: float,
         raise ValueError("horizon T must be positive")
     check_on_manifold(u0)
     times = np.linspace(0.0, T, num_points)
-    current = SpaceTimeGrid.from_semigroup(u0, times)
+    free = SpaceTimeGrid.from_semigroup(u0, times)
+    current = free
     distances = []
     for _ in range(max_iter):
         try:
-            nxt = phi_map(current, u0, th, p)
+            nxt = phi_map(current, u0, th, p, free=free)
         except OverflowError:
             raise NonContractionError(
                 f"Picard iterate diverged on [0, {T}]; use a smaller T"

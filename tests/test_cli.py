@@ -162,6 +162,18 @@ class TestMainEntry:
             out_b / "timeseries.csv"
         ).read_bytes()
 
+    def test_snapshot_setting_keeps_timeseries_identical(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["--config", str(cfg), "--set", "output.snapshots=true",
+                     "--out", str(out_a), "run"]) == 0
+        assert main(["--config", str(cfg), "--set", "output.snapshots=false",
+                     "--out", str(out_b), "run"]) == 0
+        assert (out_a / "snapshots").is_dir() and not (out_b / "snapshots").exists()
+        assert (out_a / "timeseries.csv").read_bytes() == (
+            out_b / "timeseries.csv"
+        ).read_bytes()
+
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -231,6 +243,15 @@ class TestMainEntry:
         assert lines[0] == "iter,sup_v_distance,factor"
         dists = [float(line.split(",")[1]) for line in lines[1:]]
         assert dists[-1] < 1e-10
+
+    def test_picard_zero_horizon_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "p"
+        code = main(["--config", str(cfg), "--set", "stepper.t_end=0",
+                     "--out", str(out), "picard"])
+        assert code == 2
+        assert "stepper.t_end" in capsys.readouterr().err
+        assert not (out / "picard.csv").exists()
 
     def test_probe_lipschitz_rejects_zero_samples(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

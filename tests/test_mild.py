@@ -21,6 +21,8 @@ from sphereflow import (
     theta_eval,
     xt_norm,
 )
+from sphereflow import mild
+from sphereflow.cli import main
 
 PI = np.pi
 
@@ -107,6 +109,21 @@ class TestSpaceTimeGrid:
 
 
 class TestXtNorm:
+    @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 10, 12)])
+    def test_norms_match_broadcast_sum(self, shape):
+        dim = len(shape)
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, shape))
+        rng = np.random.default_rng(dim)
+        size = (40,) + shape
+        coeffs = rng.standard_normal(size) * np.exp(-rng.uniform(0.0, 20.0, size))
+        st = SpaceTimeGrid(g, np.linspace(0.0, 0.1, 40), coeffs)
+        axes = tuple(range(1, coeffs.ndim))
+        # the per-slot broadcast reduction the matrix-vector products replace
+        for got, weights in ((mild._v_norms_sq(st), g.V_eigs),
+                             (mild._e_norms_sq(st), g.A_eigs**2)):
+            ref = (weights * coeffs**2).sum(axis=axes)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
     def test_constant_equilibrium_value(self):
         # analytic oracle: sup ||u*||_V^2 = 4 and |A u*|^2 T = 9
         g = grid_1d(32)
@@ -132,6 +149,19 @@ class TestXtNorm:
 
 
 class TestConvolution:
+    def test_weights_cached_once_per_spec_and_step(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mild, "_conv_weights_cache", {})
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("domain.dim = 1\ndomain.L = 3.141592653589793\n"
+                       "domain.N = 16\nstepper.t_end = 0.01\n"
+                       "init.kind = random\ninit.seed = 3\n")
+        for k in range(3):
+            out = tmp_path / f"p{k}"
+            assert main(["--config", str(cfg), "--out", str(out), "picard"]) == 0
+        assert len(mild._conv_weights_cache) == 1
+        for w in next(iter(mild._conv_weights_cache.values())):
+            assert not w.flags.writeable
+
     def test_constant_source_closed_form(self):
         g = grid_1d(16)
         times = np.linspace(0, 0.5, 41)
@@ -142,6 +172,22 @@ class TestConvolution:
         mu = g.A_eigs[k - 1]
         expected = 2.0 * (1 - np.exp(-mu * times)) / mu
         assert np.max(np.abs(out.coeffs[:, k - 1] - expected)) < 1e-14
+
+    def test_matches_per_slot_reference(self):
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (12, 10)))
+        times = np.linspace(0.0, 0.05, 40)
+        fc = np.random.default_rng(11).standard_normal((40,) + g.shape)
+        out = convolve_semigroup(SpaceTimeGrid(g, times, fc)).coeffs
+        # the recurrence as one expression per slot, the form it replaced
+        h = times[1] - times[0]
+        z = h * g.A_eigs
+        decay = np.exp(-z)
+        w_left, w_right = h * (mild.phi1(z) - mild._phi2(z)), h * mild._phi2(z)
+        ref = np.zeros_like(fc)
+        for i in range(1, 40):
+            ref[i] = decay * ref[i - 1] + w_left * fc[i - 1] + w_right * fc[i]
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(ref))
+        assert np.max(np.abs(out - ref)) <= tol
 
     def test_zero_source(self):
         g = grid_1d(16)
@@ -171,6 +217,26 @@ class TestPhiMap:
         phi_map(u, u0, TruncationTheta(1e6), ModelParams(n=2))
         # one to_values and one to_coeffs per slot, plus u0's coefficients
         assert transform_count[0] == 2 * 40 + 1
+
+    def test_given_free_evolution_is_bitwise_equal(self):
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (8, 8)))
+        u0 = random_unit_field(g, np.random.default_rng(5))
+        times = np.linspace(0.0, 0.01, 40)
+        u = SpaceTimeGrid.from_semigroup(u0, times)
+        rng = np.random.default_rng(6)
+        u.coeffs[1:] += 1e-3 * rng.standard_normal(u.coeffs[1:].shape)
+        th, p = TruncationTheta(3.0), ModelParams(n=2)
+        plain = phi_map(u, u0, th, p)
+        given = phi_map(u, u0, th, p, free=SpaceTimeGrid.from_semigroup(u0, u.times))
+        assert np.array_equal(plain.coeffs, given.coeffs)
+
+    def test_free_evolution_on_other_times_is_rejected(self):
+        g = grid_1d(16)
+        u0 = random_unit_field(g, np.random.default_rng(7))
+        u = SpaceTimeGrid.from_semigroup(u0, np.linspace(0.0, 0.01, 11))
+        other = SpaceTimeGrid.from_semigroup(u0, np.linspace(0.0, 0.02, 11))
+        with pytest.raises(ValueError):
+            phi_map(u, u0, TruncationTheta(1e6), ModelParams(n=2), free=other)
 
     def test_constant_equilibrium_is_fixed(self):
         # per-mode identity oracle: e^(-3t) + (1 - e^(-3t)) = 1
@@ -288,6 +354,15 @@ class TestPicard:
         L1 = contraction_factor_probe(u0, th, p, 0.02, samples=8, seed=0)
         L4 = contraction_factor_probe(u0, th, p, 0.005, samples=8, seed=0)
         assert L4 / L1 == pytest.approx(0.5, rel=0.3)
+
+    def test_transforms_once_for_the_free_evolution(self, transform_count):
+        g = grid_1d(16)
+        u0 = random_unit_field(g, np.random.default_rng(4))
+        transform_count[0] = 0
+        res = picard_solve(u0, TruncationTheta(1e6), ModelParams(n=2), T=0.01,
+                           num_points=40)
+        # u0's coefficients once, then a to_values and a to_coeffs per slot
+        assert transform_count[0] == 1 + 80 * res.iterations
 
     def test_too_large_horizon_raises(self):
         g = grid_1d(16)
