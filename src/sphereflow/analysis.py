@@ -18,6 +18,7 @@ import numpy as np
 from .energy import v_norm
 from .model import (
     ModelParams,
+    nonlinearity_F,
     projected_rhs,
     unprojected_rhs,
 )
@@ -62,6 +63,22 @@ def sample_v_field(grid: SpectralGrid, rng: np.random.Generator,
     return Field._wrap(grid, (target_v / vn) * u.values)
 
 
+def _lipschitz_pairs(grid: SpectralGrid, p: ModelParams, ball_radius: float,
+                     samples: int, seed: int, decay: float):
+    """(max(r1, r2), |F(u1)-F(u2)|_L2 / (G(|u1|_V, |u2|_V) |u1-u2|_V)) for each
+    seeded pair of distinct samples at V-norms r1, r2 drawn from [0, ball_radius)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        r1, r2 = rng.uniform(0.0, ball_radius, size=2)
+        u1 = sample_v_field(grid, rng, r1, decay)
+        u2 = sample_v_field(grid, rng, r2, decay)
+        dv = v_norm(u1 - u2)
+        if dv == 0.0:
+            continue
+        num = norm_l2(nonlinearity_F(u1, p) - nonlinearity_F(u2, p))
+        yield max(r1, r2), num / (g_bound(v_norm(u1), v_norm(u2), p.n) * dv)
+
+
 @dataclass(frozen=True)
 class LipschitzProbeReport:
     samples: int
@@ -84,20 +101,8 @@ def lipschitz_probe(grid: SpectralGrid, p: ModelParams, ball_radius: float = 2.0
         raise ValueError("ball_radius must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
-    from .model import nonlinearity_F
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        r1, r2 = rng.uniform(0.0, ball_radius, size=2)
-        u1 = sample_v_field(grid, rng, r1, decay)
-        u2 = sample_v_field(grid, rng, r2, decay)
-        dv = v_norm(u1 - u2)
-        if dv == 0.0:
-            continue
-        num = norm_l2(nonlinearity_F(u1, p) - nonlinearity_F(u2, p))
-        den = g_bound(v_norm(u1), v_norm(u2), p.n) * dv
-        worst = max(worst, num / den)
+    pairs = _lipschitz_pairs(grid, p, ball_radius, samples, seed, decay)
+    worst = max((ratio for _, ratio in pairs), default=0.0)
     return LipschitzProbeReport(
         samples=samples,
         max_ratio=worst,
@@ -116,22 +121,8 @@ def lipschitz_radius_scan(grid: SpectralGrid, p: ModelParams, radii,
     R}; monotone in R by ball nesting, which independent per-radius
     sampling would not guarantee.
     """
-    from .model import nonlinearity_F
-
     radii = sorted(float(r) for r in radii)
-    r_max = radii[-1]
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(samples):
-        r1, r2 = rng.uniform(0.0, r_max, size=2)
-        u1 = sample_v_field(grid, rng, r1, decay)
-        u2 = sample_v_field(grid, rng, r2, decay)
-        dv = v_norm(u1 - u2)
-        if dv == 0.0:
-            continue
-        num = norm_l2(nonlinearity_F(u1, p) - nonlinearity_F(u2, p))
-        ratio = num / (g_bound(r1, r2, p.n) * dv)
-        pairs.append((max(r1, r2), ratio))
+    pairs = list(_lipschitz_pairs(grid, p, radii[-1], samples, seed, decay))
     return {
         R: max((ratio for r, ratio in pairs if r <= R), default=0.0) for R in radii
     }

@@ -51,10 +51,8 @@ from .spectral import (
 PI = np.pi
 
 
-def _grid(n, L=PI, dim=1, boundary="dirichlet_navier"):
-    if dim == 1:
-        return SpectralGrid(DomainSpec(1, (L,), (n,), boundary))
-    return SpectralGrid(DomainSpec(dim, (L,) * dim, (n,) * dim, boundary))
+def _grid(n, L=PI, dim=1):
+    return SpectralGrid(DomainSpec(dim, (L,) * dim, (n,) * dim))
 
 
 class Table:

@@ -19,6 +19,7 @@ parallelism; a value that is not a positive integer is a config error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, energy, mild
-from .integrators import StepperConfig, default_step, integrate
+from .integrators import SCHEMES, StepperConfig, default_step, divides, integrate
 from .model import ModelParams, random_unit_field
 from .spectral import (
     DomainSpec,
@@ -45,7 +46,7 @@ class ConfigError(ValueError):
 
 
 KNOWN_KEYS = (
-    "domain.dim", "domain.L", "domain.N", "domain.boundary",
+    "domain.dim", "domain.L", "domain.N",
     "model.n", "model.a", "model.dealias",
     "stepper.scheme", "stepper.h", "stepper.t_end", "stepper.renormalize",
     "stepper.record_every",
@@ -76,7 +77,6 @@ class RunConfig:
     dim: int
     lengths: tuple
     resolution: tuple
-    boundary: str
     n: int
     a: float
     dealias: int | None
@@ -149,9 +149,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         _parse_typed("domain.N", part.strip(), int)
         for part in seen["domain.N"].split(",")
     )
-    boundary = seen.get("domain.boundary", "dirichlet_navier")
     try:
-        DomainSpec(dim, lengths, resolution, boundary)
+        DomainSpec(dim, lengths, resolution)
     except ValueError as err:
         raise ConfigError(f"domain.*: {err}") from None
 
@@ -165,14 +164,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         ModelParams(n=n, a=a, dealias=dealias)
     except ValueError as err:
         raise ConfigError(f"model.n/model.dealias: {err}") from None
-    if dealias is not None and boundary == "periodic":
-        raise ConfigError(
-            "model.dealias: zero-pad dealiasing needs the sine basis, "
-            "not domain.boundary = periodic"
-        )
 
     scheme = seen.get("stepper.scheme", "etd1")
-    if scheme not in ("etd1", "projected_euler", "rk4"):
+    if scheme not in SCHEMES:
         raise ConfigError(f"stepper.scheme: unknown scheme {scheme!r}")
     h = _parse_typed("stepper.h", seen["stepper.h"], float) if "stepper.h" in seen else None
     if h is not None and h <= 0:
@@ -212,7 +206,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     snapshots = _parse_bool("output.snapshots", seen.get("output.snapshots", "false"))
 
     return RunConfig(
-        dim=dim, lengths=lengths, resolution=resolution, boundary=boundary,
+        dim=dim, lengths=lengths, resolution=resolution,
         n=n, a=a, dealias=dealias, scheme=scheme, h=h, t_end=t_end,
         renormalize=renorm, record_every=record_every, init_kind=init_kind,
         seed=seed, mode=mode, path=path, off_manifold_eps=eps,
@@ -221,7 +215,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
 
 def build_grid(cfg: RunConfig) -> SpectralGrid:
-    return SpectralGrid(DomainSpec(cfg.dim, cfg.lengths, cfg.resolution, cfg.boundary))
+    return SpectralGrid(DomainSpec(cfg.dim, cfg.lengths, cfg.resolution))
 
 
 def build_params(cfg: RunConfig) -> ModelParams:
@@ -230,11 +224,20 @@ def build_params(cfg: RunConfig) -> ModelParams:
 
 def build_stepper(cfg: RunConfig, grid: SpectralGrid,
                   keep_snapshots: bool = True) -> StepperConfig:
-    h = cfg.h if cfg.h is not None else default_step(cfg.scheme, grid)
-    return StepperConfig(
-        scheme=cfg.scheme, h=h, t_end=cfg.t_end, renormalize=cfg.renormalize,
-        record_every=cfg.record_every, keep_snapshots=keep_snapshots,
-    )
+    """The stepper; stepper.h must divide t_end.  Without it the step is default_step,
+    or the largest t_end / n below it when default_step does not divide t_end."""
+    h = cfg.h
+    if h is None:
+        h = default_step(cfg.scheme, grid)
+        if not divides(h, cfg.t_end):
+            h = cfg.t_end / math.ceil(cfg.t_end / h)
+    try:
+        return StepperConfig(
+            scheme=cfg.scheme, h=h, t_end=cfg.t_end, renormalize=cfg.renormalize,
+            record_every=cfg.record_every, keep_snapshots=keep_snapshots,
+        )
+    except ValueError as err:
+        raise ConfigError(f"stepper.h: {err}") from None
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> Field:
@@ -309,7 +312,7 @@ def cmd_probe(cfg: RunConfig, which: str, samples: int = 500) -> int:
             spec = grid.spec
             g = SpectralGrid(
                 DomainSpec(spec.dim, spec.lengths,
-                           tuple(factor * x for x in spec.resolution), spec.boundary)
+                           tuple(factor * x for x in spec.resolution))
             )
             rep = analysis.lipschitz_probe(g, params, samples=samples, seed=cfg.seed)
             rows.append(rep)

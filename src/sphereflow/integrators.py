@@ -46,6 +46,11 @@ class BlowUpError(RuntimeError):
         self.last_state = last_state
 
 
+def divides(h: float, t_end: float) -> bool:
+    """Whether a whole number of steps h ends at t_end, to 1e-9 relative."""
+    return abs(round(t_end / h) * h - t_end) <= 1e-9 * t_end
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     scheme: str = "etd1"
@@ -63,6 +68,8 @@ class StepperConfig:
             raise ValueError("step size must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
+        if not divides(self.h, self.t_end):
+            raise ValueError(f"step h = {self.h!r} does not divide t_end = {self.t_end!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if self.blowup_bound <= 0:
@@ -256,17 +263,16 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
     h_list = sorted(float(h) for h in h_list)
     if len(h_list) < 3:
         raise ValueError("need at least three step sizes")
-    for h in h_list + [h_list[0] / ref_factor]:
-        if abs(round(t_end / h) * h - t_end) > 1e-9 * t_end:
-            raise ValueError(f"step {h} does not divide t_end = {t_end}")
 
-    def final_state(name, h):
-        cfg = StepperConfig(scheme=name, h=h, t_end=t_end, renormalize=renormalize_flag,
-                            record_every=10**9, keep_snapshots=False)
-        return integrate(u0, p, cfg).final_state
+    def config(name, h):
+        return StepperConfig(scheme=name, h=h, t_end=t_end, renormalize=renormalize_flag,
+                             record_every=10**9, keep_snapshots=False)
 
-    ref = final_state("rk4", h_list[0] / ref_factor)
-    errors = [norm_l2(final_state(scheme, h) - ref) for h in h_list]
+    # every step is checked against t_end before the first run
+    ref_cfg = config("rk4", h_list[0] / ref_factor)
+    cfgs = [config(scheme, h) for h in h_list]
+    ref = integrate(u0, p, ref_cfg).final_state
+    errors = [norm_l2(integrate(u0, p, cfg).final_state - ref) for cfg in cfgs]
     x = np.log(np.asarray(h_list))
     y = np.log(np.asarray(errors))
     A = np.vstack([x, np.ones_like(x)]).T

@@ -99,7 +99,6 @@ def _fine_grid(grid: SpectralGrid, factor: int) -> SpectralGrid:
             spec.dim,
             spec.lengths,
             tuple(factor * n for n in spec.resolution),
-            spec.boundary,
         )
         _fine_grid_cache[key] = SpectralGrid(fine)
     return _fine_grid_cache[key]
@@ -108,12 +107,6 @@ def _fine_grid(grid: SpectralGrid, factor: int) -> SpectralGrid:
 def _pad_values(grid: SpectralGrid, coeffs: np.ndarray, factor: int):
     """(fine grid, values of u on it): u evaluated on a grid refined by
     ``factor`` via coefficient zero-padding."""
-    if grid.spec.boundary != "dirichlet_navier":
-        # the periodic basis interleaves cosine/sine pairs and rescales the
-        # Nyquist row, so plain coefficient slicing would mis-embed it
-        raise NotImplementedError(
-            "zero-pad dealiasing is only implemented for the sine basis"
-        )
     fine = _fine_grid(grid, factor)
     padded = np.zeros(fine.shape)
     padded[tuple(slice(0, n) for n in grid.shape)] = coeffs

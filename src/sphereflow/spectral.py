@@ -1,9 +1,9 @@
 """Spectral discretization of A = Laplacian^2 - 2*Laplacian on a box.
 
-The sine basis (Navier conditions u = lap(u) = 0 on the boundary) and the
-periodic trigonometric basis diagonalize A exactly, so transforms, the
-semigroup exp(-t*A), fractional powers A^mu and all Sobolev (semi)norms
-reduce to per-mode arithmetic on real coefficient arrays.
+The sine basis (Navier conditions u = lap(u) = 0 on the boundary)
+diagonalizes A exactly, so transforms, the semigroup exp(-t*A), fractional
+powers A^mu and all Sobolev (semi)norms reduce to per-mode arithmetic on
+real coefficient arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn
-
-BOUNDARIES = ("dirichlet_navier", "periodic")
 
 # axis sizes up to this use a precomputed dense orthogonal transform matrix,
 # which beats the FFT call overhead for the small grids used in probes
@@ -42,12 +40,11 @@ def _workers() -> int:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Box domain: per-axis length, mode count and boundary condition."""
+    """Box domain: per-axis length and mode count."""
 
     dim: int
     lengths: tuple
     resolution: tuple
-    boundary: str = "dirichlet_navier"
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
@@ -60,8 +57,6 @@ class DomainSpec:
             raise ValueError("axis lengths must be positive")
         if any(n < 8 or n % 2 for n in self.resolution):
             raise ValueError("axis resolutions must be even and at least 8")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -82,35 +77,12 @@ def _contract_axes(mats, x: np.ndarray) -> np.ndarray:
     return (mats[0] @ y.reshape(a, b * c)).reshape(a, b, c)
 
 
-def _periodic_basis(n: int, length: float):
-    """Orthonormal (w.r.t. the grid quadrature) real trigonometric basis.
-
-    Row order: constant, then (cos, sin) pairs for wavenumbers 1..n/2-1,
-    then the Nyquist cosine.  Returns (Q, freqs) with Q orthogonal after
-    absorbing the quadrature weight.
-    """
-    x = np.arange(n) * (length / n)
-    h = length / n
-    rows = [np.full(n, 1.0 / np.sqrt(length))]
-    freqs = [0]
-    for m in range(1, n // 2):
-        w = 2.0 * np.pi * m / length
-        rows.append(np.sqrt(2.0 / length) * np.cos(w * x))
-        rows.append(np.sqrt(2.0 / length) * np.sin(w * x))
-        freqs += [m, m]
-    rows.append(np.cos(np.pi * n * x / length) / np.sqrt(length))
-    freqs.append(n // 2)
-    return np.sqrt(h) * np.asarray(rows), np.asarray(freqs, dtype=float)
-
-
 class SpectralGrid:
     """Collocation grid plus the eigenstructure of -Laplacian and A.
 
-    ``lap_eigs`` holds the -Laplacian eigenvalue of each basis mode and
+    ``lap_eigs`` holds the -Laplacian eigenvalue of each sine mode and
     ``A_eigs = lap_eigs**2 + 2*lap_eigs``, both shaped like the coefficient
-    array.  On the sine basis every A eigenvalue is strictly positive; the
-    periodic basis (cross-check option) carries a zero eigenvalue on the
-    constant mode.
+    array; every A eigenvalue is strictly positive.
     """
 
     def __init__(self, spec: DomainSpec):
@@ -119,50 +91,30 @@ class SpectralGrid:
         self.shape = tuple(spec.resolution)
         self.num_points = int(np.prod(self.shape))
 
-        if spec.boundary == "dirichlet_navier":
-            step = [L / (n + 1) for L, n in zip(spec.lengths, spec.resolution)]
-            self.axis_points = [
-                (np.arange(1, n + 1)) * h for n, h in zip(spec.resolution, step)
-            ]
-            axis_lam = [
-                (np.arange(1, n + 1) * np.pi / L) ** 2
-                for n, L in zip(spec.resolution, spec.lengths)
-            ]
-            axis_mag = [np.arange(1, n + 1, dtype=float) for n in spec.resolution]
-            # dense matrices only when every axis is small; otherwise dstn.
-            # The orthonormal DST-I is its own inverse.
-            if max(spec.resolution) <= _DENSE_AXIS_LIMIT:
-                forward = {n: _sine_matrix(n) for n in set(spec.resolution)}
-                forward = [forward[n] for n in spec.resolution]
-            else:
-                forward = None
-            inverse = forward
-        else:
-            step = [L / n for L, n in zip(spec.lengths, spec.resolution)]
-            self.axis_points = [
-                np.arange(n) * h for n, h in zip(spec.resolution, step)
-            ]
-            axis_lam, axis_mag, forward = [], [], []
-            for n, L in zip(spec.resolution, spec.lengths):
-                Q, freqs = _periodic_basis(n, L)
-                forward.append(Q)
-                axis_lam.append((2.0 * np.pi * freqs / L) ** 2)
-                axis_mag.append(freqs)
-            inverse = [q.T for q in forward]
+        step = [L / (n + 1) for L, n in zip(spec.lengths, spec.resolution)]
+        self.axis_points = [
+            (np.arange(1, n + 1)) * h for n, h in zip(spec.resolution, step)
+        ]
+        axis_lam = [
+            (np.arange(1, n + 1) * np.pi / L) ** 2
+            for n, L in zip(spec.resolution, spec.lengths)
+        ]
+        axis_mag = [np.arange(1, n + 1, dtype=float) for n in spec.resolution]
 
         self.weight = float(np.prod(step))
         self._sqrt_weight = np.sqrt(self.weight)
+        # dense matrices only when every axis is small; otherwise dstn.
         # sqrt(weight), the product of the per-axis sqrt(step), is folded
         # into the per-axis matrices, so to_coeffs and to_values are one
-        # matrix product per axis and no extra pass; equal axes share them
+        # matrix product per axis and no extra pass; equal axes share them.
+        # The orthonormal DST-I is its own inverse, so both fold one matrix.
         self._coeff_mats = self._value_mats = None
-        if forward is not None:
+        if max(spec.resolution) <= _DENSE_AXIS_LIMIT:
             folded = {}
-            for n, L, h, fwd, inv in zip(spec.resolution, spec.lengths, step,
-                                         forward, inverse):
+            for n, L, h in zip(spec.resolution, spec.lengths, step):
                 if (n, L) not in folded:
-                    r = np.sqrt(h)
-                    folded[(n, L)] = (r * fwd, np.ascontiguousarray(inv / r))
+                    sine, r = _sine_matrix(n), np.sqrt(h)
+                    folded[(n, L)] = (r * sine, np.ascontiguousarray(sine / r))
             axes = [folded[key] for key in zip(spec.resolution, spec.lengths)]
             self._coeff_mats = [m for m, _ in axes]
             self._value_mats = [m for _, m in axes]
@@ -176,32 +128,23 @@ class SpectralGrid:
         self.mode_magnitude = np.sqrt(np.sum([m**2 for m in mag], axis=0)).reshape(
             self.shape
         )
-        if spec.boundary == "dirichlet_navier" and not np.all(self.A_eigs > 0):
+        if not np.all(self.A_eigs > 0):
             raise ValueError("A must be strictly positive on the sine basis")
         self.mu_min = float(self.A_eigs.min())
         self.mu_max = float(self.A_eigs.max())
 
     # -- transforms -------------------------------------------------------
 
-    def _ortho_forward(self, values: np.ndarray) -> np.ndarray:
-        """The orthonormal transform, without the quadrature factor."""
-        if self._coeff_mats is None:
-            return dstn(values, type=1, norm="ortho", workers=_workers())
-        return self.to_coeffs(values) / self._sqrt_weight
-
-    def _ortho_inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.spec.boundary == "dirichlet_navier":
-            return self._ortho_forward(coeffs)  # DST-I is its own inverse
-        return self.to_values(coeffs) * self._sqrt_weight
-
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         if self._coeff_mats is None:
-            return self._sqrt_weight * self._ortho_forward(values)
+            return self._sqrt_weight * dstn(values, type=1, norm="ortho",
+                                            workers=_workers())
         return _contract_axes(self._coeff_mats, values)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         if self._value_mats is None:
-            return self._ortho_inverse(coeffs) / self._sqrt_weight
+            return dstn(coeffs, type=1, norm="ortho",
+                        workers=_workers()) / self._sqrt_weight
         return _contract_axes(self._value_mats, coeffs)
 
     def compatible(self, other: "SpectralGrid") -> bool:
@@ -209,7 +152,7 @@ class SpectralGrid:
 
     def __repr__(self):
         s = self.spec
-        return f"SpectralGrid(dim={s.dim}, N={s.resolution}, L={s.lengths}, {s.boundary})"
+        return f"SpectralGrid(dim={s.dim}, N={s.resolution}, L={s.lengths})"
 
 
 def _check_same_grid(a, b):
@@ -292,26 +235,23 @@ def transform_inverse(c: SpectralField) -> Field:
 
 
 def basis_mode(grid: SpectralGrid, k) -> Field:
-    """Unit-norm basis mode; ``k`` is a per-axis multi-index (1-based on sine grids)."""
+    """Unit-norm sine mode; ``k`` is a 1-based per-axis multi-index."""
     if np.isscalar(k):
         k = (k,)
     if len(k) != grid.spec.dim:
         raise GridMismatch("multi-index rank does not match grid dimension")
+    idx = tuple(int(ki) - 1 for ki in k)
+    if any(i < 0 or i >= n for i, n in zip(idx, grid.shape)):
+        raise ValueError(f"mode index {k} out of range for {grid.shape}")
     coeffs = np.zeros(grid.shape)
-    if grid.spec.boundary == "dirichlet_navier":
-        idx = tuple(int(ki) - 1 for ki in k)
-        if any(i < 0 or i >= n for i, n in zip(idx, grid.shape)):
-            raise ValueError(f"mode index {k} out of range for {grid.shape}")
-    else:
-        idx = tuple(int(ki) for ki in k)
     coeffs[idx] = 1.0
     return transform_inverse(SpectralField(grid, coeffs))
 
 
 def random_coeff_field(grid: SpectralGrid, rng: np.random.Generator, decay: float = 3.0) -> Field:
     """Random field with uniform(-1,1) coefficients damped by |k|^-decay."""
-    mag = np.maximum(grid.mode_magnitude, 1.0)
-    coeffs = rng.uniform(-1.0, 1.0, size=grid.shape) * mag ** (-decay)
+    coeffs = rng.uniform(-1.0, 1.0, size=grid.shape)
+    coeffs *= grid.mode_magnitude ** (-decay)
     return transform_inverse(SpectralField(grid, coeffs))
 
 
@@ -428,8 +368,7 @@ def write_snapshot(path, f: Field) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
-def read_snapshot(path, grid: SpectralGrid | None = None,
-                  boundary: str = "dirichlet_navier") -> Field:
+def read_snapshot(path, grid: SpectralGrid | None = None) -> Field:
     """Read an MSHF snapshot; validates against ``grid`` when one is supplied.
 
     The file length must match its header exactly, so a truncated file or
@@ -461,7 +400,7 @@ def read_snapshot(path, grid: SpectralGrid | None = None,
         )
     values = np.frombuffer(blob, dtype="<f8", count=count, offset=header)
     if grid is None:
-        grid = SpectralGrid(DomainSpec(dim, tuple(lengths), tuple(res), boundary))
+        grid = SpectralGrid(DomainSpec(dim, tuple(lengths), tuple(res)))
     else:
         s = grid.spec
         if s.dim != dim or tuple(s.resolution) != tuple(res) or not np.allclose(

@@ -13,6 +13,7 @@ from sphereflow.cli import (
     main,
     parse_config,
 )
+from sphereflow.integrators import default_step
 
 PI = np.pi
 
@@ -27,7 +28,6 @@ FULL = """
 domain.dim = 1
 domain.L = 3.141592653589793
 domain.N = 16
-domain.boundary = dirichlet_navier
 model.n = 2
 model.a = 0.5
 model.dealias = 2
@@ -48,7 +48,6 @@ class TestParseConfig:
     def test_minimal_gets_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.dim == 1 and cfg.resolution == (16,)
-        assert cfg.boundary == "dirichlet_navier"
         assert cfg.n == 1 and cfg.a == 0.0 and cfg.dealias is None
         assert cfg.scheme == "etd1" and cfg.h is None and cfg.t_end == 1.0
         assert cfg.renormalize is True and cfg.record_every == 1
@@ -116,6 +115,23 @@ class TestParseConfig:
         grid = build_grid(cfg)
         stepper = build_stepper(cfg, grid)
         assert stepper.h == min(1e-3, 0.5 / grid.mu_max)
+
+    def test_default_explicit_step_ends_at_t_end(self, tmp_path):
+        # on L = 2 the stability-limited step does not divide t_end, so the
+        # default is the largest t_end / n below it
+        text = ("domain.dim = 1\ndomain.L = 2.0\ndomain.N = 8\nstepper.scheme = rk4\n"
+                "stepper.t_end = 0.01\nstepper.record_every = 100000\n")
+        cfg = parse_config(text)
+        grid = build_grid(cfg)
+        h_max = default_step("rk4", grid)
+        h = build_stepper(cfg, grid).h
+        n = round(0.01 / h)
+        assert h <= h_max < 0.01 / (n - 1)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "run"]) == 0
+        last = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(0.01, rel=1e-12)
 
     def test_off_manifold_eps_scales_norm(self):
         cfg = parse_config(MINIMAL + "init.off_manifold_eps = 0.01\n")
@@ -189,14 +205,22 @@ class TestMainEntry:
         assert code == 2
         assert "model.n" in capsys.readouterr().err
 
-    def test_periodic_dealias_is_config_error(self, tmp_path, capsys):
-        cfg = self.write_cfg(
-            tmp_path, "domain.boundary = periodic\nmodel.n = 2\nmodel.dealias = 2\n"
-        )
+    def test_boundary_key_is_config_error(self, tmp_path, capsys):
+        # the sine basis is the only basis; the key is unknown
+        cfg = self.write_cfg(tmp_path, "domain.boundary = dirichlet_navier\n")
         code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
         assert code == 2
+        assert "domain.boundary" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_step_not_dividing_t_end_is_config_error(self, tmp_path, capsys):
+        # t_end / h = 3.33: the run used to stop at t = 0.9 without a word
+        cfg = self.write_cfg(tmp_path)
+        code = main(["--config", str(cfg), "--set", "stepper.h=0.3",
+                     "--set", "stepper.t_end=1.0", "--out", str(tmp_path / "o"), "run"])
+        assert code == 2
         err = capsys.readouterr().err
-        assert "model.dealias" in err and "domain.boundary" in err
+        assert "stepper.h" in err and "t_end" in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_thread_setting_is_config_error(self, tmp_path, capsys, monkeypatch):

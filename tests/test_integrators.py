@@ -43,6 +43,18 @@ class TestStepperConfig:
         with pytest.raises(ValueError):
             StepperConfig(t_end=-1.0)
 
+    def test_step_must_divide_t_end(self):
+        # rounding t_end / h used to stop these runs at t = 0.9 and t = 0.8
+        for h in (0.3, 0.4):
+            with pytest.raises(ValueError, match=f"h = {h}.*t_end = 1.0"):
+                StepperConfig(h=h, t_end=1.0)
+        assert StepperConfig(h=0.25, t_end=1.0).h == 0.25
+        # the order probe checks every step before its first run
+        u0 = basis_mode(grid_1d(8), 1)
+        with pytest.raises(ValueError, match="does not divide"):
+            convergence_order_probe(u0, ModelParams(n=1), "etd1", (0.1, 0.2, 0.3),
+                                    t_end=1.0)
+
     def test_default_step(self):
         g = grid_1d(64)
         assert default_step("etd1", g) == 1e-3

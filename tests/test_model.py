@@ -58,11 +58,6 @@ class TestPowerTerm:
         u = random_coeff_field(g, np.random.default_rng(0))
         assert np.array_equal(power_term(u, 1).values, u.values)
 
-    def test_constant_on_periodic_grid(self):
-        g = SpectralGrid(DomainSpec(1, (2 * PI,), (16,), "periodic"))
-        u = Field(g, np.full(16, 2.0))
-        assert np.all(power_term(u, 2).values == 8.0)
-
     def test_odd_function_pointwise_oracle(self):
         g = grid_1d()
         u = random_coeff_field(g, np.random.default_rng(1))
@@ -97,14 +92,6 @@ class TestPowerTerm:
         with pytest.raises(OverflowError) as err:
             power_term(Field(g, vals), 2)
         assert "(7,)" in str(err.value) or "index" in str(err.value)
-
-
-class TestPeriodicDealias:
-    def test_zero_padding_unsupported_on_periodic_basis(self):
-        g = SpectralGrid(DomainSpec(1, (2 * PI,), (16,), "periodic"))
-        u = Field(g, np.full(16, 0.5))
-        with pytest.raises(NotImplementedError):
-            power_term(u, 2, dealias=2)
 
 
 class TestL2nPower:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sphereflow import (
@@ -26,13 +30,13 @@ from sphereflow import (
     transform_inverse,
     write_snapshot,
 )
-from sphereflow.spectral import _periodic_basis, _sine_matrix
+from sphereflow.spectral import _sine_matrix
 
 PI = np.pi
 
 
-def grid_1d(n=32, L=PI, boundary="dirichlet_navier"):
-    return SpectralGrid(DomainSpec(1, (L,), (n,), boundary))
+def grid_1d(n=32, L=PI):
+    return SpectralGrid(DomainSpec(1, (L,), (n,)))
 
 
 def grid_2d(nx=12, ny=8, Lx=PI, Ly=2.0):
@@ -53,10 +57,6 @@ class TestDomainSpec:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             DomainSpec(1, (0.0,), (8,))
-
-    def test_rejects_unknown_boundary(self):
-        with pytest.raises(ValueError):
-            DomainSpec(1, (1.0,), (8,), "neumann")
 
     def test_rejects_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -81,10 +81,6 @@ class TestEigenstructure:
     def test_A_strictly_positive_on_sine_basis(self):
         assert grid_2d().A_eigs.min() > 0
 
-    def test_periodic_has_zero_mode(self):
-        g = grid_1d(16, L=2 * PI, boundary="periodic")
-        assert g.lap_eigs.min() == 0.0
-
 
 class TestTransforms:
     def test_single_mode_maps_to_unit_coefficient(self):
@@ -102,7 +98,7 @@ class TestTransforms:
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(0)
-        for g in (grid_1d(128), grid_2d(), grid_1d(16, boundary="periodic")):
+        for g in (grid_1d(128), grid_2d()):
             f = Field(g, rng.standard_normal(g.shape))
             back = transform_inverse(transform_forward(f))
             assert np.max(np.abs(back.values - f.values)) <= 1e-12
@@ -115,25 +111,18 @@ class TestTransforms:
             return x
 
         rng = np.random.default_rng(5)
-        shapes = ((16,), (12, 8), (8, 10, 12))
-        for boundary in ("dirichlet_navier", "periodic"):
-            for shape in shapes:
-                d = len(shape)
-                g = SpectralGrid(DomainSpec(d, (PI, 2.0, 1.5)[:d], shape, boundary))
-                if boundary == "periodic":
-                    mats = [_periodic_basis(n, L)[0]
-                            for n, L in zip(shape, g.spec.lengths)]
-                else:
-                    mats = [_sine_matrix(n) for n in shape]
-                x = rng.uniform(-1.0, 1.0, size=shape)
-                fwd = g._ortho_forward(x)
-                assert np.max(np.abs(fwd - reference(mats, x))) <= 1e-13
-                inv = g._ortho_inverse(x)
-                assert np.max(np.abs(inv - reference([m.T for m in mats], x))) <= 1e-13
-                if boundary == "dirichlet_navier":
-                    # the orthonormal DST-I is its own inverse
-                    assert np.array_equal(inv, fwd)
-                    assert np.max(np.abs(g._ortho_forward(fwd) - x)) <= 1e-13
+        for shape in ((16,), (12, 8), (8, 10, 12)):
+            d = len(shape)
+            g = SpectralGrid(DomainSpec(d, (PI, 2.0, 1.5)[:d], shape))
+            mats = [_sine_matrix(n) for n in shape]
+            r = np.sqrt(g.weight)
+            x = rng.uniform(-1.0, 1.0, size=shape)
+            fwd = g.to_coeffs(x) / r
+            assert np.max(np.abs(fwd - reference(mats, x))) <= 1e-13
+            inv = g.to_values(x) * r
+            assert np.max(np.abs(inv - reference([m.T for m in mats], x))) <= 1e-13
+            # the orthonormal DST-I is its own inverse
+            assert np.max(np.abs(g.to_values(fwd) * r - x)) <= 1e-13
 
     def test_scipy_and_dense_paths_agree(self):
         # N=512 exceeds the dense-matrix limit and exercises the FFT path
@@ -149,7 +138,7 @@ class TestTransforms:
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
-        for g in (grid_1d(64), grid_2d(), grid_1d(16, boundary="periodic")):
+        for g in (grid_1d(64), grid_2d()):
             f = Field(g, rng.standard_normal(g.shape))
             coeff_sq = float(np.sum(transform_forward(f).coeffs ** 2))
             quad_sq = norm_l2(f) ** 2
@@ -177,6 +166,41 @@ class TestTransforms:
         bad[3] = np.inf
         with pytest.raises(ValueError):
             Field(g, bad)
+
+
+@st.composite
+def grids(draw):
+    """Even axes in [8, 520], at most 2**16 points; one axis above 256
+    takes the dstn path."""
+    dim = draw(st.integers(1, 3))
+    shape = []
+    for k in range(dim):
+        # leave at least 8 points for each axis still to draw
+        hi = min(520, 2**16 // (math.prod(shape) * 8 ** (dim - k - 1)))
+        shape.append(2 * draw(st.integers(4, hi // 2)))
+    lengths = draw(st.lists(st.floats(0.5, 10.0), min_size=dim, max_size=dim))
+    return SpectralGrid(DomainSpec(dim, lengths, shape))
+
+
+class TestTransformProperties:
+    @settings(deadline=None)
+    @given(g=grids(), seed=st.integers(0, 2**32 - 1))
+    @example(g=grid_1d(512), seed=0)
+    @example(g=SpectralGrid(DomainSpec(3, (PI, 2.0, 1.5), (258, 8, 16))), seed=1)
+    def test_round_trip(self, g, seed):
+        u = np.random.default_rng(seed).standard_normal(g.shape)
+        back = g.to_values(g.to_coeffs(u))
+        assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
+
+    @settings(deadline=None)
+    @given(g=grids(), seed=st.integers(0, 2**32 - 1))
+    @example(g=grid_1d(512), seed=0)
+    @example(g=SpectralGrid(DomainSpec(3, (PI, 2.0, 1.5), (258, 8, 16))), seed=1)
+    def test_parseval(self, g, seed):
+        f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
+        coeff_sq = float(np.sum(transform_forward(f).coeffs ** 2))
+        quad_sq = norm_l2(f) ** 2
+        assert abs(coeff_sq - quad_sq) <= 1e-10 * quad_sq
 
 
 class TestOperators:
@@ -289,11 +313,6 @@ class TestNorms:
         g = grid_1d()
         with pytest.raises(ValueError):
             norm_l2n(basis_mode(g, 1), 0)
-
-    def test_periodic_constant_norm(self):
-        g = grid_1d(16, L=2 * PI, boundary="periodic")
-        c = Field(g, np.full(16, 2.0))
-        assert abs(norm_l2(c) - 2 * np.sqrt(2 * PI)) < 1e-12
 
 
 class TestPhi1:
