@@ -12,8 +12,6 @@ Subcommands:
 
 Configuration is flat ``key = value`` text (arrays comma-separated,
 booleans true/false); unknown or duplicate keys are rejected by name.
-The environment variable SPHEREFLOW_THREADS caps internal transform
-parallelism; a value that is not a positive integer is a config error.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .spectral import (
     DomainSpec,
     Field,
     SpectralGrid,
-    _workers,
     basis_mode,
     norm_l2,
     read_snapshot,
@@ -407,10 +404,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        try:
-            _workers()
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
         text = DEFAULT_CONFIG if args.config is None else open(args.config).read()
         overrides = list(args.set)
         if args.seed is not None:

@@ -99,8 +99,9 @@ class SpaceTimeGrid:
         """The free evolution S(t) u0 sampled on the time grid."""
         times = np.asarray(times, dtype=float)
         c0 = u0.grid.to_coeffs(u0.values)
-        t_col = times.reshape((-1,) + (1,) * c0.ndim)
-        coeffs = np.exp(-t_col * u0.grid.A_eigs) * c0
+        z = -times.reshape((-1,) + (1,) * c0.ndim) * u0.grid.A_eigs
+        # exp is exactly 0 below -746: skipping it avoids numpy's slow underflow path
+        coeffs = np.exp(z, out=np.zeros_like(z), where=z > -746) * c0
         return cls(u0.grid, times, coeffs)
 
 

@@ -225,9 +225,8 @@ def project_tangent(u: Field, h: Field) -> Field:
 def expanded_rhs(u: Field, p: ModelParams) -> Field:
     """-A u + F(u) without the unit-sphere precondition.
 
-    Coincides with projected_rhs on M; integrate() uses it for the
-    dissipation ledger so that deliberately off-manifold runs (retraction
-    disabled) remain well defined.
+    Coincides with projected_rhs on M, which calls it after checking the
+    precondition; off M (retraction disabled) it stays well defined.
     """
     grid = u.grid
     c = grid.to_coeffs(u.values)

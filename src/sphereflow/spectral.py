@@ -9,33 +9,20 @@ real coefficient arrays.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn
 
-# axis sizes up to this use a precomputed dense orthogonal transform matrix,
-# which beats the FFT call overhead for the small grids used in probes
-_DENSE_AXIS_LIMIT = 256
+# Per dimension, the longest axis that takes the dense matrices rather than
+# the FFT-based DST-I: where dense stopped winning in 1D and 2D (CHANGES.md);
+# in 3D dense won every shape timed, and 1022 keeps 1024 x 8 x 8 on the FFT.
+# Static, so which path rounds a grid's transforms is machine-independent.
+_DENSE_AXIS_LIMIT = {1: 448, 2: 2048, 3: 1022}
 
 
 class GridMismatch(ValueError):
     """Fields living on incompatible grids were combined."""
-
-
-def _workers() -> int:
-    """FFT worker count from the SPHEREFLOW_THREADS environment variable
-    (default 1); anything but a positive integer raises ValueError."""
-    raw = os.environ.get("SPHEREFLOW_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"SPHEREFLOW_THREADS must be a positive integer, got {raw!r}")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -53,16 +40,34 @@ class DomainSpec:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.lengths) != self.dim or len(self.resolution) != self.dim:
             raise ValueError("lengths/resolution must have one entry per axis")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("axis lengths must be positive")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"axis lengths must be positive and finite, got {self.lengths}")
         if any(n < 8 or n % 2 for n in self.resolution):
             raise ValueError("axis resolutions must be even and at least 8")
 
 
 def _sine_matrix(n: int) -> np.ndarray:
-    # orthonormal DST-I matrix, symmetric and self-inverse
-    j = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    # orthonormal DST-I matrix, symmetric and self-inverse. pi*j*k/(n+1) rounds
+    # to ~n*eps (3e-13 at n = 2048), so above 256 j*k is reduced exactly by the
+    # period 2(n+1) first; up to 256 it is not, so those grids keep their bits.
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+    if n > 256:
+        jk %= 2 * (n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along every axis. DST-I of size n is a real DFT of
+    size 2(n + 1): minus the imaginary part of the rfft of the odd
+    extension [0, x, 0, -x reversed] (Frigo & Johnson 2005)."""
+    for axis, n in enumerate(x.shape):
+        x = np.moveaxis(x, axis, -1)
+        ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
+        ext[..., 1:n + 1] = x
+        np.negative(x[..., ::-1], out=ext[..., n + 2:])
+        y = np.fft.rfft(ext)[..., 1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
+        x = np.moveaxis(y, -1, axis)
+    return x
 
 
 def _contract_axes(mats, x: np.ndarray) -> np.ndarray:
@@ -103,13 +108,13 @@ class SpectralGrid:
 
         self.weight = float(np.prod(step))
         self._sqrt_weight = np.sqrt(self.weight)
-        # dense matrices only when every axis is small; otherwise dstn.
+        # dense matrices when the longest axis is within its dimension's limit.
         # sqrt(weight), the product of the per-axis sqrt(step), is folded
         # into the per-axis matrices, so to_coeffs and to_values are one
         # matrix product per axis and no extra pass; equal axes share them.
         # The orthonormal DST-I is its own inverse, so both fold one matrix.
         self._coeff_mats = self._value_mats = None
-        if max(spec.resolution) <= _DENSE_AXIS_LIMIT:
+        if max(spec.resolution) <= _DENSE_AXIS_LIMIT[d]:
             folded = {}
             for n, L, h in zip(spec.resolution, spec.lengths, step):
                 if (n, L) not in folded:
@@ -137,14 +142,12 @@ class SpectralGrid:
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         if self._coeff_mats is None:
-            return self._sqrt_weight * dstn(values, type=1, norm="ortho",
-                                            workers=_workers())
+            return self._sqrt_weight * _dst1(values)
         return _contract_axes(self._coeff_mats, values)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         if self._value_mats is None:
-            return dstn(coeffs, type=1, norm="ortho",
-                        workers=_workers()) / self._sqrt_weight
+            return _dst1(coeffs) / self._sqrt_weight
         return _contract_axes(self._value_mats, coeffs)
 
     def compatible(self, other: "SpectralGrid") -> bool:
@@ -278,9 +281,11 @@ def apply_A(u: Field) -> Field:
 
 def apply_semigroup(u: Field, t: float) -> Field:
     """Apply exp(-t*A); the identity at t = 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return _scale_modes(u, np.exp(-t * u.grid.A_eigs))
+    # exp is exactly 0 below -746: skipping it avoids numpy's slow underflow path
+    z = -t * u.grid.A_eigs
+    return _scale_modes(u, np.exp(z, out=np.zeros_like(z), where=z > -746))
 
 
 def apply_A_power(u: Field, mu: float) -> Field:
@@ -372,7 +377,8 @@ def read_snapshot(path, grid: SpectralGrid | None = None) -> Field:
     """Read an MSHF snapshot; validates against ``grid`` when one is supplied.
 
     The file length must match its header exactly, so a truncated file or
-    one with trailing bytes raises ValueError naming the path.
+    one with trailing bytes raises ValueError naming the path, as does a
+    header that describes no valid domain or a body with non-finite values.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -399,12 +405,13 @@ def read_snapshot(path, grid: SpectralGrid | None = None) -> Field:
             f"{expected} for shape {tuple(res)})"
         )
     values = np.frombuffer(blob, dtype="<f8", count=count, offset=header)
-    if grid is None:
-        grid = SpectralGrid(DomainSpec(dim, tuple(lengths), tuple(res)))
-    else:
-        s = grid.spec
-        if s.dim != dim or tuple(s.resolution) != tuple(res) or not np.allclose(
-            s.lengths, lengths
+    try:  # a mismatch, a header that is no domain, or non-finite values
+        if grid is None:
+            grid = SpectralGrid(DomainSpec(dim, tuple(lengths), tuple(res)))
+        elif (grid.spec.dim, grid.spec.resolution) != (dim, tuple(res)) or not np.allclose(
+            grid.spec.lengths, lengths
         ):
-            raise GridMismatch(f"{path}: snapshot domain does not match grid")
-    return Field(grid, values)
+            raise GridMismatch("snapshot domain does not match grid")
+        return Field(grid, values)
+    except ValueError as err:  # GridMismatch stays a GridMismatch
+        raise type(err)(f"{path}: {err}") from None

@@ -10,6 +10,7 @@ from sphereflow import (
     SpectralGrid,
     StepperConfig,
     TruncationTheta,
+    apply_semigroup,
     basis_mode,
     contraction_factor_probe,
     convolve_semigroup,
@@ -106,6 +107,20 @@ class TestSpaceTimeGrid:
         u = basis_mode(g, 1)
         st = SpaceTimeGrid.from_semigroup(u, np.linspace(0, 0.5, 11))
         assert np.allclose(st.coeffs[:, 0], np.exp(-3 * st.times))
+
+    def test_underflow_skip_is_bitwise_equal_to_plain_exp(self):
+        # 40 x 64^2 on a T = 0.02 horizon: ~40% of the exponents are below
+        # -745, where exp underflows and the semigroups skip it
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (64, 64)))
+        u = random_unit_field(g, np.random.default_rng(3))
+        times = np.linspace(0.0, 0.02, 40)
+        z = -times[:, None, None] * g.A_eigs
+        assert np.count_nonzero(z < -745) > 0.3 * z.size
+        c0 = g.to_coeffs(u.values)
+        st = SpaceTimeGrid.from_semigroup(u, times)
+        assert np.array_equal(st.coeffs, np.exp(z) * c0)
+        plain = g.to_values(np.exp(z[-1]) * c0)
+        assert np.array_equal(apply_semigroup(u, times[-1]).values, plain)
 
 
 class TestXtNorm:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from sphereflow import (
     transform_inverse,
     write_snapshot,
 )
-from sphereflow.spectral import _sine_matrix
+from sphereflow.spectral import _DENSE_AXIS_LIMIT, _dst1, _sine_matrix
 
 PI = np.pi
 
@@ -57,6 +58,10 @@ class TestDomainSpec:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             DomainSpec(1, (0.0,), (8,))
+        # NaN passes an L <= 0 test and would fail later as "A must be strictly positive"
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                DomainSpec(1, (bad,), (8,))
 
     def test_rejects_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -125,7 +130,7 @@ class TestTransforms:
             assert np.max(np.abs(g.to_values(fwd) * r - x)) <= 1e-13
 
     def test_scipy_and_dense_paths_agree(self):
-        # N=512 exceeds the dense-matrix limit and exercises the FFT path
+        # N=512 exceeds the 1D dense-matrix limit and exercises the FFT path
         rng = np.random.default_rng(1)
         g_big = grid_1d(512)
         f = Field(g_big, rng.standard_normal(512))
@@ -135,6 +140,42 @@ class TestTransforms:
         )
         oracle = np.sqrt(PI / 513) * mat @ f.values
         assert np.max(np.abs(c - oracle)) < 1e-11
+
+    def test_numpy_dst1_matches_scipy_and_dense(self):
+        # scipy is a test-only oracle; the dense oracle is the sine matrix
+        # applied with the tensordot loop of the reference above
+        from scipy.fft import dstn
+
+        rng = np.random.default_rng(6)
+        for shape in ((10,), (258,), (1030,), (12, 8), (300, 22), (8, 10, 12), (30, 258, 8)):
+            x = rng.uniform(-1.0, 1.0, size=shape)
+            y = _dst1(x)
+            scale = np.max(np.abs(y))
+            assert np.max(np.abs(y - dstn(x, type=1, norm="ortho"))) <= 1e-13 * scale
+            dense = x
+            for ax, n in enumerate(shape):
+                dense = np.moveaxis(np.tensordot(_sine_matrix(n), dense, axes=(1, ax)), 0, ax)
+            assert np.max(np.abs(y - dense)) <= 1e-13 * scale
+
+    def test_paths_agree_on_both_sides_of_each_limit(self, monkeypatch):
+        # at each limit a grid is dense and just above it on the FFT path;
+        # on both grids the two paths give the same transforms to 1e-13
+        rng = np.random.default_rng(7)
+        for shape, above in (((448,), False), ((450,), True), ((2048, 8), False),
+                             ((2050, 8), True), ((1022, 8, 8), False), ((1024, 8, 8), True)):
+            d = len(shape)
+            spec = DomainSpec(d, (PI, 2.0, 1.5)[:d], shape)
+            default = SpectralGrid(spec)
+            assert (default._coeff_mats is None) == above
+            monkeypatch.setitem(_DENSE_AXIS_LIMIT, d, max(shape) if above else 0)
+            other = SpectralGrid(spec)
+            monkeypatch.undo()
+            fft, dense = (default, other) if above else (other, default)
+            u = rng.standard_normal(shape)
+            c = dense.to_coeffs(u)
+            assert np.max(np.abs(fft.to_coeffs(u) - c)) <= 1e-13 * np.max(np.abs(c))
+            v = dense.to_values(u)
+            assert np.max(np.abs(fft.to_values(u) - v)) <= 1e-13 * np.max(np.abs(v))
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
@@ -170,23 +211,37 @@ class TestTransforms:
 
 @st.composite
 def grids(draw):
-    """Even axes in [8, 520], at most 2**16 points; one axis above 256
-    takes the dstn path."""
+    """Even axes of at least 8, at most 2**16 points. The longest axis lies
+    within its dimension's dense limit or above it (the FFT path), up to
+    twice the limit; the others are at most 520."""
     dim = draw(st.integers(1, 3))
-    shape = []
-    for k in range(dim):
+    limit = _DENSE_AXIS_LIMIT[dim]
+    top = min(2 * limit, 2**16 // 8 ** (dim - 1))
+    lo, hi = (limit + 2, top) if draw(st.booleans()) else (8, limit)
+    shape = [2 * draw(st.integers(lo // 2, hi // 2))]
+    for k in range(1, dim):
         # leave at least 8 points for each axis still to draw
         hi = min(520, 2**16 // (math.prod(shape) * 8 ** (dim - k - 1)))
         shape.append(2 * draw(st.integers(4, hi // 2)))
+    shape = draw(st.permutations(shape))
     lengths = draw(st.lists(st.floats(0.5, 10.0), min_size=dim, max_size=dim))
     return SpectralGrid(DomainSpec(dim, lengths, shape))
+
+
+# the FFT path in each dimension
+FFT_GRIDS = (
+    grid_1d(512),
+    SpectralGrid(DomainSpec(2, (PI, 2.0), (2050, 8))),
+    SpectralGrid(DomainSpec(3, (PI, 2.0, 1.5), (8, 1024, 8))),
+)
 
 
 class TestTransformProperties:
     @settings(deadline=None)
     @given(g=grids(), seed=st.integers(0, 2**32 - 1))
-    @example(g=grid_1d(512), seed=0)
-    @example(g=SpectralGrid(DomainSpec(3, (PI, 2.0, 1.5), (258, 8, 16))), seed=1)
+    @example(g=FFT_GRIDS[0], seed=0)
+    @example(g=FFT_GRIDS[1], seed=1)
+    @example(g=FFT_GRIDS[2], seed=2)
     def test_round_trip(self, g, seed):
         u = np.random.default_rng(seed).standard_normal(g.shape)
         back = g.to_values(g.to_coeffs(u))
@@ -194,8 +249,9 @@ class TestTransformProperties:
 
     @settings(deadline=None)
     @given(g=grids(), seed=st.integers(0, 2**32 - 1))
-    @example(g=grid_1d(512), seed=0)
-    @example(g=SpectralGrid(DomainSpec(3, (PI, 2.0, 1.5), (258, 8, 16))), seed=1)
+    @example(g=FFT_GRIDS[0], seed=0)
+    @example(g=FFT_GRIDS[1], seed=1)
+    @example(g=FFT_GRIDS[2], seed=2)
     def test_parseval(self, g, seed):
         f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
         coeff_sq = float(np.sum(transform_forward(f).coeffs ** 2))
@@ -263,8 +319,10 @@ class TestOperators:
 
     def test_semigroup_rejects_negative_time(self):
         g = grid_1d()
-        with pytest.raises(ValueError):
-            apply_semigroup(basis_mode(g, 1), -0.1)
+        # NaN too: the underflow skip would turn it into zeros
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                apply_semigroup(basis_mode(g, 1), t)
 
     def test_A_power_identity_and_square_root(self):
         g = grid_1d(16)
@@ -336,6 +394,31 @@ class TestPhi1:
             phi1(-1e-3)
 
 
+@st.composite
+def mshf_blobs(draw):
+    """MSHF-shaped byte strings: a drawn header (dim, version, N and L per
+    axis), a body of the size it implies, then at most one corruption."""
+    dim = draw(st.integers(0, 4))
+    res = draw(st.lists(st.sampled_from([8, 10]) | st.sampled_from([0, 7]),
+                        min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.5, 10.0) | st.floats(), min_size=dim, max_size=dim))
+    blob = b"MSHF" + struct.pack("<IB", draw(st.just(1) | st.integers(0, 3)), dim)
+    blob += b"".join(struct.pack("<Id", n, L) for n, L in zip(res, lengths))
+    body = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(math.prod(res))
+    if body.size and draw(st.booleans()):
+        body[draw(st.integers(0, body.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    blob += body.astype("<f8").tobytes()
+    mode = draw(st.sampled_from(["keep", "keep", "cut", "append", "flip"]))
+    if mode == "cut":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    elif mode == "append":
+        blob += draw(st.binary(min_size=1, max_size=16))
+    elif mode == "flip":
+        i = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
+    return blob
+
+
 class TestSnapshots:
     def test_round_trip_bit_exact(self, tmp_path):
         g = grid_2d()
@@ -403,6 +486,34 @@ class TestSnapshots:
             read_snapshot(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 0), ("dim", 4), ("N", 0), ("N", 7),
+        ("L", -1.0), ("L", math.nan), ("L", math.inf),
+    ])
+    def test_reader_names_the_path_for_a_bad_header(self, tmp_path, field, value):
+        dim = value if field == "dim" else 1
+        n = value if field == "N" else 8
+        L = value if field == "L" else 1.0
+        blob = b"MSHF" + struct.pack("<IB", 1, dim) + struct.pack("<Id", n, L) * dim
+        path = tmp_path / "bad.mshf"
+        path.write_bytes(blob + bytes(8 * n**dim))
+        with pytest.raises(ValueError) as err:
+            read_snapshot(path)
+        assert str(path) in str(err.value)
+
+    @settings(deadline=None)
+    @given(blob=st.binary(max_size=64) | mshf_blobs())
+    def test_any_bytes_read_back_or_name_the_path(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("mshf") / "any.mshf"
+        path.write_bytes(blob)
+        try:
+            f = read_snapshot(path)
+        except ValueError as err:
+            assert str(path) in str(err)
+        else:
+            write_snapshot(path, f)
+            assert path.read_bytes() == blob
+
     def test_reader_builds_grid_when_missing(self, tmp_path):
         g = grid_1d(8, L=1.5)
         path = tmp_path / "state.mshf"
@@ -419,24 +530,6 @@ def test_3d_round_trip_and_eigenvalues():
     assert np.max(np.abs(back.values - f.values)) <= 1e-12
     assert g.lap_eigs[0, 0, 0] == pytest.approx(3.0)
     assert g.mu_min == pytest.approx(15.0)  # 9 + 6
-
-
-def test_threads_env_does_not_change_results(monkeypatch):
-    g = grid_1d(512)  # large axis uses the FFT path that honors workers
-    f = Field(g, np.random.default_rng(11).standard_normal(512))
-    base = transform_forward(f).coeffs
-    monkeypatch.setenv("SPHEREFLOW_THREADS", "2")
-    threaded = transform_forward(f).coeffs
-    assert np.array_equal(base, threaded)
-
-
-def test_threads_env_must_be_positive_integer(monkeypatch):
-    g = grid_1d(512)
-    f = Field(g, np.ones(512))
-    for raw in ("abc", "0", "-1", ""):
-        monkeypatch.setenv("SPHEREFLOW_THREADS", raw)
-        with pytest.raises(ValueError, match="SPHEREFLOW_THREADS"):
-            transform_forward(f)
 
 
 def test_spectral_field_shape_validation():
