@@ -140,9 +140,9 @@ def xt_norm(st: SpaceTimeGrid) -> float:
     return float(np.sqrt(_running_xt_sq(st)[-1]))
 
 
-def sup_v_distance(a: SpaceTimeGrid, b: SpaceTimeGrid) -> float:
-    diff = SpaceTimeGrid._wrap(a.grid, a.times, a.coeffs - b.coeffs)
-    # the difference is a temporary, so it is squared in place
+def sup_v_distance(a: SpaceTimeGrid, b: SpaceTimeGrid, scratch=None) -> float:
+    diff = SpaceTimeGrid._wrap(a.grid, a.times, np.subtract(a.coeffs, b.coeffs, out=scratch))
+    # the difference (in ``scratch`` when given) is a temporary: squared in place
     return float(np.sqrt(_v_norms_sq(diff, _squares(diff, diff.coeffs)).max()))
 
 
@@ -179,15 +179,17 @@ def _conv_weights(grid: SpectralGrid, h: float):
     return weights
 
 
-def convolve_semigroup(f: SpaceTimeGrid) -> SpaceTimeGrid:
+def convolve_semigroup(f: SpaceTimeGrid, out=None) -> SpaceTimeGrid:
     """u(t_i) = integral_0^{t_i} S(t_i - p) f(p) dp, exact for f piecewise
     linear in time, via the per-mode recurrence
 
-        u_i = e^(-mu h) u_{i-1} + h (phi1 - phi2)(mu h) f_{i-1} + h phi2(mu h) f_i.
+        u_i = e^(-mu h) u_{i-1} + h (phi1 - phi2)(mu h) f_{i-1} + h phi2(mu h) f_i,
+
+    written into ``out`` (shaped like ``f.coeffs``, not aliasing it) when given.
     """
     decay, w_left, w_right = _conv_weights(f.grid, f.dt)
     fc = f.coeffs
-    out = np.empty_like(fc)
+    out = np.empty_like(fc) if out is None else out
     out[0] = 0.0
     tmp = np.empty_like(decay)
     # slot by slot into ``out``: no temporary the size of the trajectory
@@ -199,15 +201,17 @@ def convolve_semigroup(f: SpaceTimeGrid) -> SpaceTimeGrid:
     return SpaceTimeGrid._wrap(f.grid, f.times, out)
 
 
-def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta,
-            p: ModelParams, *, free: SpaceTimeGrid | None = None) -> SpaceTimeGrid:
+def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
+            free: SpaceTimeGrid | None = None, out=None, scratch=None) -> SpaceTimeGrid:
     """One application of the truncated fixed-point map Phi.
 
     ``free`` is the free evolution S(t) u0 on ``u.times``; a caller that
-    applies Phi repeatedly builds it once and passes it in.
+    applies Phi repeatedly builds it once and passes it in, and may pass
+    arrays shaped like ``u.coeffs`` for the result (``out``) and for the
+    transformed nonlinearity (``scratch``), neither aliasing ``u.coeffs``.
     """
     grid = u.grid
-    fc = np.empty_like(u.coeffs)
+    fc = np.empty_like(u.coeffs) if scratch is None else scratch
     # fc holds the squared coefficients until the loop below overwrites it
     theta = theta_eval(th, np.sqrt(_running_xt_sq(u, scratch=fc)))
     for i, c in enumerate(u.coeffs):
@@ -219,7 +223,7 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta,
         free = SpaceTimeGrid.from_semigroup(u0, u.times)
     elif free.times is not u.times and not np.array_equal(free.times, u.times):
         raise ValueError("free evolution is sampled on a different time grid")
-    out = convolve_semigroup(SpaceTimeGrid._wrap(grid, u.times, fc)).coeffs
+    out = convolve_semigroup(SpaceTimeGrid._wrap(grid, u.times, fc), out).coeffs
     out += free.coeffs
     return SpaceTimeGrid._wrap(grid, u.times, out)
 
@@ -285,22 +289,21 @@ def picard_solve(u0: Field, th: TruncationTheta, p: ModelParams, T: float,
     check_on_manifold(u0)
     times = np.linspace(0.0, T, num_points)
     free = SpaceTimeGrid.from_semigroup(u0, times)
-    current = free
+    # the iterate before current and one scratch array are reused, so the
+    # loop allocates no trajectory-sized array after its second iteration
+    current, spare, scratch = free, None, np.empty_like(free.coeffs)
     distances = []
     for _ in range(max_iter):
         try:
-            nxt = phi_map(current, u0, th, p, free=free)
+            nxt = phi_map(current, u0, th, p, free=free, out=spare, scratch=scratch)
+            finite = np.all(np.isfinite(nxt.coeffs))
         except OverflowError:
-            raise NonContractionError(
-                f"Picard iterate diverged on [0, {T}]; use a smaller T"
-            ) from None
-        if not np.all(np.isfinite(nxt.coeffs)):
-            raise NonContractionError(
-                f"Picard iterate diverged on [0, {T}]; use a smaller T"
-            )
-        d = sup_v_distance(nxt, current)
+            finite = False
+        if not finite:
+            raise NonContractionError(f"Picard iterate diverged on [0, {T}]; use a smaller T")
+        d = sup_v_distance(nxt, current, scratch)
         distances.append(d)
-        current = nxt
+        current, spare = nxt, (None if current is free else current.coeffs)
         if d < tol:
             break
         if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Per dimension, the longest axis that takes the dense matrices rather than
-# the FFT-based DST-I: where dense stopped winning in 1D and 2D (CHANGES.md);
-# in 3D dense won every shape timed, and 1022 keeps 1024 x 8 x 8 on the FFT.
-# Static, so which path rounds a grid's transforms is machine-independent.
-_DENSE_AXIS_LIMIT = {1: 448, 2: 2048, 3: 1022}
+# axis sizes up to this use a precomputed dense orthogonal transform matrix,
+# which beats the FFT call overhead for the small grids used in probes
+_DENSE_AXIS_LIMIT = 256
 
 
 class GridMismatch(ValueError):
@@ -47,26 +45,25 @@ class DomainSpec:
 
 
 def _sine_matrix(n: int) -> np.ndarray:
-    # orthonormal DST-I matrix, symmetric and self-inverse. pi*j*k/(n+1) rounds
-    # to ~n*eps (3e-13 at n = 2048), so above 256 j*k is reduced exactly by the
-    # period 2(n+1) first; up to 256 it is not, so those grids keep their bits.
-    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
-    if n > 256:
-        jk %= 2 * (n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+    # orthonormal DST-I matrix, symmetric and self-inverse
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along every axis. DST-I of size n is a real DFT of
     size 2(n + 1): minus the imaginary part of the rfft of the odd
-    extension [0, x, 0, -x reversed] (Frigo & Johnson 2005)."""
+    extension [0, x, 0, -x reversed] (Frigo & Johnson 2005). The scale
+    1/sqrt(prod 2(n + 1)) is rounded once from long double and applied on
+    the first axis, as pocketfft does, so the result is bitwise scipy's dstn."""
+    scale = -float(1 / np.sqrt(np.longdouble(math.prod(2 * n + 2 for n in x.shape))))
     for axis, n in enumerate(x.shape):
         x = np.moveaxis(x, axis, -1)
         ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
         ext[..., 1:n + 1] = x
         np.negative(x[..., ::-1], out=ext[..., n + 2:])
-        y = np.fft.rfft(ext)[..., 1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
-        x = np.moveaxis(y, -1, axis)
+        y = np.fft.rfft(ext)[..., 1:n + 1].imag * scale
+        x, scale = np.moveaxis(y, -1, axis), -1.0
     return x
 
 
@@ -108,13 +105,13 @@ class SpectralGrid:
 
         self.weight = float(np.prod(step))
         self._sqrt_weight = np.sqrt(self.weight)
-        # dense matrices when the longest axis is within its dimension's limit.
+        # dense matrices only when every axis is small; otherwise _dst1.
         # sqrt(weight), the product of the per-axis sqrt(step), is folded
         # into the per-axis matrices, so to_coeffs and to_values are one
         # matrix product per axis and no extra pass; equal axes share them.
         # The orthonormal DST-I is its own inverse, so both fold one matrix.
         self._coeff_mats = self._value_mats = None
-        if max(spec.resolution) <= _DENSE_AXIS_LIMIT[d]:
+        if max(spec.resolution) <= _DENSE_AXIS_LIMIT:
             folded = {}
             for n, L, h in zip(spec.resolution, spec.lengths, step):
                 if (n, L) not in folded:

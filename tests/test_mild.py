@@ -370,6 +370,24 @@ class TestPicard:
         L4 = contraction_factor_probe(u0, th, p, 0.005, samples=8, seed=0)
         assert L4 / L1 == pytest.approx(0.5, rel=0.3)
 
+    def test_reused_buffers_match_fresh_iterates_bitwise(self):
+        # picard_solve writes each iterate into the buffer of the one before
+        # the last and reuses one scratch array; iterating phi_map and
+        # sup_v_distance on fresh arrays must give the same bits
+        g = SpectralGrid(DomainSpec(2, (PI, 2.0), (12, 10)))
+        u0 = random_unit_field(g, np.random.default_rng(3))
+        th, p = TruncationTheta(1e6), ModelParams(n=2)
+        res = picard_solve(u0, th, p, T=0.02, num_points=20)
+        assert res.iterations >= 4
+        free = SpaceTimeGrid.from_semigroup(u0, res.solution.times)
+        current, distances = free, []
+        for _ in range(res.iterations):
+            nxt = phi_map(current, u0, th, p, free=free)
+            distances.append(mild.sup_v_distance(nxt, current))
+            current = nxt
+        assert np.array_equal(res.solution.coeffs, current.coeffs)
+        assert np.array_equal(res.distances, distances)
+
     def test_transforms_once_for_the_free_evolution(self, transform_count):
         g = grid_1d(16)
         u0 = random_unit_field(g, np.random.default_rng(4))
