@@ -11,16 +11,13 @@ from .analysis import (
     gradient_stall_check,
     invariance_growth_test,
     lipschitz_probe,
-    lipschitz_radius_scan,
     omega_limit_probe,
     sample_v_field,
     scalar_power_gap_constant,
-    steady_state_detect,
 )
 from .energy import (
     EnergyReport,
     energy_identity_residual,
-    lyapunov_Y,
     make_report,
     v_norm,
     v_norm_sq,
@@ -56,8 +53,6 @@ from .mild import (
 from .model import (
     ManifoldError,
     ModelParams,
-    TangentVector,
-    expanded_rhs,
     l2n_power,
     nonlinearity_F,
     power_term,
@@ -82,12 +77,9 @@ from .spectral import (
     basis_mode,
     inner_l2,
     norm_l2,
-    norm_l2n,
     phi1,
     random_coeff_field,
     read_snapshot,
-    seminorm_h1,
-    seminorm_h2,
     sobolev_norms_sq,
     transform_forward,
     transform_inverse,

@@ -19,7 +19,6 @@ from .energy import v_norm
 from .model import (
     ModelParams,
     nonlinearity_F,
-    projected_rhs,
     unprojected_rhs,
 )
 from .spectral import (
@@ -63,22 +62,6 @@ def sample_v_field(grid: SpectralGrid, rng: np.random.Generator,
     return Field._wrap(grid, (target_v / vn) * u.values)
 
 
-def _lipschitz_pairs(grid: SpectralGrid, p: ModelParams, ball_radius: float,
-                     samples: int, seed: int, decay: float):
-    """(max(r1, r2), |F(u1)-F(u2)|_L2 / (G(|u1|_V, |u2|_V) |u1-u2|_V)) for each
-    seeded pair of distinct samples at V-norms r1, r2 drawn from [0, ball_radius)."""
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        r1, r2 = rng.uniform(0.0, ball_radius, size=2)
-        u1 = sample_v_field(grid, rng, r1, decay)
-        u2 = sample_v_field(grid, rng, r2, decay)
-        dv = v_norm(u1 - u2)
-        if dv == 0.0:
-            continue
-        num = norm_l2(nonlinearity_F(u1, p) - nonlinearity_F(u2, p))
-        yield max(r1, r2), num / (g_bound(v_norm(u1), v_norm(u2), p.n) * dv)
-
-
 @dataclass(frozen=True)
 class LipschitzProbeReport:
     samples: int
@@ -91,7 +74,9 @@ class LipschitzProbeReport:
 def lipschitz_probe(grid: SpectralGrid, p: ModelParams, ball_radius: float = 2.0,
                     samples: int = 500, seed: int = 0,
                     decay: float = 3.0) -> LipschitzProbeReport:
-    """Largest observed |F(u1)-F(u2)|_L2 / (G(...)||u1-u2||_V) over a V-ball.
+    """Largest observed |F(u1)-F(u2)|_L2 / (G(|u1|_V, |u2|_V) ||u1-u2||_V)
+    over seeded pairs of distinct samples with V-norms drawn from
+    [0, ball_radius).
 
     The envelope is evaluated with unit constants, so the fitted constant
     reports how large a single constant must be for the envelope shape to
@@ -101,8 +86,17 @@ def lipschitz_probe(grid: SpectralGrid, p: ModelParams, ball_radius: float = 2.0
         raise ValueError("ball_radius must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
-    pairs = _lipschitz_pairs(grid, p, ball_radius, samples, seed, decay)
-    worst = max((ratio for _, ratio in pairs), default=0.0)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        r1, r2 = rng.uniform(0.0, ball_radius, size=2)
+        u1 = sample_v_field(grid, rng, r1, decay)
+        u2 = sample_v_field(grid, rng, r2, decay)
+        dv = v_norm(u1 - u2)
+        if dv == 0.0:
+            continue
+        num = norm_l2(nonlinearity_F(u1, p) - nonlinearity_F(u2, p))
+        worst = max(worst, num / (g_bound(v_norm(u1), v_norm(u2), p.n) * dv))
     return LipschitzProbeReport(
         samples=samples,
         max_ratio=worst,
@@ -110,22 +104,6 @@ def lipschitz_probe(grid: SpectralGrid, p: ModelParams, ball_radius: float = 2.0
         ball_radius=ball_radius,
         resolution=int(max(grid.spec.resolution)),
     )
-
-
-def lipschitz_radius_scan(grid: SpectralGrid, p: ModelParams, radii,
-                          samples: int = 500, seed: int = 0,
-                          decay: float = 3.0) -> dict:
-    """Nested-ball fitted constants: one master sample, maxima over sub-balls.
-
-    Returns {R: max ratio over sampled pairs lying in the V-ball of radius
-    R}; monotone in R by ball nesting, which independent per-radius
-    sampling would not guarantee.
-    """
-    radii = sorted(float(r) for r in radii)
-    pairs = list(_lipschitz_pairs(grid, p, radii[-1], samples, seed, decay))
-    return {
-        R: max((ratio for r, ratio in pairs if r <= R), default=0.0) for R in radii
-    }
 
 
 def scalar_power_gap_constant(n: int, bound: float = 2.0, points: int = 400) -> float:
@@ -235,13 +213,7 @@ def a_mu_boundedness(traj, mu_list, t_min: float = 0.1) -> AMuReport:
     return AMuReport(t_min=t_min, times=times, norms=norms, sups=sups)
 
 
-# -- steady states, energy stalls and the omega-limit set --------------------
-
-
-def steady_state_detect(traj, tol: float = 1e-8):
-    """(is_steady, residual): the L2 size of the vector field at the final state."""
-    residual = norm_l2(projected_rhs(traj.final_state, traj.params))
-    return bool(residual < tol), float(residual)
+# -- energy stalls and the omega-limit set -----------------------------------
 
 
 @dataclass(frozen=True)

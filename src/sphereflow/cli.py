@@ -101,9 +101,12 @@ def _parse_bool(key, raw):
 
 def _parse_typed(key, raw, kind):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -199,6 +202,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     eps = _parse_typed(
         "init.off_manifold_eps", seen.get("init.off_manifold_eps", "0"), float
     )
+    if eps <= -1:
+        raise ConfigError(
+            "init.off_manifold_eps: must be greater than -1 (the state is "
+            "scaled by sqrt(1 + eps))"
+        )
     out_dir = seen.get("output.dir", "out")
     snapshots = _parse_bool("output.snapshots", seen.get("output.snapshots", "false"))
 

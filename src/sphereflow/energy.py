@@ -38,11 +38,6 @@ def v_norm(u: Field) -> float:
     return float(np.sqrt(v_norm_sq(u)))
 
 
-def lyapunov_Y(u: Field, n: int, dealias: int | None = None, signed: bool = False) -> float:
-    """Energy Y(u); the L^{2n} part follows the model's quadrature policy."""
-    return 0.5 * v_norm_sq(u) + l2n_power(u, n, dealias, signed) / (2.0 * n)
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Per-record energy ledger entry along a trajectory."""

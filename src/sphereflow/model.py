@@ -73,21 +73,6 @@ def check_on_manifold(u: Field, tol: float = MANIFOLD_TOL) -> None:
         raise ManifoldError(f"|u|_L2 = {r!r} is off the unit sphere by more than {tol}")
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector ``vec`` attached to a sphere point ``base`` with <vec, base> = 0."""
-
-    base: Field
-    vec: Field
-
-    def __post_init__(self):
-        check_on_manifold(self.base)
-        ip = inner_l2(self.vec, self.base)
-        scale = norm_l2(self.vec) * norm_l2(self.base)
-        if abs(ip) > 1e-10 * max(scale, 1e-300):
-            raise ManifoldError(f"vector is not tangent: <vec, base> = {ip!r}")
-
-
 _fine_grid_cache: dict = {}
 
 
@@ -222,22 +207,13 @@ def project_tangent(u: Field, h: Field) -> Field:
     return Field._wrap(u.grid, h.values - inner_l2(h, u) * u.values)
 
 
-def expanded_rhs(u: Field, p: ModelParams) -> Field:
-    """-A u + F(u) without the unit-sphere precondition.
-
-    Coincides with projected_rhs on M, which calls it after checking the
-    precondition; off M (retraction disabled) it stays well defined.
-    """
+def projected_rhs(u: Field, p: ModelParams) -> Field:
+    """Expanded projected vector field -A u + F(u); independent of a on M."""
+    check_on_manifold(u)
     grid = u.grid
     c = grid.to_coeffs(u.values)
     f, _ = _F_values(grid, u.values, c, p)
     return Field._wrap(grid, f - grid.to_values(grid.A_eigs * c))
-
-
-def projected_rhs(u: Field, p: ModelParams) -> Field:
-    """Expanded projected vector field -A u + F(u); independent of a on M."""
-    check_on_manifold(u)
-    return expanded_rhs(u, p)
 
 
 def projected_rhs_direct(u: Field, p: ModelParams) -> Field:

@@ -42,6 +42,22 @@ class DomainSpec:
             raise ValueError(f"axis lengths must be positive and finite, got {self.lengths}")
         if any(n < 8 or n % 2 for n in self.resolution):
             raise ValueError("axis resolutions must be even and at least 8")
+        # A's eigenvalues lam^2 + 2 lam, lowest and highest mode, and the
+        # quadrature weight must be positive finite floats.  Python floats
+        # overflow to inf or OverflowError here, without a RuntimeWarning.
+        try:
+            lam = [sum((k * math.pi / L) * (k * math.pi / L)
+                       for k, L in zip(modes, self.lengths))
+                   for modes in ((1,) * self.dim, self.resolution)]
+            weight = math.prod(L / (n + 1) for L, n in zip(self.lengths, self.resolution))
+        except OverflowError:
+            lam, weight = [0.0, math.inf], 0.0
+        mu_min, mu_max = (x * x + 2 * x for x in lam)
+        if not (mu_min > 0 and mu_max < math.inf and weight > 0):
+            raise ValueError(
+                f"lengths {self.lengths} at resolution {self.resolution} put the "
+                "eigenvalues of A or the quadrature weight outside the float range"
+            )
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -84,7 +100,7 @@ class SpectralGrid:
 
     ``lap_eigs`` holds the -Laplacian eigenvalue of each sine mode and
     ``A_eigs = lap_eigs**2 + 2*lap_eigs``, both shaped like the coefficient
-    array; every A eigenvalue is strictly positive.
+    array; every A eigenvalue is positive and finite, as DomainSpec checks.
     """
 
     def __init__(self, spec: DomainSpec):
@@ -130,8 +146,6 @@ class SpectralGrid:
         self.mode_magnitude = np.sqrt(np.sum([m**2 for m in mag], axis=0)).reshape(
             self.shape
         )
-        if not np.all(self.A_eigs > 0):
-            raise ValueError("A must be strictly positive on the sine basis")
         self.mu_min = float(self.A_eigs.min())
         self.mu_max = float(self.A_eigs.max())
 
@@ -314,23 +328,6 @@ def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray):
     c2 = coeffs * coeffs
     lam_c2 = grid.lap_eigs * c2
     return float(c2.sum()), float(lam_c2.sum()), float(np.vdot(lam_c2, grid.lap_eigs))
-
-
-def seminorm_h1(u: Field) -> float:
-    return float(np.sqrt(sobolev_norms_sq(u)[1]))
-
-
-def seminorm_h2(u: Field) -> float:
-    return float(np.sqrt(sobolev_norms_sq(u)[2]))
-
-
-def norm_l2n(u: Field, n: int) -> float:
-    """L^{2n} norm by collocation quadrature on the native grid."""
-    from .model import l2n_power  # model builds on this module
-
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return l2n_power(u, int(n)) ** (1.0 / (2 * n))
 
 
 # -- exponential integrator weights -----------------------------------------

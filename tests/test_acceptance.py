@@ -1,378 +1,154 @@
 """Acceptance criteria for the constrained-flow solver.
 
-Each test pins one verifiable structure of the flow at its stated
-tolerance and prints a PASS/FAIL line with the measured value.  Criterion
-5 (the global V-bound) is asserted on every trajectory the other criteria
-produce, which the module collects as it runs.
+``sphereflow.checks`` is the one definition of every criterion: its preset,
+measured value and bound are a row of the verification suite.  The suite
+runs once for this module; each test names the rows that carry its
+criterion, asserts that they pass, and bounds the wall time of the check
+functions that compute them.
 """
 
-import time
-
-import numpy as np
 import pytest
 
-from sphereflow import (
-    DomainSpec,
-    Field,
-    ModelParams,
-    SpectralGrid,
-    StepperConfig,
-    TruncationTheta,
-    a_mu_boundedness,
-    apply_A,
-    basis_mode,
-    contraction_factor_probe,
-    convergence_order_probe,
-    energy_identity_residual,
-    inner_l2,
-    integrate,
-    invariance_growth_test,
-    lipschitz_probe,
-    norm_l2,
-    omega_limit_probe,
-    picard_solve,
-    project_tangent,
-    random_coeff_field,
-    random_unit_field,
-    rayleigh_quotient,
-    scalar_power_gap_constant,
-    theta_eval,
-)
-from sphereflow.model import projected_rhs, projected_rhs_direct
+from sphereflow.checks import run_all
 
-PI = np.pi
-
-# trajectories registered by earlier criteria; criterion 5 checks them all
-_TRAJECTORIES = []
-
-
-def _register(label, traj):
-    _TRAJECTORIES.append((label, traj))
-    return traj
-
-
-def _report(criterion, ok, detail):
-    status = "PASS" if ok else "FAIL"
-    print(f"[acceptance] criterion {criterion}: {status} - {detail}")
-    assert ok, f"criterion {criterion}: {detail}"
-
-
-def grid_1d(n, L=PI):
-    return SpectralGrid(DomainSpec(1, (L,), (n,)))
-
-
-def test_criterion_01_projection_correctness():
-    t0 = time.time()
-    worst_t = worst_i = 0.0
-    for g in (grid_1d(128), SpectralGrid(DomainSpec(2, (PI, PI), (64, 64)))):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            u = random_unit_field(g, rng)
-            h = random_coeff_field(g, rng)
-            ph = project_tangent(u, h)
-            scale = max(norm_l2(h), 1e-300)
-            worst_t = max(worst_t, abs(inner_l2(ph, u)) / scale)
-            worst_i = max(worst_i, norm_l2(project_tangent(u, ph) - ph) / scale)
-    elapsed = time.time() - t0
-    ok = worst_t <= 1e-12 and worst_i <= 1e-12 and elapsed < 1.0
-    _report(1, ok,
-            f"tangency {worst_t:.2e}, idempotence {worst_i:.2e} "
-            f"(<= 1e-12), {elapsed:.2f}s")
+# criterion: (row names, check functions that compute them, their time bound in s)
+CRITERIA = {
+    1: (("projection tangency (128,)", "projection idempotence (128,)",
+         "projection tangency (64, 64)", "projection idempotence (64, 64)"),
+        ("check_projection",), 1.0),
+    2: (("expanded = literal projected field (50 states, 4 a-values)",
+         "a-independence on the sphere"),
+        ("check_formula_equivalence",), 5.0),
+    3: (("retraction drift | |u|^2 - 1 | every step",
+         "free drift ratio under h -> h/2"),
+        ("check_manifold_invariance",), 30.0),
+    4: (("energy monotone per step (RK4 run)",
+         "energy identity residual ratio under h -> h/2"),
+        ("check_energy",), 60.0),
+    5: (("global bound sup ||u||_V <= 2 Y(u0) (RK4 run)",
+         "global bound on the retraction run",
+         "global bound on the equilibrium run",
+         "global bound on the ground-state run",
+         "global bound on the fractional-power orbit run"),
+        (), None),
+    6: (("equilibrium preserved by one step of each scheme",
+         "equilibrium stationary over T=1 (ETD1)",
+         "Rayleigh quotient -> 3 by T=10 (n=1)", "final energy -> 2.5 (n=1)"),
+        ("check_equilibrium", "check_ground_state"), 60.0),
+    7: (("picard at the equilibrium converges",
+         "picard factors all < 1 (geometric convergence)",
+         "truncation inactivity (m vs 10m)",
+         "picard limit matches RK4 reference (sup-L2)",
+         "contraction factor sqrt(T) scaling"),
+        ("check_picard",), 60.0),
+    8: (("theta bounds hold on 1e4 samples",
+         "theta Lipschitz bound |dtheta| <= |dx|/m",
+         "theta Lipschitz equality on [m, 2m]"),
+        ("check_theta",), 1.0),
+    9: (("self-adjointness <Au,v> = <u,Av> (scaled)",
+         "dense A matrix symmetry at N=16"),
+        ("check_self_adjoint",), 1.0),
+    10: (tuple(f"lipschitz envelope constant finite and stable (n={n})"
+               for n in (1, 2, 3)) + ("scalar power-gap constants finite",),
+         ("check_lipschitz",), 60.0),
+    11: (("off-manifold growth rate matches prediction",
+          "off-manifold growth rate n=2 with psi of both signs (N=8)"),
+         ("check_psi_rate",), 30.0),
+    12: (("stationary |A^0.75 u*| = 3^0.75",
+          "stationary |A^mu u*| = 3^mu at mu = 0.55 and 0.9",
+          "fractional-power orbit sups finite",
+          "fractional-power tail non-increasing"),
+         ("check_amu",), 60.0),
+    13: (("omega-limit tail Cauchy in V", "energy stall implies fixed point",
+          "limit candidate Rayleigh quotient -> 3"),
+         ("check_gradient_system",), 60.0),
+    14: (("ETD1 order", "projected Euler order", "RK4 order"),
+         ("check_orders",), 120.0),
+}
 
 
-def test_criterion_02_formula_equivalence():
-    t0 = time.time()
-    g = grid_1d(128)
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(50):
-        u = random_unit_field(g, rng)
-        r_exp = projected_rhs(u, ModelParams(n=2))
-        scale = norm_l2(r_exp)
-        for a in (-1.0, 0.0, 1.0, 10.0):
-            r_dir = projected_rhs_direct(u, ModelParams(n=2, a=a))
-            worst = max(worst, norm_l2(r_exp - r_dir) / scale)
-    elapsed = time.time() - t0
-    ok = worst <= 1e-10 and elapsed < 5.0
-    _report(2, ok, f"max relative gap {worst:.2e} (<= 1e-10), {elapsed:.2f}s")
+@pytest.fixture(scope="module")
+def suite():
+    return run_all(seed=0)
 
 
-def test_criterion_03_manifold_invariance():
-    t0 = time.time()
-    g = grid_1d(128)
-    p = ModelParams(n=2)
-    u0 = random_unit_field(g, np.random.default_rng(3), decay=5.0)
-    traj = _register(
-        "C3 retraction",
-        integrate(u0, p, StepperConfig(scheme="etd1", h=1e-3, t_end=1.0,
-                                       record_every=1, keep_snapshots=False)),
-    )
-    drift_on = traj.norm_drift.max()
-    drifts = {}
-    for h in (1e-3, 5e-4):
-        free = integrate(u0, p, StepperConfig(scheme="etd1", h=h, t_end=1.0,
-                                              renormalize=False, record_every=1,
-                                              keep_snapshots=False))
-        drifts[h] = free.norm_drift.max()
-    ratio = drifts[1e-3] / drifts[5e-4]
-    elapsed = time.time() - t0
-    ok = drift_on <= 1e-14 and 1.4 <= ratio <= 2.6 and elapsed < 30.0
-    _report(3, ok,
-            f"retraction drift {drift_on:.2e} (<= 1e-14), free-drift ratio "
-            f"{ratio:.3f} (in [1.4, 2.6]), {elapsed:.1f}s")
+def _assert_criterion(suite, criterion):
+    names, functions, limit = CRITERIA[criterion]
+    rows = {r["name"]: r for r in suite.rows}
+    missing = [name for name in names if name not in rows]
+    assert not missing, f"criterion {criterion}: no rows named {missing}"
+    failed = [name for name in names if not rows[name]["passed"]]
+    seconds = sum(suite.seconds[fn] for fn in functions)
+    timing = f", {seconds:.2f}s" if functions else ""
+    print(f"[acceptance] criterion {criterion:02d}: "
+          f"{'FAIL' if failed else 'PASS'} - {len(names) - len(failed)}/"
+          f"{len(names)} rows{timing}")
+    assert not failed, f"criterion {criterion}: failed rows {failed}"
+    if limit is not None:
+        assert seconds < limit, (
+            f"criterion {criterion}: {functions} took {seconds:.2f}s (< {limit}s)")
 
 
-def test_criterion_04_energy_dissipation():
-    t0 = time.time()
-    g = grid_1d(12)
-    p = ModelParams(n=2)
-    u0 = random_unit_field(g, np.random.default_rng(11))
-    residuals = {}
-    mono_ok = True
-    for h in (2e-5, 1e-5):
-        traj = integrate(u0, p, StepperConfig(scheme="rk4", h=h, t_end=0.1,
-                                              record_every=1, keep_snapshots=False))
-        if h == 2e-5:
-            _register("C4 energy", traj)
-        residuals[h] = energy_identity_residual(traj)
-        y = np.asarray([r.Y for r in traj.reports])
-        mono_ok = mono_ok and bool(np.all(np.diff(y) <= 1e-10 * max(1.0, y[0])))
-    ratio = residuals[2e-5] / residuals[1e-5]
-    elapsed = time.time() - t0
-    ok = mono_ok and 3.2 <= ratio <= 4.8 and elapsed < 60.0
-    _report(4, ok,
-            f"monotone={mono_ok}, residual ratio {ratio:.3f} "
-            f"(4 +/- 20%), {elapsed:.1f}s")
+def test_criterion_01_projection_correctness(suite):
+    _assert_criterion(suite, 1)
 
 
-def test_criterion_06_equilibrium_and_ground_state():
-    t0 = time.time()
-    g = grid_1d(64)
-    p = ModelParams(n=1)
-    ustar = basis_mode(g, 1)
-    eq = _register(
-        "C6 equilibrium",
-        integrate(ustar, p, StepperConfig(scheme="etd1", h=1e-3, t_end=1.0,
-                                          record_every=100, keep_snapshots=False)),
-    )
-    stationary = norm_l2(eq.final_state - ustar)
-    u0 = random_unit_field(g, np.random.default_rng(6))
-    flow = _register(
-        "C6 ground state",
-        integrate(u0, p, StepperConfig(scheme="etd1", h=1e-3, t_end=10.0,
-                                       record_every=100, keep_snapshots=False)),
-    )
-    rq_gap = abs(rayleigh_quotient(flow.final_state) - 3.0)
-    y_gap = abs(flow.reports[-1].Y - 2.5)
-    elapsed = time.time() - t0
-    ok = (stationary <= 1e-10 and rq_gap <= 1e-6 and y_gap <= 1e-6
-          and elapsed < 60.0)
-    _report(6, ok,
-            f"stationarity {stationary:.2e} (<= 1e-10), Rayleigh gap "
-            f"{rq_gap:.2e} (<= 1e-6), Y gap {y_gap:.2e} (<= 1e-6), "
-            f"{elapsed:.1f}s")
+def test_criterion_02_formula_equivalence(suite):
+    _assert_criterion(suite, 2)
 
 
-def test_criterion_05_global_bound():
-    assert _TRAJECTORIES, "earlier criteria must register trajectories"
-    worst = -np.inf
-    for label, traj in _TRAJECTORIES:
-        bound = 2.0 * traj.reports[0].Y
-        vmax = max(np.sqrt(r.v_norm_sq) for r in traj.reports)
-        worst = max(worst, vmax / bound)
-        assert vmax <= bound, f"{label}: sup ||u||_V = {vmax} > 2 Y(u0) = {bound}"
-    _report(5, worst <= 1.0,
-            f"sup ||u||_V / (2 Y(u0)) = {worst:.3f} on "
-            f"{len(_TRAJECTORIES)} trajectories (<= 1)")
+def test_criterion_03_manifold_invariance(suite):
+    _assert_criterion(suite, 3)
 
 
-def test_criterion_07_picard_realization():
-    t0 = time.time()
-    g = grid_1d(14)
-    p = ModelParams(n=2)
-    u0 = random_unit_field(g, np.random.default_rng(7))
-    T = 0.02
-    # 81 time points keep the piecewise-linear quadrature error of the
-    # fixed-point grid below the 1e-4 cross-validation tolerance
-    res = picard_solve(u0, TruncationTheta(1e6), p, T=T, num_points=81)
-    geometric = res.converged and bool(np.all(res.factors < 1.0))
-    ref = integrate(u0, p, StepperConfig(scheme="rk4", h=T / 400, t_end=T,
-                                         renormalize=False, record_every=5))
-    sup = max(norm_l2(res.solution.field_at(i) - ref.snapshots[i])
-              for i in range(81))
-    res10 = picard_solve(u0, TruncationTheta(1e7), p, T=T, num_points=81)
-    inactivity = float(np.max(np.abs(res.solution.coeffs - res10.solution.coeffs)))
-    L1 = contraction_factor_probe(u0, TruncationTheta(1e6), p, T, samples=8, seed=0)
-    L4 = contraction_factor_probe(u0, TruncationTheta(1e6), p, T / 4,
-                                  samples=8, seed=0)
-    scaling = L4 / L1
-    elapsed = time.time() - t0
-    ok = (geometric and sup <= 1e-4 and inactivity <= 1e-12
-          and 0.35 <= scaling <= 0.65 and elapsed < 60.0)
-    _report(7, ok,
-            f"geometric={geometric}, RK4 gap {sup:.2e} (<= 1e-4), "
-            f"m-inactivity {inactivity:.2e} (<= 1e-12), sqrt(T) factor ratio "
-            f"{scaling:.3f} (0.5 +/- 30%), {elapsed:.1f}s")
+def test_criterion_04_energy_dissipation(suite):
+    _assert_criterion(suite, 4)
 
 
-def test_criterion_08_theta_contract():
-    t0 = time.time()
-    rng = np.random.default_rng(8)
-    bounds_ok = True
-    worst_lip = worst_eq = 0.0
-    for _ in range(10_000):
-        m = rng.uniform(0.05, 20.0)
-        th = TruncationTheta(m)
-        x, y = rng.uniform(0.0, 3.0 * m, size=2)
-        tx, ty = theta_eval(th, x), theta_eval(th, y)
-        bounds_ok = bounds_ok and 0.0 <= tx <= 1.0
-        bounds_ok = bounds_ok and (x > m or tx == 1.0) and (x < 2 * m or tx == 0.0)
-        worst_lip = max(worst_lip, abs(tx - ty) - abs(x - y) / m)
-        xb, yb = m + (x % m), m + (y % m)
-        worst_eq = max(worst_eq, abs(
-            abs(theta_eval(th, xb) - theta_eval(th, yb)) - abs(xb - yb) / m
-        ))
-    elapsed = time.time() - t0
-    ok = bounds_ok and worst_lip <= 1e-12 and worst_eq <= 1e-12 and elapsed < 1.0
-    _report(8, ok,
-            f"bounds exact={bounds_ok}, Lipschitz excess {worst_lip:.2e}, "
-            f"equality defect {worst_eq:.2e} (<= 1e-12), {elapsed:.2f}s")
+def test_criterion_05_global_bound(suite):
+    _assert_criterion(suite, 5)
 
 
-def test_criterion_09_self_adjointness():
-    t0 = time.time()
-    g = grid_1d(64)
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(100):
-        u = random_coeff_field(g, rng)
-        v = random_coeff_field(g, rng)
-        au, av = apply_A(u), apply_A(v)
-        gap = abs(inner_l2(au, v) - inner_l2(u, av))
-        scale = norm_l2(au) * norm_l2(v) + norm_l2(u) * norm_l2(av)
-        worst = max(worst, gap / scale)
-    g16 = grid_1d(16)
-    dense = np.empty((16, 16))
-    for j in range(16):
-        e = np.zeros(16)
-        e[j] = 1.0
-        dense[:, j] = apply_A(Field(g16, e)).values
-    sym = np.max(np.abs(dense - dense.T)) / np.max(np.abs(dense))
-    elapsed = time.time() - t0
-    ok = worst <= 1e-12 and sym <= 1e-12 and elapsed < 1.0
-    _report(9, ok,
-            f"scaled gap {worst:.2e}, dense symmetry {sym:.2e} "
-            f"(<= 1e-12), {elapsed:.2f}s")
+def test_criterion_06_equilibrium_and_ground_state(suite):
+    _assert_criterion(suite, 6)
 
 
-def test_criterion_10_lipschitz_envelope():
-    t0 = time.time()
-    stable_ok = True
-    details = []
-    for n in (1, 2, 3):
-        p = ModelParams(n=n)
-        r1 = lipschitz_probe(grid_1d(32), p, samples=500, seed=10)
-        r2 = lipschitz_probe(grid_1d(64), p, samples=500, seed=10)
-        stable = max(r1.max_ratio, r2.max_ratio) / min(r1.max_ratio, r2.max_ratio)
-        stable_ok = stable_ok and np.isfinite(r1.max_ratio) and stable <= 2.0
-        details.append(f"n={n}: {r1.max_ratio:.3f}/{r2.max_ratio:.3f}")
-        c0 = scalar_power_gap_constant(n)
-        stable_ok = stable_ok and np.isfinite(c0)
-    elapsed = time.time() - t0
-    ok = stable_ok and elapsed < 60.0
-    _report(10, ok, f"{'; '.join(details)} (stability factor <= 2), {elapsed:.1f}s")
+def test_criterion_07_picard_realization(suite):
+    _assert_criterion(suite, 7)
 
 
-def test_criterion_11_psi_ode_rate():
-    t0 = time.time()
-    g = grid_1d(16)
-    worst = 0.0
-    for eps in (1e-3, -1e-3, 1e-2, -1e-2):
-        off = Field(g, np.sqrt(1 + eps) * basis_mode(g, 1).values)
-        rep = invariance_growth_test(off, ModelParams(n=1))
-        worst = max(worst, rep.relative_error)
-    g8 = grid_1d(8)
-    u = random_unit_field(g8, np.random.default_rng(11))
-    for eps in (1e-3, -1e-3, 1e-2, -1e-2):
-        off = Field(g8, np.sqrt(1 + eps) * u.values)
-        rep = invariance_growth_test(off, ModelParams(n=2))
-        worst = max(worst, rep.relative_error)
-    elapsed = time.time() - t0
-    ok = worst <= 0.01 and elapsed < 30.0
-    _report(11, ok, f"max relative rate error {worst:.2e} (<= 1%), {elapsed:.1f}s")
+def test_criterion_08_theta_contract(suite):
+    _assert_criterion(suite, 8)
 
 
-def test_criterion_12_fractional_power_bounds():
-    t0 = time.time()
-    g16 = grid_1d(16)
-    eq = integrate(basis_mode(g16, 1), ModelParams(n=1),
-                   StepperConfig(scheme="etd1", h=1e-3, t_end=0.5, record_every=50))
-    stat = a_mu_boundedness(eq, [0.55, 0.75, 0.9], t_min=0.1)
-    stat_gap = max(abs(stat.sups[mu] - 3.0**mu) for mu in (0.55, 0.75, 0.9))
-
-    g = grid_1d(64)
-    u0 = random_unit_field(g, np.random.default_rng(12))
-    traj = _register(
-        "C12 orbit",
-        integrate(u0, ModelParams(n=2),
-                  StepperConfig(scheme="etd1", h=1e-3, t_end=5.0, record_every=50)),
-    )
-    rep = a_mu_boundedness(traj, [0.55, 0.75, 0.9], t_min=0.1)
-    finite = all(np.isfinite(s) for s in rep.sups.values())
-    trend = True
-    for series in rep.norms.values():
-        q = len(series) // 4
-        trend = trend and series[-q:].max() <= series[:q].max() * (1 + 1e-12)
-    elapsed = time.time() - t0
-    ok = stat_gap <= 1e-10 and finite and trend and elapsed < 60.0
-    _report(12, ok,
-            f"stationary gap {stat_gap:.2e} (<= 1e-10), sups finite={finite}, "
-            f"tail non-increasing={trend}, {elapsed:.1f}s")
+def test_criterion_09_self_adjointness(suite):
+    _assert_criterion(suite, 9)
 
 
-def test_criterion_13_gradient_system():
-    t0 = time.time()
-    g = grid_1d(32)
-    u0 = random_unit_field(g, np.random.default_rng(13))
-    cfg = StepperConfig(scheme="etd1", h=1e-3, t_end=20.0, record_every=100)
-    rep = omega_limit_probe(u0, ModelParams(n=1), cfg, (5.0, 10.0, 15.0))
-    stall_ok = rep.stall_ok and len(rep.stall_events) > 0
-    elapsed = time.time() - t0
-    ok = rep.converged and stall_ok and elapsed < 60.0
-    _report(13, ok,
-            f"tail Cauchy={rep.converged} (max distance "
-            f"{rep.per_q_max_distance[rep.tail_start]:.2e} < 1e-6), "
-            f"{len(rep.stall_events)} stalls all at fixed points={rep.stall_ok}, "
-            f"{elapsed:.1f}s")
+def test_criterion_10_lipschitz_envelope(suite):
+    _assert_criterion(suite, 10)
 
 
-def test_criterion_14_scheme_orders():
-    t0 = time.time()
-    g = grid_1d(8)
-    p = ModelParams(n=2)
-    u0 = random_unit_field(g, np.random.default_rng(5))
-    etd1 = convergence_order_probe(u0, p, "etd1", [4e-3, 2e-3, 1e-3], t_end=0.2)
-    euler = convergence_order_probe(u0, p, "projected_euler",
-                                    [4e-4, 2e-4, 1e-4], t_end=0.05)
-    g2 = grid_1d(8, L=2 * PI)
-    u0r = random_unit_field(g2, np.random.default_rng(5), decay=1.5)
-    rk4 = convergence_order_probe(u0r, p, "rk4", [2e-3, 1e-3, 5e-4], t_end=0.5)
-    elapsed = time.time() - t0
-    ok = (abs(etd1.order - 1.0) <= 0.2 and abs(euler.order - 1.0) <= 0.2
-          and abs(rk4.order - 4.0) <= 0.4 and elapsed < 120.0)
-    _report(14, ok,
-            f"etd1 {etd1.order:.2f} (1 +/- 0.2), euler {euler.order:.2f} "
-            f"(1 +/- 0.2), rk4 {rk4.order:.2f} (4 +/- 0.4), {elapsed:.1f}s")
+def test_criterion_11_psi_ode_rate(suite):
+    _assert_criterion(suite, 11)
 
 
-def test_full_check_suite_under_ten_minutes():
-    from sphereflow.checks import run_all
+def test_criterion_12_fractional_power_bounds(suite):
+    _assert_criterion(suite, 12)
 
-    t0 = time.time()
-    tab = run_all(seed=0)
-    elapsed = time.time() - t0
-    failed = [r["name"] for r in tab.rows if not r["passed"]]
-    ok = not failed and elapsed < 600.0
-    _report("check-suite", ok,
-            f"{len(tab.rows) - len(failed)}/{len(tab.rows)} checks pass "
-            f"in {elapsed:.1f}s (< 600s); failures: {failed or 'none'}")
+
+def test_criterion_13_gradient_system(suite):
+    _assert_criterion(suite, 13)
+
+
+def test_criterion_14_scheme_orders(suite):
+    _assert_criterion(suite, 14)
+
+
+def test_full_check_suite_under_ten_minutes(suite):
+    failed = [r["name"] for r in suite.rows if not r["passed"]]
+    seconds = sum(suite.seconds.values())
+    print(f"[acceptance] check suite: {len(suite.rows) - len(failed)}/"
+          f"{len(suite.rows)} rows pass in {seconds:.1f}s (< 600s)")
+    assert not failed, f"failed rows: {failed}"
+    assert seconds < 600.0

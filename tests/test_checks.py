@@ -1,0 +1,48 @@
+from types import SimpleNamespace
+
+import numpy as np
+
+from sphereflow import analysis, checks
+from sphereflow.checks import Table, check_gradient_system, cmd_check
+
+
+def test_stall_row_fails_without_stall_events(monkeypatch):
+    # a converged tail with no stall at all: all() of no events is True
+    def no_stalls(u0, p, cfg, q_list):
+        return analysis.OmegaLimitReport(
+            q_list=(15.0,), tail_start=15.0, pairwise_v_distances=np.zeros(0),
+            per_q_max_distance={15.0: 0.0}, converged=True, limit_candidate=u0,
+            stall_ok=True, stall_events=())
+
+    monkeypatch.setattr(analysis, "omega_limit_probe", no_stalls)
+    tab = Table()
+    check_gradient_system(tab, 0)
+    row = next(r for r in tab.rows if r["name"] == "energy stall implies fixed point")
+    assert row["measured"] == 0.0
+    assert not row["passed"]
+
+
+def _pass(tab, seed):
+    tab.add_le("pass row", 0.1, 1.0)
+
+
+def _fail(tab, seed):
+    tab.add("fail, with comma", np.pi, "<= 3", False)
+
+
+def test_cmd_check_writes_report_and_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(checks, "ALL_CHECKS", (_pass, _fail))
+    assert cmd_check(SimpleNamespace(seed=0, out_dir=str(tmp_path))) == 1
+    lines = (tmp_path / "check_report.csv").read_text().splitlines()
+    assert lines == [
+        "name,passed,measured,threshold",
+        'pass row,1,0.10000000000000001,"<= 1"',
+        'fail; with comma,0,3.1415926535897931,"<= 3"',
+    ]
+    out = capsys.readouterr().out
+    assert "FAIL  fail, with comma" in out and "1/2 checks passed" in out
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (_pass,))
+    assert cmd_check(SimpleNamespace(seed=0, out_dir=str(tmp_path))) == 0
+    lines = (tmp_path / "check_report.csv").read_text().splitlines()
+    assert lines[1:] == ['pass row,1,0.10000000000000001,"<= 1"']

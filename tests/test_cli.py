@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,10 +6,13 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphereflow
 from sphereflow import DomainSpec, SpectralGrid, basis_mode, norm_l2, write_snapshot
 from sphereflow.cli import (
+    KNOWN_KEYS,
     ConfigError,
     build_grid,
     build_initial,
@@ -91,6 +95,37 @@ class TestParseConfig:
     def test_domain_invariants_surface(self):
         with pytest.raises(ConfigError, match="domain"):
             parse_config("domain.dim = 1\ndomain.L = 1.0\ndomain.N = 7\n")
+
+    @pytest.mark.parametrize("key, raw", [
+        ("stepper.t_end", "inf"), ("stepper.t_end", "nan"), ("model.a", "inf"),
+        ("stepper.h", "-inf"), ("domain.L", "nan"), ("init.off_manifold_eps", "nan"),
+        ("init.off_manifold_eps", "-2"), ("init.off_manifold_eps", "-1"),
+    ])
+    def test_nonfinite_or_out_of_range_float_named(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(MINIMAL, overrides=[f"{key}={raw}"])
+
+    @pytest.mark.parametrize("L", ["1e-300", "1e-160", "5e-324"])
+    def test_lengths_outside_float_range_named(self, L):
+        with pytest.raises(ConfigError, match="domain"):
+            parse_config(f"domain.dim = 1\ndomain.L = {L}\ndomain.N = 8\n")
+
+    @settings(deadline=None, max_examples=300)
+    @given(key=st.sampled_from(KNOWN_KEYS) | st.text(max_size=12),
+           raw=st.text(max_size=24) | st.floats().map(repr)
+           | st.integers(-10**6, 10**400).map(str)
+           | st.sampled_from(["inf", "-inf", "nan", "5e-324", "1e-300", "-1", "none"]))
+    def test_any_key_value_parses_to_finite_fields_or_config_error(self, key, raw):
+        for text, overrides in ((MINIMAL + f"{key} = {raw}\n", ()),
+                                (MINIMAL, [f"{key}={raw}"])):
+            try:
+                cfg = parse_config(text, overrides)
+            except ConfigError:
+                continue
+            floats = (cfg.a, cfg.t_end, cfg.off_manifold_eps, *cfg.lengths,
+                      1.0 if cfg.h is None else cfg.h)
+            assert all(math.isfinite(x) for x in floats)
+            assert cfg.off_manifold_eps > -1
 
     def test_mode_rank_checked(self):
         with pytest.raises(ConfigError, match="init.mode"):

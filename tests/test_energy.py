@@ -10,7 +10,6 @@ from sphereflow import (
     basis_mode,
     energy_identity_residual,
     integrate,
-    lyapunov_Y,
     make_report,
     random_unit_field,
     v_norm_sq,
@@ -44,11 +43,11 @@ class TestVNorm:
 class TestLyapunov:
     def test_ground_mode_value(self):
         u = basis_mode(grid_1d(64), 1)
-        assert abs(lyapunov_Y(u, 1) - 2.5) < 1e-12
+        assert abs(make_report(u, ModelParams(n=1), 0.0, 0.0, 0.0).Y - 2.5) < 1e-12
 
     def test_zero(self):
         g = grid_1d()
-        assert lyapunov_Y(Field(g, np.zeros(32)), 2) == 0.0
+        assert make_report(Field(g, np.zeros(32)), ModelParams(n=2), 0.0, 0.0, 0.0).Y == 0.0
 
     def test_monotone_along_trajectory(self):
         g = grid_1d(64)

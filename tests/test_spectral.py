@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -20,13 +21,12 @@ from sphereflow import (
     apply_semigroup,
     basis_mode,
     inner_l2,
+    l2n_power,
     norm_l2,
-    norm_l2n,
     phi1,
     random_coeff_field,
     read_snapshot,
-    seminorm_h1,
-    seminorm_h2,
+    sobolev_norms_sq,
     transform_forward,
     transform_inverse,
     write_snapshot,
@@ -66,6 +66,22 @@ class TestDomainSpec:
     def test_rejects_rank_mismatch(self):
         with pytest.raises(ValueError):
             DomainSpec(2, (1.0,), (8, 8))
+
+    @pytest.mark.parametrize("L", [1e-300, 1e-160, 5e-324, 1e300])
+    def test_rejects_lengths_outside_float_range(self, tmp_path, L):
+        # tiny lengths overflow A's top eigenvalue (5e-324 also makes the
+        # weight 0), a huge one underflows the lowest; both are refused
+        # before any array is built, so no RuntimeWarning
+        path = tmp_path / "bad.mshf"
+        path.write_bytes(b"MSHF" + struct.pack("<IB", 1, 1)
+                         + struct.pack("<Id", 8, L) + bytes(64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                DomainSpec(1, (L,), (8,))
+            with pytest.raises(ValueError, match="float range") as err:
+                read_snapshot(path)
+        assert str(path) in str(err.value)
 
 
 class TestEigenstructure:
@@ -334,25 +350,21 @@ class TestNorms:
         g = grid_1d(64)
         u = basis_mode(g, 1)
         assert abs(norm_l2(u) - 1.0) < 1e-12
-        assert abs(seminorm_h1(u) - 1.0) < 1e-12
-        assert abs(seminorm_h2(u) - 1.0) < 1e-12
+        _, h1sq, h2sq = sobolev_norms_sq(u)
+        assert abs(np.sqrt(h1sq) - 1.0) < 1e-12
+        assert abs(np.sqrt(h2sq) - 1.0) < 1e-12
 
     def test_zero_norms(self):
         g = grid_1d()
         z = Field(g, np.zeros(32))
-        assert norm_l2(z) == 0.0 and seminorm_h1(z) == 0.0
+        assert norm_l2(z) == 0.0 and sobolev_norms_sq(z)[1] == 0.0
 
     def test_l2n_quadrature_oracle(self):
         # oracle: integral of ((2/pi)^(1/2) sin x)^4 over (0, pi)
         target, _ = quad(lambda x: ((2 / PI) ** 0.5 * np.sin(x)) ** 4, 0, PI)
         g = grid_1d(64)
         u = basis_mode(g, 1)
-        assert abs(norm_l2n(u, 2) - target ** 0.25) < 1e-10
-
-    def test_l2n_rejects_bad_exponent(self):
-        g = grid_1d()
-        with pytest.raises(ValueError):
-            norm_l2n(basis_mode(g, 1), 0)
+        assert abs(l2n_power(u, 2) ** 0.25 - target ** 0.25) < 1e-10
 
 
 class TestPhi1:
