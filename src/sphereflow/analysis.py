@@ -16,46 +16,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import v_norm
-from .model import (
-    ModelParams,
-    nonlinearity_F,
-    unprojected_rhs,
-)
+from .integrators import _Kernel, integrate
+from .model import ModelParams, l2n_power, nonlinearity_F
 from .spectral import (
     Field,
     SpectralGrid,
     apply_A_power,
-    inner_l2,
     norm_l2,
     random_coeff_field,
     sobolev_norms_sq,
 )
 
+LIPSCHITZ_BALL_RADIUS = 2.0  # sampled V-norms are drawn from [0, 2)
+STALL_WINDOW = 1.0  # time between the two records of a stall candidate
+STALL_TOL = 1e-12  # |Y(t1) - Y(t0)| below this is an energy stall
+RESIDUAL_TOL = 1e-6  # |u_t|_L2 below this is a numerical fixed point
+CAUCHY_TOL = 1e-6  # pairwise V-distances in a converged orbit tail
+
 
 # -- Lipschitz envelope ------------------------------------------------------
 
 
-def g_bound(m: float, n_arg: float, n: int, C: float = 1.0, Cn: float = 1.0) -> float:
-    """Polynomial envelope G(m, n_arg) controlling |F(u1) - F(u2)| / ||u1 - u2||_V.
+def g_bound(m: float, n_arg: float, n: int) -> float:
+    """Polynomial envelope G(m, n_arg) controlling |F(u1) - F(u2)| / ||u1 - u2||_V,
+    with unit constants.
 
-    Symmetric and monotone in both arguments; with C = Cn = 1 and
-    m = n_arg = 0 only the cube-root term survives and G = 1.
+    Symmetric and monotone in both arguments; at m = n_arg = 0 only the
+    cube-root term survives and G = 1.
     """
     if m < 0 or n_arg < 0:
         raise ValueError("norm arguments must be nonnegative")
-    quad = 2.0 * C * (m**2 + n_arg**2 + m * n_arg)
+    quad = 2.0 * (m**2 + n_arg**2 + m * n_arg)
     power = (
         (2 * n - 1) / 2.0 * (m ** (2 * n - 1) + n_arg ** (2 * n - 1)) * (m + n_arg)
         + (m ** (2 * n) + n_arg ** (2 * n))
         + (1.0 + m**2 + n_arg**2) ** (1.0 / 3.0)
     )
-    return quad + Cn * power
+    return quad + power
 
 
 def sample_v_field(grid: SpectralGrid, rng: np.random.Generator,
-                   target_v: float, decay: float = 3.0) -> Field:
-    """Random field with |k|^-decay spectrum rescaled to a target V-norm."""
-    u = random_coeff_field(grid, rng, decay)
+                   target_v: float) -> Field:
+    """Random field with |k|^-3 spectrum rescaled to a target V-norm."""
+    u = random_coeff_field(grid, rng)
     vn = v_norm(u)
     if vn == 0.0:
         raise ValueError("degenerate zero sample")
@@ -66,32 +69,28 @@ def sample_v_field(grid: SpectralGrid, rng: np.random.Generator,
 class LipschitzProbeReport:
     samples: int
     max_ratio: float
-    fitted_constant: float
     ball_radius: float
     resolution: int
 
 
-def lipschitz_probe(grid: SpectralGrid, p: ModelParams, ball_radius: float = 2.0,
-                    samples: int = 500, seed: int = 0,
-                    decay: float = 3.0) -> LipschitzProbeReport:
+def lipschitz_probe(grid: SpectralGrid, p: ModelParams, samples: int = 500,
+                    seed: int = 0) -> LipschitzProbeReport:
     """Largest observed |F(u1)-F(u2)|_L2 / (G(|u1|_V, |u2|_V) ||u1-u2||_V)
     over seeded pairs of distinct samples with V-norms drawn from
-    [0, ball_radius).
+    [0, LIPSCHITZ_BALL_RADIUS).
 
-    The envelope is evaluated with unit constants, so the fitted constant
-    reports how large a single constant must be for the envelope shape to
-    bound the sampled ratios.
+    The envelope is evaluated with unit constants, so the largest ratio is
+    how large a single constant must be for the envelope shape to bound the
+    sampled ratios.
     """
-    if ball_radius <= 0:
-        raise ValueError("ball_radius must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        r1, r2 = rng.uniform(0.0, ball_radius, size=2)
-        u1 = sample_v_field(grid, rng, r1, decay)
-        u2 = sample_v_field(grid, rng, r2, decay)
+        r1, r2 = rng.uniform(0.0, LIPSCHITZ_BALL_RADIUS, size=2)
+        u1 = sample_v_field(grid, rng, r1)
+        u2 = sample_v_field(grid, rng, r2)
         dv = v_norm(u1 - u2)
         if dv == 0.0:
             continue
@@ -100,19 +99,18 @@ def lipschitz_probe(grid: SpectralGrid, p: ModelParams, ball_radius: float = 2.0
     return LipschitzProbeReport(
         samples=samples,
         max_ratio=worst,
-        fitted_constant=worst,
-        ball_radius=ball_radius,
+        ball_radius=LIPSCHITZ_BALL_RADIUS,
         resolution=int(max(grid.spec.resolution)),
     )
 
 
-def scalar_power_gap_constant(n: int, bound: float = 2.0, points: int = 400) -> float:
+def scalar_power_gap_constant(n: int) -> float:
     """Brute-force fit of C0 in the scalar inequality
 
         | |a|^(2n-2) a - |b|^(2n-2) b | <= C0 (|a|^(2n-2) + |b|^(2n-2)) |a - b|
 
-    over an (a, b) grid in [-bound, bound]^2."""
-    a = np.linspace(-bound, bound, points)
+    over a 400 x 400 (a, b) grid in [-2, 2]^2."""
+    a = np.linspace(-2.0, 2.0, 400)
     b = a[:, None]
     num = np.abs(np.abs(a) ** (2 * n - 2) * a - np.abs(b) ** (2 * n - 2) * b)
     den = (np.abs(a) ** (2 * n - 2) + np.abs(b) ** (2 * n - 2)) * np.abs(a - b)
@@ -123,18 +121,10 @@ def scalar_power_gap_constant(n: int, bound: float = 2.0, points: int = 400) -> 
 # -- off-manifold growth of psi = |u|^2 - 1 ----------------------------------
 
 
-def _direct_field_raw(u: Field, p: ModelParams) -> Field:
-    # pi_u applied with the raw (possibly off-sphere) base point
-    g = unprojected_rhs(u, p)
-    return Field._wrap(u.grid, g.values - inner_l2(g, u) * u.values)
-
-
 def predicted_psi_rate(u: Field, p: ModelParams) -> float:
     """2 (|u|_{H2}^2 + 2 |u|_{H1}^2 + |u|_{L2n}^{2n}) evaluated at u."""
-    from .model import l2n_power
-
     _, h1sq, h2sq = sobolev_norms_sq(u)
-    return 2.0 * (h2sq + 2.0 * h1sq + l2n_power(u, p.n, p.dealias, p.signed_power))
+    return 2.0 * (h2sq + 2.0 * h1sq + l2n_power(u, p.n, p.dealias))
 
 
 @dataclass(frozen=True)
@@ -145,34 +135,32 @@ class InvarianceGrowthReport:
     relative_error: float
 
 
-def invariance_growth_test(u0_off: Field, p: ModelParams,
-                           h: float = 1e-5) -> InvarianceGrowthReport:
+def invariance_growth_test(u0_off: Field, p: ModelParams) -> InvarianceGrowthReport:
     """Measured versus predicted initial growth rate of psi = |u|^2 - 1.
 
     Integrates the literally projected field (projection taken at the raw,
-    off-sphere state) with two resolved RK4 steps and extrapolates
-    d/dt log|psi| at t = 0.  Requires a = 0, where the rate is exactly
+    off-sphere state) with two RK4 steps of the stepping kernel, without
+    retraction, and extrapolates d/dt log|psi| at t = 0.  With a = 0 that
+    field, pi_u(-A u - u^(2n-1)), expands to the kernel's -A u + F(u) at
+    any base point, and the rate is exactly
     2 (|u|_{H2}^2 + 2 |u|_{H1}^2 + |u|_{L2n}^{2n}); a nonzero linear
-    coefficient adds a 2 a |u|^2 term that the prediction does not include.
-    The caller must supply a step h resolving the stiffest retained mode.
+    coefficient adds a 2 a |u|^2 term that the prediction does not include,
+    so a = 0 is required.  The step min(1e-5, 0.2 / mu_max) resolves the
+    stiffest retained mode.
     """
     if p.a != 0.0:
         raise ValueError("growth-rate prediction requires a = 0")
-    psi0 = norm_l2(u0_off) ** 2 - 1.0
+    grid = u0_off.grid
+    c0 = grid.to_coeffs(u0_off.values)
+    psi0 = float(np.vdot(c0, c0)) - 1.0
     if abs(psi0) < 1e-13:
         raise ValueError("psi(0) = 0 is degenerate: the defect stays zero")
-
-    def rk4(u, dt):
-        k1 = _direct_field_raw(u, p).values
-        k2 = _direct_field_raw(Field._wrap(u.grid, u.values + 0.5 * dt * k1), p).values
-        k3 = _direct_field_raw(Field._wrap(u.grid, u.values + 0.5 * dt * k2), p).values
-        k4 = _direct_field_raw(Field._wrap(u.grid, u.values + dt * k3), p).values
-        return Field._wrap(u.grid, u.values + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-
-    u1 = rk4(u0_off, h)
-    u2 = rk4(u1, h)
-    psi1 = norm_l2(u1) ** 2 - 1.0
-    psi2 = norm_l2(u2) ** 2 - 1.0
+    h = min(1e-5, 0.2 / grid.mu_max)
+    kernel = _Kernel("rk4", grid, p, h)
+    c1 = kernel.advance(c0, kernel.stage(c0, u0_off.values))
+    c2 = kernel.advance(c1, kernel.stage(c1))
+    psi1 = float(np.vdot(c1, c1)) - 1.0
+    psi2 = float(np.vdot(c2, c2)) - 1.0
     r1 = (np.log(abs(psi1)) - np.log(abs(psi0))) / h
     r2 = (np.log(abs(psi2)) - np.log(abs(psi0))) / (2 * h)
     measured = 2.0 * r1 - r2  # Richardson: removes the O(h) bias
@@ -180,7 +168,7 @@ def invariance_growth_test(u0_off: Field, p: ModelParams,
     return InvarianceGrowthReport(
         measured_rate=float(measured),
         predicted_rate=float(predicted),
-        psi0=float(psi0),
+        psi0=psi0,
         relative_error=float(abs(measured - predicted) / abs(predicted)),
     )
 
@@ -225,14 +213,13 @@ class StallEvent:
     ok: bool
 
 
-def gradient_stall_check(traj, window: float = 1.0, stall_tol: float = 1e-12,
-                         residual_tol: float = 1e-6):
+def gradient_stall_check(traj):
     """Check that every energy stall happens at a (numerical) fixed point.
 
-    Scans record pairs at least ``window`` apart; whenever
-    |Y(t1) - Y(t0)| < stall_tol, the windowed vector-field residual (the
+    Scans record pairs at least STALL_WINDOW apart; whenever
+    |Y(t1) - Y(t0)| < STALL_TOL, the windowed vector-field residual (the
     smallest |u_t|_L2 over the records in [t0, t1], the witness that the
-    window has reached a fixed point) must fall below residual_tol.
+    window has reached a fixed point) must fall below RESIDUAL_TOL.
     Returns (all_ok, events).
     """
     if traj.snapshots is None:
@@ -240,16 +227,16 @@ def gradient_stall_check(traj, window: float = 1.0, stall_tol: float = 1e-12,
     t = traj.times
     Y = np.asarray([r.Y for r in traj.reports])
     ut = np.sqrt(np.asarray([r.ut_l2_sq for r in traj.reports]))
-    stride = max(1, int(np.ceil(window / (t[1] - t[0])))) if t.size > 1 else 1
+    stride = max(1, int(np.ceil(STALL_WINDOW / (t[1] - t[0])))) if t.size > 1 else 1
     events = []
     for i in range(0, t.size - stride):
         j = i + stride
         dY = abs(Y[j] - Y[i])
-        if dY < stall_tol:
+        if dY < STALL_TOL:
             residual = float(ut[i:j + 1].min())
             events.append(
                 StallEvent(t0=float(t[i]), t1=float(t[j]), delta_Y=float(dY),
-                           residual=residual, ok=bool(residual < residual_tol))
+                           residual=residual, ok=bool(residual < RESIDUAL_TOL))
             )
     return all(e.ok for e in events), events
 
@@ -258,7 +245,6 @@ def gradient_stall_check(traj, window: float = 1.0, stall_tol: float = 1e-12,
 class OmegaLimitReport:
     q_list: tuple
     tail_start: float
-    pairwise_v_distances: np.ndarray
     per_q_max_distance: dict
     converged: bool
     limit_candidate: Field
@@ -266,38 +252,29 @@ class OmegaLimitReport:
     stall_events: tuple
 
 
-def omega_limit_probe(u0: Field, p: ModelParams, cfg, q_list,
-                      tol: float = 1e-6) -> OmegaLimitReport:
+def omega_limit_probe(u0: Field, p: ModelParams, cfg, q_list) -> OmegaLimitReport:
     """Integrate long and test the orbit tail for Cauchy behavior in V.
 
     For each q the snapshots past q are compared pairwise in the V-norm;
-    convergence means the deepest tail has all pairwise distances below
-    ``tol``.  The Lyapunov-stall criterion is verified on the same run.
+    convergence means the deepest tail has at least one pair and all
+    pairwise distances below CAUCHY_TOL.  The Lyapunov-stall criterion is
+    verified on the same run.
     """
-    from .integrators import integrate
-
     q_list = tuple(sorted(float(q) for q in q_list))
     if q_list and q_list[-1] >= cfg.t_end:
         raise ValueError("largest q must lie inside the integration horizon")
     traj = integrate(u0, p, cfg)
     per_q = {}
-    deepest = None
+    converged = False
     for q in q_list:
         tail = [s for s, t in zip(traj.snapshots, traj.times) if t >= q]
-        dists = []
-        for i in range(len(tail)):
-            for j in range(i + 1, len(tail)):
-                dists.append(v_norm(tail[i] - tail[j]))
-        dists = np.asarray(dists) if dists else np.zeros(0)
-        per_q[q] = float(dists.max()) if dists.size else 0.0
-        deepest = dists
-    converged = bool(deepest is not None and deepest.size
-                     and float(deepest.max()) < tol)
-    stall_ok, events = gradient_stall_check(traj, residual_tol=tol)
+        dists = [v_norm(a - b) for i, a in enumerate(tail) for b in tail[i + 1:]]
+        per_q[q] = max(dists, default=0.0)
+        converged = bool(dists) and per_q[q] < CAUCHY_TOL
+    stall_ok, events = gradient_stall_check(traj)
     return OmegaLimitReport(
         q_list=q_list,
         tail_start=q_list[-1] if q_list else 0.0,
-        pairwise_v_distances=deepest if deepest is not None else np.zeros(0),
         per_q_max_distance=per_q,
         converged=converged,
         limit_candidate=traj.final_state,

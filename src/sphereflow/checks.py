@@ -336,7 +336,7 @@ def check_psi_rate(tab: Table, seed: int):
     rep = analysis.invariance_growth_test(off, ModelParams(n=2))
     tab.add_le("off-manifold growth rate matches prediction",
                max(*errors(basis_mode(g, 1), 1), rep.relative_error), 0.01)
-    # at N = 8 the default step 1e-5 resolves the stiffest mode
+    # n = 2 on both sides of the sphere, on the N = 8 grid of the original preset
     u8 = random_unit_field(_grid(8), np.random.default_rng(seed + 9))
     tab.add_le("off-manifold growth rate n=2 with psi of both signs (N=8)",
                max(errors(u8, 2)), 0.01)

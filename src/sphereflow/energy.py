@@ -66,7 +66,7 @@ def make_report(u: Field, p: ModelParams, t: float, ut_l2_sq: float,
     l2sq, h1sq, h2sq = sobolev_norms_sq(u) if norms_sq is None else norms_sq
     vsq = l2sq + 2.0 * h1sq + h2sq
     if l2n is None:
-        l2n = l2n_power(u, p.n, p.dealias, p.signed_power)
+        l2n = l2n_power(u, p.n, p.dealias)
     return EnergyReport(
         t=float(t),
         l2_norm=float(np.sqrt(l2sq)),

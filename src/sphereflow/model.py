@@ -26,6 +26,7 @@ from .spectral import (
     SpectralGrid,
     inner_l2,
     norm_l2,
+    random_coeff_field,
     sobolev_norms_sq,
 )
 
@@ -38,27 +39,21 @@ class ManifoldError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Nonlinearity exponent n, linear coefficient a and dealiasing policy.
+    """Nonlinearity exponent n (a positive integer), linear coefficient a and
+    dealiasing policy.
 
     ``dealias=None`` evaluates u^(2n-1) on the native grid; an integer
-    factor >= n zero-pads so the collocation power is alias-free.  With
-    ``signed_power`` the power is sign(u)|u|^(2n-1) and any real n > 1/2
-    is accepted.
+    factor >= n zero-pads so the collocation power is alias-free.
     """
 
-    n: float = 1
+    n: int = 1
     a: float = 0.0
     dealias: int | None = None
-    signed_power: bool = False
 
     def __post_init__(self):
-        if self.signed_power:
-            if self.n <= 0.5:
-                raise ValueError(f"signed power requires n > 1/2, got {self.n}")
-        else:
-            if self.n < 1 or int(self.n) != self.n:
-                raise ValueError(f"n must be a positive integer, got {self.n}")
-            object.__setattr__(self, "n", int(self.n))
+        if self.n < 1 or int(self.n) != self.n:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         if self.dealias is not None:
             if int(self.dealias) != self.dealias or self.dealias < self.n:
                 raise ValueError(
@@ -67,10 +62,12 @@ class ModelParams:
             object.__setattr__(self, "dealias", int(self.dealias))
 
 
-def check_on_manifold(u: Field, tol: float = MANIFOLD_TOL) -> None:
+def check_on_manifold(u: Field) -> None:
     r = norm_l2(u)
-    if abs(r - 1.0) > tol:
-        raise ManifoldError(f"|u|_L2 = {r!r} is off the unit sphere by more than {tol}")
+    if abs(r - 1.0) > MANIFOLD_TOL:
+        raise ManifoldError(
+            f"|u|_L2 = {r!r} is off the unit sphere by more than {MANIFOLD_TOL}"
+        )
 
 
 _fine_grid_cache: dict = {}
@@ -87,15 +84,6 @@ def _fine_grid(grid: SpectralGrid, factor: int) -> SpectralGrid:
         )
         _fine_grid_cache[key] = SpectralGrid(fine)
     return _fine_grid_cache[key]
-
-
-def _pad_values(grid: SpectralGrid, coeffs: np.ndarray, factor: int):
-    """(fine grid, values of u on it): u evaluated on a grid refined by
-    ``factor`` via coefficient zero-padding."""
-    fine = _fine_grid(grid, factor)
-    padded = np.zeros(fine.shape)
-    padded[tuple(slice(0, n) for n in grid.shape)] = coeffs
-    return fine, fine.to_values(padded)
 
 
 def _truncate_from_fine(fine: SpectralGrid, w: np.ndarray,
@@ -124,21 +112,15 @@ def _odd_power(values: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def _pointwise_power(values: np.ndarray, n, signed: bool) -> np.ndarray:
-    if signed:
-        return np.sign(values) * np.abs(values) ** (2 * n - 1)
-    return _odd_power(values, int(n))
-
-
 def _raise_overflow(values: np.ndarray):
-    i = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    i = tuple(int(x) for x in np.unravel_index(np.argmax(np.abs(values)), values.shape))
     raise OverflowError(
-        f"u^(2n-1) overflowed; |u| peaks at index {i} with {values[i]!r}"
+        f"u^(2n-1) overflowed; |u| peaks at index {i} with {float(values[i])!r}"
     )
 
 
-def _fine_power(grid: SpectralGrid, values: np.ndarray, n, dealias=None,
-                signed: bool = False, coeffs: np.ndarray | None = None):
+def _fine_power(grid: SpectralGrid, values: np.ndarray, n: int, dealias=None,
+                coeffs: np.ndarray | None = None):
     """(grid, u^(2n-1) values, integral of u^(2n)) on the grid the power is
     taken on: the zero-padded one when ``dealias`` is set, padded once from
     ``coeffs`` (u's coefficients, transformed here when not given).
@@ -152,10 +134,13 @@ def _fine_power(grid: SpectralGrid, values: np.ndarray, n, dealias=None,
     else:
         if coeffs is None:
             coeffs = grid.to_coeffs(values)
-        fine, v = _pad_values(grid, coeffs, int(dealias))
+        fine = _fine_grid(grid, int(dealias))
+        padded = np.zeros(fine.shape)
+        padded[tuple(slice(0, m) for m in grid.shape)] = coeffs
+        v = fine.to_values(padded)
     with np.errstate(over="raise"):
         try:
-            w = _pointwise_power(v, n, signed)
+            w = _odd_power(v, n)
             s = fine.weight * float(np.vdot(w, v))
         except FloatingPointError:
             _raise_overflow(v)
@@ -167,19 +152,19 @@ def _fine_power(grid: SpectralGrid, values: np.ndarray, n, dealias=None,
 def _power_and_l2n(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
                    coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(u^(2n-1) values, integral of u^(2n)) as F(u) uses them."""
-    fine, w, s = _fine_power(grid, values, p.n, p.dealias, p.signed_power, coeffs)
+    fine, w, s = _fine_power(grid, values, p.n, p.dealias, coeffs)
     return _truncate_from_fine(fine, w, grid), s
 
 
-def power_term(u: Field, n, dealias: int | None = None, signed: bool = False) -> Field:
+def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
     """Pointwise odd power u^(2n-1), optionally dealiased by zero padding."""
-    fine, w, _ = _fine_power(u.grid, u.values, n, dealias, signed)
+    fine, w, _ = _fine_power(u.grid, u.values, n, dealias)
     return Field._wrap(u.grid, _truncate_from_fine(fine, w, u.grid))
 
 
-def l2n_power(u: Field, n, dealias: int | None = None, signed: bool = False) -> float:
+def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
     """The integral of u^{2n}, on the padded grid when dealiasing is active."""
-    return _fine_power(u.grid, u.values, n, dealias, signed)[2]
+    return _fine_power(u.grid, u.values, n, dealias)[2]
 
 
 def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
@@ -240,8 +225,6 @@ def rayleigh_quotient(u: Field) -> float:
 
 def random_unit_field(grid: SpectralGrid, rng: np.random.Generator, decay: float = 3.0) -> Field:
     """Seeded random state on M: |k|^-decay spectral profile, L2-normalized."""
-    from .spectral import random_coeff_field
-
     u = random_coeff_field(grid, rng, decay)
     r = norm_l2(u)
     if r == 0.0:

@@ -10,8 +10,7 @@ def test_stall_row_fails_without_stall_events(monkeypatch):
     # a converged tail with no stall at all: all() of no events is True
     def no_stalls(u0, p, cfg, q_list):
         return analysis.OmegaLimitReport(
-            q_list=(15.0,), tail_start=15.0, pairwise_v_distances=np.zeros(0),
-            per_q_max_distance={15.0: 0.0}, converged=True, limit_candidate=u0,
+            q_list=(15.0,), tail_start=15.0, per_q_max_distance={15.0: 0.0}, converged=True, limit_candidate=u0,
             stall_ok=True, stall_events=())
 
     monkeypatch.setattr(analysis, "omega_limit_probe", no_stalls)

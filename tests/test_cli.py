@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="init.mode"):
             parse_config(MINIMAL + "init.mode = 1,2\n")
 
+    def test_mode_range_checked(self):
+        # mode 65 on N = 64 used to fail at run time with exit code 1
+        for mode in ("65", "0"):
+            with pytest.raises(ConfigError, match="init.mode"):
+                parse_config(MINIMAL.replace("16", "64") + f"init.mode = {mode}\n")
+        assert parse_config(MINIMAL + "init.mode = 16\n").mode == (16,)
+
     def test_file_kind_requires_path(self):
         with pytest.raises(ConfigError, match="init.path"):
             parse_config(MINIMAL + "init.kind = file\n")
@@ -184,6 +192,17 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + f"init.kind = file\ninit.path = {path}\n")
         u0 = build_initial(cfg, build_grid(cfg))
         assert norm_l2(u0 - basis_mode(g, 2)) < 1e-12
+
+
+    def test_zero_file_state_names_path(self, tmp_path):
+        g = SpectralGrid(DomainSpec(1, (PI,), (16,)))
+        path = tmp_path / "zero.mshf"
+        write_snapshot(path, 0.0 * basis_mode(g, 1))
+        cfg = parse_config(MINIMAL + f"init.kind = file\ninit.path = {path}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{path}: the state is zero"):
+                build_initial(cfg, build_grid(cfg))
 
 
 class TestMainEntry:
@@ -261,6 +280,13 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "stepper.h" in err and "t_end" in err
         assert not (tmp_path / "o").exists()
+
+    def test_out_of_range_mode_exits_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        code = main(["--config", str(cfg), "--set", "init.kind=mode",
+                     "--set", "init.mode=17", "--out", str(tmp_path / "o"), "run"])
+        assert code == 2
+        assert "init.mode" in capsys.readouterr().err
 
     def test_runs_without_scipy(self, tmp_path):
         # a fresh interpreter: importing the CLI loads no scipy module, and

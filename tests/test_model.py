@@ -42,12 +42,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(n=3, dealias=2)
 
-    def test_signed_power_allows_real_exponent(self):
-        p = ModelParams(n=0.75, signed_power=True)
-        assert p.n == 0.75
-        with pytest.raises(ValueError):
-            ModelParams(n=0.5, signed_power=True)
-
 
 class TestPowerTerm:
     def test_exponent_one_is_identity(self):
@@ -75,20 +69,15 @@ class TestPowerTerm:
             w_oracle = power_term(u, n, dealias=2 * n + 2)
             assert np.max(np.abs(w.values - w_oracle.values)) < 1e-13
 
-    def test_signed_power_matches_plain_on_integer_n(self):
-        g = grid_1d()
-        u = random_coeff_field(g, np.random.default_rng(3))
-        plain = power_term(u, 2)
-        signed = power_term(u, 2, signed=True)
-        assert np.max(np.abs(plain.values - signed.values)) < 1e-13
-
     def test_overflow_reports_location(self):
         g = grid_1d()
         vals = np.ones(32)
         vals[7] = 1e300
         with pytest.raises(OverflowError) as err:
             power_term(Field(g, vals), 2)
-        assert "(7,)" in str(err.value) or "index" in str(err.value)
+        # plain Python numbers, not numpy reprs
+        message = str(err.value)
+        assert "index (7,) with 1e+300" in message and "np." not in message
 
 
 class TestL2nPower:
@@ -184,16 +173,6 @@ class TestProjection:
         out = project_tangent(u, h)
         assert np.max(np.abs(out.values - basis_mode(g, 2).values)) < 1e-13
 
-    def test_tangency_and_idempotence(self):
-        g = grid_1d(128)
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            u = random_unit_field(g, rng)
-            h = random_coeff_field(g, rng)
-            ph = project_tangent(u, h)
-            assert abs(inner_l2(ph, u)) <= 1e-12 * norm_l2(h)
-            assert norm_l2(project_tangent(u, ph) - ph) <= 1e-12 * norm_l2(h)
-
     def test_rejects_off_manifold_base(self):
         g = grid_1d()
         u = 1.5 * basis_mode(g, 1)
@@ -219,17 +198,6 @@ class TestProjectedRhs:
                 r = projected_rhs(u, p)
                 assert abs(inner_l2(r, u)) <= 1e-10 * norm_l2(r)
 
-    def test_expanded_equals_literal_for_every_a(self):
-        g = grid_1d(128)
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            u = random_unit_field(g, rng)
-            r_exp = projected_rhs(u, ModelParams(n=2))
-            scale = norm_l2(r_exp)
-            for a in (-1.0, 0.0, 1.0, 10.0):
-                r_dir = projected_rhs_direct(u, ModelParams(n=2, a=a))
-                assert norm_l2(r_exp - r_dir) <= 1e-10 * scale
-
     def test_a_independence_on_manifold(self):
         g = grid_1d(64)
         u = random_unit_field(g, np.random.default_rng(11))
@@ -254,20 +222,3 @@ class TestProjectedRhs:
         manual = project_tangent(u, gfield)
         direct = projected_rhs_direct(u, p)
         assert np.max(np.abs(manual.values - direct.values)) < 1e-14
-
-
-class TestLipschitzEnvelope:
-    def test_sampled_ratio_bounded_and_stable(self):
-        # the envelope shape bounds the sampled ratios with one finite constant
-        from sphereflow import g_bound, lipschitz_probe
-
-        reports = {}
-        for n_pts in (32, 64):
-            g = grid_1d(n_pts)
-            reports[n_pts] = lipschitz_probe(
-                g, ModelParams(n=1), ball_radius=2.0, samples=200, seed=13
-            )
-        r1, r2 = reports[32].max_ratio, reports[64].max_ratio
-        assert np.isfinite(r1) and np.isfinite(r2)
-        assert max(r1, r2) / min(r1, r2) <= 2.0
-        assert g_bound(0.0, 0.0, 1) == 1.0
