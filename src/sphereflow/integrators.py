@@ -104,12 +104,14 @@ def renormalize(u: Field) -> Field:
 class _Kernel:
     """One scheme for one grid, model and step size, with the h-dependent
     weights computed once.  A stage is the tuple (values, N, k, s): u at the
-    stage state, N, k = N - A c and the integral s of u^(2n) as F took it."""
+    stage state, N, k = N - A c and the integral s of u^(2n) as F took it.
+    Callers hold ``np.errstate(over="ignore")`` around their steps."""
 
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
         self.grid, self.p = grid, p
-        self.ha = [[h * x for x in row] for row in a]
+        # the nonzero (j, h a_ij) of each stage row
+        self.ha = [[(j, h * x) for j, x in enumerate(row) if x] for row in a]
         if callable(b[0]):
             z = h * grid.A_eigs
             self.decay, self.hb = np.exp(-z), [h * f(z) for f in b]
@@ -120,18 +122,26 @@ class _Kernel:
         grid = self.grid
         if values is None:
             values = grid.to_values(c)
-        f, s = _F_values(grid, values, c, self.p)
+        ac = grid.A_eigs * c
+        f, s = _F_values(grid, values, c, ac, self.p)
         n = grid.to_coeffs(f)
-        return values, n, n - grid.A_eigs * c, s
+        return values, n, n - ac, s
 
     def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:
-        """The next coefficients, given ``first = stage(c)``."""
+        """The next coefficients, given ``first = stage(c)``.  Sums run left
+        to right from c: c + h x_0 k_0 + h x_1 k_1 + ..."""
         if self.decay is not None:
             return self.decay * c + self.hb[0] * first[1]
         ks = [first[2]]
         for row in self.ha:
-            ks.append(self.stage(sum((x * k for x, k in zip(row, ks) if x), c))[2])
-        return sum((x * k for x, k in zip(self.hb, ks)), c)
+            ci = c
+            for j, x in row:
+                ci = ci + x * ks[j]
+            ks.append(self.stage(ci)[2])
+        out = c
+        for x, k in zip(self.hb, ks):
+            out = out + x * k
+        return out
 
 
 def _guard(grid, c: np.ndarray, t: float, last_values: np.ndarray) -> None:
@@ -152,8 +162,9 @@ def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
     grid = u.grid
     kernel = _Kernel(scheme, grid, p, h)
     c = grid.to_coeffs(u.values)
-    out = kernel.advance(c, kernel.stage(c, u.values))
-    _guard(grid, out, h, u.values)
+    with np.errstate(over="ignore"):
+        out = kernel.advance(c, kernel.stage(c, u.values))
+        _guard(grid, out, h, u.values)
     return Field._wrap(grid, grid.to_values(out))
 
 
@@ -203,28 +214,29 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
 
     times, reports, drifts, snaps = [], [], [], [] if cfg.keep_snapshots else None
     dissipation = 0.0
-    stage = kernel.stage(c)
-    for i in range(n_steps + 1):
-        values, _, k, s = stage
-        ut_sq = float(np.vdot(k, k))
-        if i:
-            dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
-        prev_ut_sq = ut_sq
-        if i % cfg.record_every == 0 or i == n_steps:
-            u = Field._wrap(grid, values)
-            sums = coeff_norms_sq(grid, c)
-            times.append(i * h)
-            reports.append(energy.make_report(u, p, i * h, ut_sq, dissipation, sums, s))
-            drifts.append(abs(sums[0] - 1.0))
-            if snaps is not None:
-                snaps.append(u)
-        if i == n_steps:
-            break
-        c = kernel.advance(c, stage)
-        _guard(grid, c, (i + 1) * h, values)
-        if cfg.renormalize:
-            c = c / math.sqrt(np.vdot(c, c))
+    with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         stage = kernel.stage(c)
+        for i in range(n_steps + 1):
+            values, _, k, s = stage
+            ut_sq = float(np.vdot(k, k))
+            if i:
+                dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
+            prev_ut_sq = ut_sq
+            if i % cfg.record_every == 0 or i == n_steps:
+                u = Field._wrap(grid, values)
+                sums = coeff_norms_sq(grid, c)
+                times.append(i * h)
+                reports.append(energy.make_report(u, p, i * h, ut_sq, dissipation, sums, s))
+                drifts.append(abs(sums[0] - 1.0))
+                if snaps is not None:
+                    snaps.append(u)
+            if i == n_steps:
+                break
+            c = kernel.advance(c, stage)
+            _guard(grid, c, (i + 1) * h, values)
+            if cfg.renormalize:
+                c = c / math.sqrt(np.vdot(c, c))
+            stage = kernel.stage(c)
 
     return TrajectoryRecord(
         times=np.asarray(times),

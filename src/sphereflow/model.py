@@ -127,7 +127,9 @@ def _fine_power(grid: SpectralGrid, values: np.ndarray, n: int, dealias=None,
 
     The integral is the quadrature of w * u for w = u^(2n-1), so <F(u), u>
     and the energy share it by construction.  A non-finite w makes the
-    integral non-finite, so the overflow test looks at that one number.
+    integral non-finite, so the overflow test looks at that one number; the
+    caller holds ``np.errstate(over="ignore")`` so that the power overflows
+    quietly and this test raises.
     """
     if dealias is None:
         fine, v = grid, values
@@ -138,12 +140,8 @@ def _fine_power(grid: SpectralGrid, values: np.ndarray, n: int, dealias=None,
         padded = np.zeros(fine.shape)
         padded[tuple(slice(0, m) for m in grid.shape)] = coeffs
         v = fine.to_values(padded)
-    with np.errstate(over="raise"):
-        try:
-            w = _odd_power(v, n)
-            s = fine.weight * float(np.vdot(w, v))
-        except FloatingPointError:
-            _raise_overflow(v)
+    w = _odd_power(v, n)
+    s = fine.weight * float(np.vdot(w, v))
     if not math.isfinite(s):
         _raise_overflow(v)
     return fine, w, s
@@ -158,32 +156,46 @@ def _power_and_l2n(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
 
 def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
     """Pointwise odd power u^(2n-1), optionally dealiased by zero padding."""
-    fine, w, _ = _fine_power(u.grid, u.values, n, dealias)
+    with np.errstate(over="ignore"):
+        fine, w, _ = _fine_power(u.grid, u.values, n, dealias)
     return Field._wrap(u.grid, _truncate_from_fine(fine, w, u.grid))
 
 
 def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
     """The integral of u^{2n}, on the padded grid when dealiasing is active."""
-    return _fine_power(u.grid, u.values, n, dealias)[2]
+    with np.errstate(over="ignore"):
+        return _fine_power(u.grid, u.values, n, dealias)[2]
 
 
 def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
-              p: ModelParams) -> tuple[np.ndarray, float]:
-    """(F(u) values, integral of u^(2n)) given both representations of u.
+              ac: np.ndarray, p: ModelParams) -> tuple[np.ndarray, float]:
+    """(F(u) values, integral of u^(2n)) given both representations of u and
+    ``ac = A_eigs * coeffs``, which the caller shares with -A u.
 
     |u|_H2^2 + 2|u|_H1^2 is the single Parseval sum of A_k c_k^2; the
-    integral is returned so that energy records reuse it.
+    integral is returned so that energy records reuse it.  The caller holds
+    ``np.errstate(over="ignore")``, as for ``_fine_power``.
     """
-    a_sq = float(np.vdot(grid.A_eigs * coeffs, coeffs))
-    w, s = _power_and_l2n(grid, values, p, coeffs)
+    a_sq = float(np.vdot(ac, coeffs))
+    if p.dealias is None:
+        # _power_and_l2n on the native grid, inline: the small-grid hot path
+        w = _odd_power(values, p.n)
+        s = grid.weight * float(np.vdot(w, values))
+        if not math.isfinite(s):
+            _raise_overflow(values)
+    else:
+        w, s = _power_and_l2n(grid, values, p, coeffs)
     return (a_sq + s) * values - w, s
 
 
 def nonlinearity_F(u: Field, p: ModelParams) -> Field:
     """The four-term nonlinearity F(u); every norm factor is quadrature-consistent
     with power_term so the discrete flow keeps the exact gradient structure."""
-    f, _ = _F_values(u.grid, u.values, u.grid.to_coeffs(u.values), p)
-    return Field._wrap(u.grid, f)
+    grid = u.grid
+    c = grid.to_coeffs(u.values)
+    with np.errstate(over="ignore"):
+        f, _ = _F_values(grid, u.values, c, grid.A_eigs * c, p)
+    return Field._wrap(grid, f)
 
 
 def project_tangent(u: Field, h: Field) -> Field:
@@ -197,8 +209,10 @@ def projected_rhs(u: Field, p: ModelParams) -> Field:
     check_on_manifold(u)
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    f, _ = _F_values(grid, u.values, c, p)
-    return Field._wrap(grid, f - grid.to_values(grid.A_eigs * c))
+    ac = grid.A_eigs * c
+    with np.errstate(over="ignore"):
+        f, _ = _F_values(grid, u.values, c, ac, p)
+    return Field._wrap(grid, f - grid.to_values(ac))
 
 
 def projected_rhs_direct(u: Field, p: ModelParams) -> Field:
@@ -211,7 +225,8 @@ def unprojected_rhs(u: Field, p: ModelParams) -> Field:
     """The raw right-hand side -A u - a u - u^(2n-1) before any projection."""
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    w, _ = _power_and_l2n(grid, u.values, p, c)
+    with np.errstate(over="ignore"):
+        w, _ = _power_and_l2n(grid, u.values, p, c)
     return Field._wrap(
         grid, -grid.to_values(grid.A_eigs * c) - p.a * u.values - w
     )

@@ -327,7 +327,9 @@ def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray):
     """sobolev_norms_sq from coefficients already at hand: Parseval sums."""
     c2 = coeffs * coeffs
     lam_c2 = grid.lap_eigs * c2
-    return float(c2.sum()), float(lam_c2.sum()), float(np.vdot(lam_c2, grid.lap_eigs))
+    # np.add.reduce over every axis is what .sum() calls, without its wrappers
+    return (float(np.add.reduce(c2, axis=None)), float(np.add.reduce(lam_c2, axis=None)),
+            float(np.vdot(lam_c2, grid.lap_eigs)))
 
 
 # -- exponential integrator weights -----------------------------------------

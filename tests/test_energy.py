@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from sphereflow import (
     v_norm_sq,
     write_timeseries_csv,
 )
-from sphereflow.energy import TIMESERIES_COLUMNS
+from sphereflow.energy import TIMESERIES_COLUMNS, EnergyReport
 
 PI = np.pi
 
@@ -144,3 +146,21 @@ class TestReports:
         # .17g formatting round-trips exactly
         assert float(first["Y"]) == traj.reports[0].Y
         assert float(first["l2_norm"]) == traj.reports[0].l2_norm
+
+    def test_csv_rows_format_like_fstrings_on_edge_values(self, tmp_path):
+        edges = (-0.0, 5e-324, 1e308, 1.0, 0.1 + 0.2, np.float64(1.0) / 3.0)
+        reports = []
+        for shift in range(len(edges)):
+            x = edges[shift:] + edges[:shift]
+            reports.append(EnergyReport(x[0], x[1], x[2], x[3], x[4], x[5],
+                                        x[0], x[1], x[2]))
+        path = tmp_path / "series.csv"
+        write_timeseries_csv(SimpleNamespace(reports=reports), path)
+        y0 = reports[0].Y
+        expected = ",".join(TIMESERIES_COLUMNS) + "\n"
+        for r in reports:
+            row = (r.t, r.l2_norm, r.h1_seminorm_sq, r.h2_seminorm_sq, r.l2n_pow,
+                   r.Y, r.ut_l2_sq, r.dissipation_integral,
+                   abs(r.Y - y0 + r.dissipation_integral))
+            expected += ",".join(f"{x:.17g}" for x in row) + "\n"
+        assert path.read_bytes() == expected.encode()

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -24,7 +26,8 @@ from sphereflow import (
     step_rk4,
 )
 from sphereflow.energy import v_norm
-from sphereflow.integrators import V_NORM_LIMIT
+from sphereflow.integrators import TABLEAUS, V_NORM_LIMIT
+from sphereflow.model import _power_and_l2n
 
 PI = np.pi
 
@@ -114,7 +117,7 @@ class TestStepConsistency:
         p = ModelParams(n=2)
         out = {}
         for scheme in ("rk4", "etd1"):
-            cfg = StepperConfig(scheme=scheme, h=1e-4, t_end=0.1, record_every=10**9,
+            cfg = StepperConfig(scheme=scheme, h=5e-5, t_end=0.1, record_every=10**9,
                                 keep_snapshots=False)
             out[scheme] = integrate(u0, p, cfg).final_state
         assert norm_l2(out["rk4"] - out["etd1"]) <= 1e-5
@@ -204,7 +207,8 @@ class TestIntegrate:
     def test_blow_up_guard(self):
         g = grid_1d(16)
         u0 = random_unit_field(g, np.random.default_rng(6))
-        with pytest.raises(BlowUpError) as err:
+        with pytest.warns(UserWarning, match="stability"), \
+                pytest.raises(BlowUpError) as err:
             # retraction disabled: on the sphere the V-norm cannot exceed
             # 1 + lam_max, so the guard can only trip on a free run
             integrate(
@@ -299,6 +303,81 @@ class TestKernel:
             traj = integrate(u, p, StepperConfig(scheme=scheme, h=h, t_end=h,
                                                  renormalize=False))
             assert norm_l2(steps[scheme](u, p, h) - traj.final_state) <= 1e-14
+
+    @staticmethod
+    def reference_integrate(u0, p, cfg):
+        """integrate with the kernel written literally: F from _power_and_l2n,
+        generator sums for the stages and the step, and .sum() Parseval sums.
+        Returns the final values and the reports."""
+        grid, h = u0.grid, cfg.h
+        a, b = TABLEAUS[cfg.scheme]
+        ha = [[h * x for x in row] for row in a]
+        if callable(b[0]):
+            z = h * grid.A_eigs
+            decay, hb = np.exp(-z), [h * f(z) for f in b]
+        else:
+            decay, hb = None, [h * x for x in b]
+
+        def stage(c, values=None):
+            if values is None:
+                values = grid.to_values(c)
+            a_sq = float(np.vdot(grid.A_eigs * c, c))
+            w, s = _power_and_l2n(grid, values, p, c)
+            n = grid.to_coeffs((a_sq + s) * values - w)
+            return values, n, n - grid.A_eigs * c, s
+
+        def advance(c, first):
+            if decay is not None:
+                return decay * c + hb[0] * first[1]
+            ks = [first[2]]
+            for row in ha:
+                ks.append(stage(sum((x * k for x, k in zip(row, ks) if x), c))[2])
+            return sum((x * k for x, k in zip(hb, ks)), c)
+
+        c = grid.to_coeffs(u0.values)
+        c = c / math.sqrt(np.vdot(c, c))
+        n_steps = int(round(cfg.t_end / h))
+        reports, dissipation = [], 0.0
+        st = stage(c)
+        for i in range(n_steps + 1):
+            values, _, k, s = st
+            ut_sq = float(np.vdot(k, k))
+            if i:
+                dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
+            prev_ut_sq = ut_sq
+            if i % cfg.record_every == 0 or i == n_steps:
+                c2 = c * c
+                lam_c2 = grid.lap_eigs * c2
+                sums = (float(c2.sum()), float(lam_c2.sum()),
+                        float(np.vdot(lam_c2, grid.lap_eigs)))
+                reports.append(make_report(Field._wrap(grid, values), p, i * h,
+                                           ut_sq, dissipation, sums, s))
+            if i == n_steps:
+                return values, reports
+            c = advance(c, st)
+            c = c / math.sqrt(np.vdot(c, c))
+            st = stage(c)
+
+    @pytest.mark.parametrize("scheme", ("etd1", "projected_euler", "rk4"))
+    @pytest.mark.parametrize("resolution", ((12,), (16, 12), (8, 8, 10)))
+    def test_bitwise_equal_to_literal_reference(self, scheme, resolution):
+        dim = len(resolution)
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
+        u0 = random_unit_field(g, np.random.default_rng(14))
+        h = default_step(scheme, g)
+        cfg = StepperConfig(scheme=scheme, h=h, t_end=6 * h, record_every=2)
+
+        def bits(reports):
+            return np.array([dataclasses.astuple(r) for r in reports]).view(np.int64)
+
+        for n in (1, 2, 3):
+            for dealias in (None, n):
+                p = ModelParams(n=n, dealias=dealias)
+                traj = integrate(u0, p, cfg)
+                values, reports = self.reference_integrate(u0, p, cfg)
+                assert np.array_equal(traj.final_state.values.view(np.int64),
+                                      values.view(np.int64)), (n, dealias)
+                assert np.array_equal(bits(traj.reports), bits(reports)), (n, dealias)
 
 
 class TestOrders:

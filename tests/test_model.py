@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,12 +9,18 @@ from sphereflow import (
     Field,
     ManifoldError,
     ModelParams,
+    NonContractionError,
     SpectralGrid,
+    StepperConfig,
+    TruncationTheta,
     basis_mode,
+    default_step,
+    integrate,
     inner_l2,
     l2n_power,
     nonlinearity_F,
     norm_l2,
+    picard_solve,
     power_term,
     project_tangent,
     projected_rhs,
@@ -20,6 +28,7 @@ from sphereflow import (
     random_coeff_field,
     random_unit_field,
     sobolev_norms_sq,
+    step_rk4,
     unprojected_rhs,
 )
 from sphereflow.model import _F_values, _power_and_l2n
@@ -47,7 +56,10 @@ class TestPowerTerm:
     def test_exponent_one_is_identity(self):
         g = grid_1d()
         u = random_coeff_field(g, np.random.default_rng(0))
-        assert np.array_equal(power_term(u, 1).values, u.values)
+        w = power_term(u, 1)
+        assert np.array_equal(w.values, u.values)
+        # a new array: writing to the power leaves u alone
+        assert not np.shares_memory(w.values, u.values)
 
     def test_odd_function_pointwise_oracle(self):
         g = grid_1d()
@@ -79,6 +91,25 @@ class TestPowerTerm:
         message = str(err.value)
         assert "index (7,) with 1e+300" in message and "np." not in message
 
+    def test_overflow_raises_rather_than_warns(self):
+        # a unit-norm state whose power overflows: |u| peaks at 14.04 and
+        # 14.04^399 is past the float range
+        g = SpectralGrid(DomainSpec(1, (0.01,), (12,)))
+        u = basis_mode(g, 1)
+        p = ModelParams(n=200)
+        calls = [lambda: nonlinearity_F(u, p), lambda: step_rk4(u, p, 1e-16)]
+        for scheme in ("etd1", "projected_euler", "rk4"):
+            h = default_step(scheme, g)
+            cfg = StepperConfig(scheme=scheme, h=h, t_end=h)
+            calls.append(lambda cfg=cfg: integrate(u, p, cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(OverflowError, match=r"peaks at index \(\d+,\) with 14\.0"):
+                    call()
+            with pytest.raises(NonContractionError):
+                picard_solve(u, TruncationTheta(1e6), p, 0.02)
+
 
 class TestL2nPower:
     def test_matches_quadrature_oracle(self):
@@ -105,7 +136,7 @@ class TestNonlinearity:
         u = random_unit_field(g, np.random.default_rng(13))
         c = g.to_coeffs(u.values)
         transform_count[0] = 0
-        _F_values(g, u.values, c, ModelParams(n=2, dealias=2))
+        _F_values(g, u.values, c, g.A_eigs * c, ModelParams(n=2, dealias=2))
         # padded inverse, fine forward of the power, coarse inverse
         assert transform_count[0] == 3
 
