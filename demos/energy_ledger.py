@@ -31,9 +31,9 @@ for h in (4e-5, 2e-5, 1e-5):
                         keep_snapshots=False)
     traj = integrate(u0, params, cfg)
     residuals[h] = energy_identity_residual(traj)
-    y = [r.Y for r in traj.reports]
-    print(f"h = {h:.0e}:  Y {y[0]:.8f} -> {y[-1]:.8f}   "
-          f"dissipated {traj.reports[-1].dissipation_integral:.8f}   "
+    led = traj.ledger
+    print(f"h = {h:.0e}:  Y {led.Y[0]:.8f} -> {led.Y[-1]:.8f}   "
+          f"dissipated {led.dissipation_integral[-1]:.8f}   "
           f"identity residual {residuals[h]:.3e}")
 
 hs = sorted(residuals, reverse=True)
@@ -41,6 +41,5 @@ for a, b in zip(hs, hs[1:]):
     print(f"residual ratio {a:.0e} / {b:.0e} = {residuals[a] / residuals[b]:.3f}"
           "   (4 means second order)")
 
-print("\nglobal bound: sup ||u||_V <=", 2 * traj.reports[0].Y)
-print("observed sup ||u||_V:       ",
-      max(np.sqrt(r.v_norm_sq) for r in traj.reports))
+print("\nglobal bound: sup ||u||_V <=", 2 * led.Y[0])
+print("observed sup ||u||_V:       ", np.sqrt(led.v_norm_sq).max())

@@ -27,15 +27,15 @@ params = ModelParams(n=1)
 cfg = StepperConfig(scheme="etd1", h=1e-3, t_end=10.0, record_every=500)
 
 traj = integrate(u0, params, cfg)
+led = traj.ledger
 
 print(" t      Rayleigh <Au,u>   energy Y        |u_t|_L2")
-for t, snap, rep in zip(traj.times, traj.snapshots, traj.reports):
-    print(f"{t:5.2f}   {rayleigh_quotient(snap):.12f}   {rep.Y:.10f}   "
-          f"{np.sqrt(rep.ut_l2_sq):.3e}")
+for t, snap, Y, ut in zip(led.t, traj.snapshots, led.Y, np.sqrt(led.ut_l2_sq)):
+    print(f"{t:5.2f}   {rayleigh_quotient(snap):.12f}   {Y:.10f}   {ut:.3e}")
 
 ground = basis_mode(grid, 1)
 sign = 1.0 if norm_l2(traj.final_state - ground) < 1.0 else -1.0
 print(f"\ndistance to {'+' if sign > 0 else '-'}ground mode:",
       f"{norm_l2(traj.final_state - sign * ground):.3e}")
 print(f"Rayleigh quotient gap: {abs(rayleigh_quotient(traj.final_state) - 3.0):.3e}")
-print(f"energy gap to 2.5:     {abs(traj.reports[-1].Y - 2.5):.3e}")
+print(f"energy gap to 2.5:     {abs(led.Y[-1] - 2.5):.3e}")

@@ -29,14 +29,14 @@ params = ModelParams(n=2, dealias=2)
 cfg = StepperConfig(scheme="etd1", h=1e-3, t_end=2.0, record_every=100)
 
 traj = integrate(u0, params, cfg)
+led = traj.ledger
+v_norm = np.sqrt(led.v_norm_sq)
 
 print(" t      energy Y        ||u||_V      |u_t|_L2")
-for t, rep in zip(traj.times, traj.reports):
-    print(f"{t:5.2f}   {rep.Y:.8f}   {np.sqrt(rep.v_norm_sq):.6f}   "
-          f"{np.sqrt(rep.ut_l2_sq):.3e}")
+for t, Y, vn, ut in zip(led.t, led.Y, v_norm, np.sqrt(led.ut_l2_sq)):
+    print(f"{t:5.2f}   {Y:.8f}   {vn:.6f}   {ut:.3e}")
 
-print(f"\nglobal bound 2 Y(u0) = {2 * traj.reports[0].Y:.4f}; "
-      f"sup ||u||_V = {max(np.sqrt(r.v_norm_sq) for r in traj.reports):.4f}")
+print(f"\nglobal bound 2 Y(u0) = {2 * led.Y[0]:.4f}; sup ||u||_V = {v_norm.max():.4f}")
 
 out = tempfile.mkdtemp(prefix="sphereflow_2d_")
 write_timeseries_csv(traj, os.path.join(out, "timeseries.csv"))

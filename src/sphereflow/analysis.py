@@ -189,10 +189,10 @@ def a_mu_boundedness(traj, mu_list, t_min: float = 0.1) -> AMuReport:
     """Sup of |A^mu u(t)|_L2 over recorded snapshots past t_min, per mu."""
     if traj.snapshots is None:
         raise ValueError("trajectory was recorded without snapshots")
-    mask = traj.times >= t_min
+    mask = traj.ledger.t >= t_min
     if not mask.any():
         raise ValueError(f"no snapshots at or beyond t_min = {t_min}")
-    times = traj.times[mask]
+    times = traj.ledger.t[mask]
     snaps = [s for s, keep in zip(traj.snapshots, mask) if keep]
     norms = {}
     for mu in mu_list:
@@ -223,11 +223,7 @@ def gradient_stall_check(traj):
     window has reached a fixed point) must fall below RESIDUAL_TOL.
     Returns (all_ok, events).
     """
-    if traj.snapshots is None:
-        raise ValueError("trajectory was recorded without snapshots")
-    t = traj.times
-    Y = np.asarray([r.Y for r in traj.reports])
-    ut = np.sqrt(np.asarray([r.ut_l2_sq for r in traj.reports]))
+    t, Y, ut = traj.ledger.t, traj.ledger.Y, np.sqrt(traj.ledger.ut_l2_sq)
     stride = max(1, int(np.ceil(STALL_WINDOW / (t[1] - t[0])))) if t.size > 1 else 1
     events = []
     for i in range(0, t.size - stride):
@@ -268,7 +264,7 @@ def omega_limit_probe(u0: Field, p: ModelParams, cfg, q_list) -> OmegaLimitRepor
     per_q = {}
     converged = False
     for q in q_list:
-        tail = [s for s, t in zip(traj.snapshots, traj.times) if t >= q]
+        tail = [s for s, t in zip(traj.snapshots, traj.ledger.t) if t >= q]
         dists = [v_norm(a - b) for i, a in enumerate(tail) for b in tail[i + 1:]]
         per_q[q] = max(dists, default=0.0)
         converged = bool(dists) and per_q[q] < CAUCHY_TOL

@@ -76,8 +76,8 @@ class Table:
 
     def add_global_bound(self, run, traj):
         """Row for sup_t ||u||_V <= 2 Y(u0) along a recorded run."""
-        vmax = max(np.sqrt(r.v_norm_sq) for r in traj.reports)
-        bound = 2 * traj.reports[0].Y
+        vmax = np.sqrt(traj.ledger.v_norm_sq).max()
+        bound = 2 * traj.ledger.Y[0]
         self.add(f"global bound on the {run} run", vmax, f"<= {bound:.3f}",
                  vmax <= bound)
 
@@ -208,13 +208,13 @@ def check_manifold_invariance(tab: Table, seed: int):
                                                renormalize=True, record_every=1,
                                                keep_snapshots=False))
     tab.add_le("retraction drift | |u|^2 - 1 | every step",
-               retracted.norm_drift.max(), 1e-14)
+               retracted.ledger.norm_drift.max(), 1e-14)
     drifts = {}
     for h in (1e-3, 5e-4):
         traj = integrate(u0, p, StepperConfig(scheme="etd1", h=h, t_end=1.0,
                                               renormalize=False, record_every=1,
                                               keep_snapshots=False))
-        drifts[h] = traj.norm_drift.max()
+        drifts[h] = traj.ledger.norm_drift.max()
     tab.add_range("free drift ratio under h -> h/2",
                   drifts[1e-3] / drifts[5e-4], 1.4, 2.6)
     tab.add_global_bound("retraction", retracted)
@@ -231,10 +231,9 @@ def check_energy(tab: Table, seed: int):
         traj = integrate(u0, p, StepperConfig(scheme="rk4", h=h, t_end=0.1,
                                               record_every=1, keep_snapshots=False))
         residuals[h] = energy_identity_residual(traj)
-        y = np.asarray([r.Y for r in traj.reports])
+        y = traj.ledger.Y
         mono_ok = mono_ok and np.all(np.diff(y) <= 1e-10 * max(1.0, y[0]))
-        vmax = max(np.sqrt(r.v_norm_sq) for r in traj.reports)
-        bound_ok = bound_ok and vmax <= 2 * y[0]
+        bound_ok = bound_ok and np.sqrt(traj.ledger.v_norm_sq).max() <= 2 * y[0]
     tab.add("energy monotone per step (RK4 run)", 0.0, "monotone", mono_ok)
     tab.add_range("energy identity residual ratio under h -> h/2",
                   residuals[1e-5] / residuals[5e-6], 3.2, 4.8)
@@ -251,7 +250,7 @@ def check_ground_state(tab: Table, seed: int):
     tab.add_le("Rayleigh quotient -> 3 by T=10 (n=1)",
                abs(rayleigh_quotient(traj.final_state) - 3.0), 1e-6)
     tab.add_le("final energy -> 2.5 (n=1)",
-               abs(traj.reports[-1].Y - 2.5), 1e-6)
+               abs(traj.ledger.Y[-1] - 2.5), 1e-6)
     tab.add_global_bound("ground-state", traj)
 
 

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -281,11 +282,11 @@ def cmd_run(cfg: RunConfig) -> int:
         os.makedirs(snap_dir, exist_ok=True)
         for idx, snap in enumerate(traj.snapshots):
             write_snapshot(os.path.join(snap_dir, f"t_{idx}.mshf"), snap)
-    last = traj.reports[-1]
+    led = traj.ledger
     print(
-        f"run: {len(traj.times)} records to t = {traj.times[-1]:g}; "
-        f"Y {traj.reports[0].Y:.6g} -> {last.Y:.6g}; "
-        f"max norm drift {traj.norm_drift.max():.3e}"
+        f"run: {led.t.size} records to t = {led.t[-1]:g}; "
+        f"Y {led.Y[0]:.6g} -> {led.Y[-1]:.6g}; "
+        f"max norm drift {led.norm_drift.max():.3e}"
     )
     return 0
 
@@ -293,10 +294,14 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_picard(cfg: RunConfig, m: float = 100.0) -> int:
     if cfg.t_end <= 0:
         raise ConfigError("stepper.t_end: picard needs a positive horizon")
+    try:
+        theta = mild.TruncationTheta(m)
+    except ValueError as err:
+        raise ConfigError(f"--m: {err}") from None
     grid = build_grid(cfg)
     params = build_params(cfg)
     u0 = build_initial(cfg, grid)
-    res = mild.picard_solve(u0, mild.TruncationTheta(m), params, T=cfg.t_end)
+    res = mild.picard_solve(u0, theta, params, T=cfg.t_end)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "picard.csv")
     with open(path, "w", newline="") as fh:
@@ -418,7 +423,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        text = DEFAULT_CONFIG if args.config is None else open(args.config).read()
+        text = DEFAULT_CONFIG if args.config is None else Path(args.config).read_text()
         overrides = list(args.set)
         if args.seed is not None:
             overrides.append(f"init.seed={args.seed}")

@@ -20,7 +20,7 @@ automatic on the unit sphere since |u| = 1 contributes 1 to ||u||_V^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,19 +38,12 @@ def v_norm(u: Field) -> float:
     return float(np.sqrt(v_norm_sq(u)))
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Per-record energy ledger entry along a trajectory."""
-
-    t: float
-    l2_norm: float
-    h1_seminorm_sq: float
-    h2_seminorm_sq: float
-    v_norm_sq: float
-    l2n_pow: float
-    Y: float
-    ut_l2_sq: float
-    dissipation_integral: float
+EnergyReport = namedtuple("EnergyReport", (
+    "t", "l2_norm", "h1_seminorm_sq", "h2_seminorm_sq", "v_norm_sq", "l2n_pow",
+    "Y", "ut_l2_sq", "dissipation_integral", "norm_drift",
+))
+EnergyReport.__doc__ = """Energy ledger: one record's values, or a whole run's with one numpy
+column per field.  ``norm_drift`` is | |u|_L2^2 - 1 |."""
 
 
 def make_report(u: Field, p: ModelParams, t: float, ut_l2_sq: float,
@@ -77,6 +70,7 @@ def make_report(u: Field, p: ModelParams, t: float, ut_l2_sq: float,
         Y=0.5 * vsq + l2n / (2.0 * p.n),
         ut_l2_sq=float(ut_l2_sq),
         dissipation_integral=float(dissipation_integral),
+        norm_drift=abs(l2sq - 1.0),
     )
 
 
@@ -86,46 +80,24 @@ def energy_identity_residual(traj) -> float:
     Second order in the record spacing for smooth, time-resolved
     trajectories produced by a scheme of order >= 2.
     """
-    reports = traj.reports
-    if len(reports) < 2:
+    led = traj.ledger
+    if led.t.size < 2:
         raise ValueError("need at least two records to evaluate the identity")
-    t = np.asarray([r.t for r in reports])
-    ut = np.asarray([r.ut_l2_sq for r in reports])
-    return float(abs(reports[-1].Y - reports[0].Y + np.trapezoid(ut, t)))
+    return float(abs(led.Y[-1] - led.Y[0] + np.trapezoid(led.ut_l2_sq, led.t)))
 
 
-TIMESERIES_COLUMNS = (
-    "t",
-    "l2_norm",
-    "h1_seminorm_sq",
-    "h2_seminorm_sq",
-    "l2n_pow",
-    "Y",
-    "ut_l2_sq",
-    "dissipation_integral",
-    "energy_residual",
-)
+TIMESERIES_COLUMNS = ("t", "l2_norm", "h1_seminorm_sq", "h2_seminorm_sq", "l2n_pow", "Y",
+                      "ut_l2_sq", "dissipation_integral", "energy_residual")
 _ROW_FORMAT = ",".join(["%.17g"] * len(TIMESERIES_COLUMNS)) + "\n"
 
 
 def write_timeseries_csv(traj, path) -> None:
     """Write the trajectory ledger with .17g formatting for exact round trips."""
-    reports = traj.reports
-    y0 = reports[0].Y
+    led = traj.ledger
+    residual = np.abs(led.Y - led.Y[0] + led.dissipation_integral)
+    table = np.column_stack([getattr(led, name) for name in TIMESERIES_COLUMNS[:-1]]
+                            + [residual])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        for r in reports:
-            residual = abs(r.Y - y0 + r.dissipation_integral)
-            row = (
-                r.t,
-                r.l2_norm,
-                r.h1_seminorm_sq,
-                r.h2_seminorm_sq,
-                r.l2n_pow,
-                r.Y,
-                r.ut_l2_sq,
-                r.dissipation_integral,
-                residual,
-            )
-            # "%.17g" % x formats as f"{x:.17g}" does, in one call per row
-            fh.write(_ROW_FORMAT % row)
+        # "%.17g" % x formats as f"{x:.17g}" does, in one call per row
+        fh.writelines(_ROW_FORMAT % tuple(row) for row in table.tolist())

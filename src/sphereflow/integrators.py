@@ -63,6 +63,9 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        for name, x in (("h", self.h), ("t_end", self.t_end)):
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if self.h <= 0:
             raise ValueError("step size must be positive")
         if self.t_end < 0:
@@ -75,14 +78,11 @@ class StepperConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded times, energy reports, norm drift and optional snapshots."""
+    """The energy ledger (one numpy column per ``EnergyReport`` field), the
+    snapshots at its record times if kept, and the final state."""
 
-    times: np.ndarray
-    reports: list
-    norm_drift: np.ndarray
+    ledger: energy.EnergyReport
     snapshots: list | None
-    params: ModelParams
-    config: StepperConfig
     final_state: Field
 
 
@@ -188,9 +188,10 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
 
     The state marches in coefficient space (so unexcited high modes decay
     to the dynamical floor instead of being pinned at transform roundoff).
-    Every ``record_every`` steps and at t_end it records an energy report,
-    the norm drift | |u|_L2^2 - 1 | and optionally a snapshot, all from the
-    first stage of the next step, so a record costs no transform.  The
+    Every ``record_every`` steps and at t_end it records an energy report
+    (norm drift | |u|_L2^2 - 1 | included) and optionally a snapshot, both
+    from the first stage of the next step, so a record costs no transform;
+    the reports are stacked into the ledger's columns once, at the end.  The
     dissipation integral is the trapezoid of |u_t|^2 over every step, with
     u_t = -A u + F(u).  Raises BlowUpError carrying the last valid state and
     time if the guard trips.
@@ -212,7 +213,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
         raise ValueError("cannot renormalize the zero field")
     c = c / r
 
-    times, reports, drifts, snaps = [], [], [], [] if cfg.keep_snapshots else None
+    rows, snaps = [], [] if cfg.keep_snapshots else None
     dissipation = 0.0
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         stage = kernel.stage(c)
@@ -225,9 +226,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             if i % cfg.record_every == 0 or i == n_steps:
                 u = Field._wrap(grid, values)
                 sums = coeff_norms_sq(grid, c)
-                times.append(i * h)
-                reports.append(energy.make_report(u, p, i * h, ut_sq, dissipation, sums, s))
-                drifts.append(abs(sums[0] - 1.0))
+                rows.append(energy.make_report(u, p, i * h, ut_sq, dissipation, sums, s))
                 if snaps is not None:
                     snaps.append(u)
             if i == n_steps:
@@ -238,15 +237,8 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
                 c = c / math.sqrt(np.vdot(c, c))
             stage = kernel.stage(c)
 
-    return TrajectoryRecord(
-        times=np.asarray(times),
-        reports=reports,
-        norm_drift=np.asarray(drifts),
-        snapshots=snaps,
-        params=p,
-        config=cfg,
-        final_state=u,
-    )
+    ledger = energy.EnergyReport(*map(np.array, zip(*rows)))
+    return TrajectoryRecord(ledger=ledger, snapshots=snaps, final_state=u)
 
 
 @dataclass(frozen=True)

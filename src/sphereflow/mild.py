@@ -42,8 +42,8 @@ class TruncationTheta:
     m: float
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"truncation level must be positive, got {self.m}")
+        if not 0 < self.m < np.inf:
+            raise ValueError(f"truncation level must be positive and finite, got {self.m}")
 
 
 def theta_eval(th: TruncationTheta, x):

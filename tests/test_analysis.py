@@ -239,6 +239,19 @@ class TestSteadyAndOmega:
         for e in events:
             assert e.residual < 1e-6
 
+    def test_stall_check_needs_no_snapshots(self):
+        # the criterion reads only the ledger's t, Y and u_t columns
+        g = grid_1d(32)
+        u0 = random_unit_field(g, np.random.default_rng(12))
+        results = [
+            gradient_stall_check(integrate(u0, ModelParams(n=1), StepperConfig(
+                scheme="etd1", h=1e-3, t_end=4.0, record_every=100,
+                keep_snapshots=keep)))
+            for keep in (True, False)
+        ]
+        assert results[0] == results[1]
+        assert results[0][0] and len(results[0][1]) > 0
+
     def test_omega_q_must_fit_horizon(self):
         g = grid_1d(16)
         u0 = basis_mode(g, 1)

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -355,6 +356,23 @@ class TestMainEntry:
         assert code == 2
         assert "stepper.t_end" in capsys.readouterr().err
         assert not (out / "picard.csv").exists()
+
+    @pytest.mark.parametrize("m", ("nan", "0", "-1", "inf"))
+    def test_picard_bad_truncation_level_is_config_error(self, tmp_path, capsys, m):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "p"
+        code = main(["--config", str(cfg), "--out", str(out), "picard", f"--m={m}"])
+        assert code == 2
+        assert "--m" in capsys.readouterr().err
+        assert not (out / "picard.csv").exists()
+
+    def test_config_file_is_closed(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_probe_lipschitz_rejects_zero_samples(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

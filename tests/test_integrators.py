@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -47,6 +46,13 @@ class TestStepperConfig:
         with pytest.raises(ValueError):
             StepperConfig(t_end=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", math.nan), ("h", math.inf), ("t_end", math.nan), ("t_end", math.inf),
+    ])
+    def test_nonfinite_step_or_horizon_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StepperConfig(**{field: value})
+
     def test_step_must_divide_t_end(self):
         # rounding t_end / h used to stop these runs at t = 0.9 and t = 0.8
         for h in (0.3, 0.4):
@@ -85,8 +91,7 @@ class TestEquilibrium:
             StepperConfig(scheme="etd1", h=1e-3, t_end=1.0, record_every=100),
         )
         assert norm_l2(traj.final_state - u) <= 1e-10
-        first, last = traj.reports[0], traj.reports[-1]
-        assert abs(last.Y - first.Y) <= 1e-10
+        assert abs(traj.ledger.Y[-1] - traj.ledger.Y[0]) <= 1e-10
 
 
 class TestStepConsistency:
@@ -162,10 +167,11 @@ class TestIntegrate:
             random_unit_field(g, np.random.default_rng(4)), ModelParams(n=1),
             StepperConfig(scheme="etd1", h=1e-3, t_end=0.05, record_every=7),
         )
-        assert np.all(np.diff(traj.times) > 0)
-        assert len(traj.reports) == len(traj.times) == len(traj.norm_drift)
-        assert len(traj.snapshots) == len(traj.times)
-        assert traj.times[-1] == pytest.approx(0.05)
+        t = traj.ledger.t
+        assert np.all(np.diff(t) > 0)
+        assert all(column.shape == t.shape for column in traj.ledger)
+        assert len(traj.snapshots) == t.size
+        assert t[-1] == pytest.approx(0.05)
 
     def test_manifold_drift_with_retraction(self):
         g = grid_1d(128)
@@ -175,7 +181,7 @@ class TestIntegrate:
             StepperConfig(scheme="etd1", h=1e-3, t_end=0.2, record_every=1,
                           keep_snapshots=False),
         )
-        assert traj.norm_drift.max() <= 1e-14
+        assert traj.ledger.norm_drift.max() <= 1e-14
 
     def test_free_drift_scales_first_order(self):
         g = grid_1d(128)
@@ -187,7 +193,7 @@ class TestIntegrate:
                 StepperConfig(scheme="etd1", h=h, t_end=1.0, renormalize=False,
                               record_every=1, keep_snapshots=False),
             )
-            drifts[h] = traj.norm_drift.max()
+            drifts[h] = traj.ledger.norm_drift.max()
         assert drifts[1e-3] / drifts[5e-4] == pytest.approx(2.0, rel=0.3)
 
     def test_rk4_free_drift_vanishes_at_scheme_order(self):
@@ -200,7 +206,7 @@ class TestIntegrate:
                 StepperConfig(scheme="rk4", h=h, t_end=0.05, renormalize=False,
                               record_every=1, keep_snapshots=False),
             )
-            drifts[h] = traj.norm_drift.max()
+            drifts[h] = traj.ledger.norm_drift.max()
         # fourth-order scheme: halving h divides the drift by ~16
         assert 12.0 <= drifts[1e-4] / drifts[5e-5] <= 24.0
 
@@ -286,11 +292,13 @@ class TestKernel:
             for scheme, h in self.SCHEMES:
                 traj = integrate(u0, p, StepperConfig(
                     scheme=scheme, h=h, t_end=20 * h, record_every=3))
-                for rep, u in zip(traj.reports, traj.snapshots):
-                    ref = make_report(u, p, rep.t, rep.ut_l2_sq, rep.dissipation_integral)
+                led = traj.ledger
+                for i, u in enumerate(traj.snapshots):
+                    ref = make_report(u, p, led.t[i], led.ut_l2_sq[i],
+                                      led.dissipation_integral[i])
                     for name in ("l2_norm", "h1_seminorm_sq", "h2_seminorm_sq",
                                  "v_norm_sq", "l2n_pow", "Y"):
-                        new, old = getattr(rep, name), getattr(ref, name)
+                        new, old = getattr(led, name)[i], getattr(ref, name)
                         assert abs(new - old) <= 1e-13 * abs(old), (scheme, name)
 
     def test_step_wrappers_equal_one_step_integrate(self):
@@ -367,8 +375,8 @@ class TestKernel:
         h = default_step(scheme, g)
         cfg = StepperConfig(scheme=scheme, h=h, t_end=6 * h, record_every=2)
 
-        def bits(reports):
-            return np.array([dataclasses.astuple(r) for r in reports]).view(np.int64)
+        def bits(array):
+            return np.asarray(array).view(np.int64)
 
         for n in (1, 2, 3):
             for dealias in (None, n):
@@ -377,7 +385,8 @@ class TestKernel:
                 values, reports = self.reference_integrate(u0, p, cfg)
                 assert np.array_equal(traj.final_state.values.view(np.int64),
                                       values.view(np.int64)), (n, dealias)
-                assert np.array_equal(bits(traj.reports), bits(reports)), (n, dealias)
+                # the ledger's columns are the reference's rows, stacked
+                assert np.array_equal(bits(traj.ledger), bits(reports).T), (n, dealias)
 
 
 class TestOrders:
@@ -426,6 +435,5 @@ class TestGroundStateFlow:
                           keep_snapshots=False),
         )
         assert abs(rayleigh_quotient(traj.final_state) - 3.0) <= 1e-6
-        assert abs(traj.reports[-1].Y - 2.5) <= 1e-6
-        vmax = max(np.sqrt(r.v_norm_sq) for r in traj.reports)
-        assert vmax <= 2 * traj.reports[0].Y
+        assert abs(traj.ledger.Y[-1] - 2.5) <= 1e-6
+        assert np.sqrt(traj.ledger.v_norm_sq).max() <= 2 * traj.ledger.Y[0]

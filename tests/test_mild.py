@@ -79,6 +79,11 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta_eval(TruncationTheta(1.0), np.array([0.5, -1e-300]))
 
+    @pytest.mark.parametrize("m", (0.0, -1.0, np.nan, np.inf))
+    def test_level_must_be_positive_and_finite(self, m):
+        with pytest.raises(ValueError, match="truncation level"):
+            TruncationTheta(m)
+
     def test_scalar_and_array_paths_agree_bitwise(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
