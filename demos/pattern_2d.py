@@ -1,8 +1,8 @@
 """A two-dimensional run with dealiased nonlinearity and snapshot output.
 
 Integrates the n = 2 flow on a square box, writes the time series and a
-final MSHF snapshot, and verifies that reading the snapshot back is
-bit-exact.  The energy trace shows the usual picture: steep early decay
+final MSHF snapshot into a temporary directory that is removed on exit, and
+verifies that reading the snapshot back is bit-exact.  The energy trace shows the usual picture: steep early decay
 as high modes die, then slow relaxation toward a steady profile.
 """
 
@@ -38,11 +38,10 @@ for t, Y, vn, ut in zip(led.t, led.Y, v_norm, np.sqrt(led.ut_l2_sq)):
 
 print(f"\nglobal bound 2 Y(u0) = {2 * led.Y[0]:.4f}; sup ||u||_V = {v_norm.max():.4f}")
 
-out = tempfile.mkdtemp(prefix="sphereflow_2d_")
-write_timeseries_csv(traj, os.path.join(out, "timeseries.csv"))
-snap_path = os.path.join(out, "final.mshf")
-write_snapshot(snap_path, traj.final_state)
-back = read_snapshot(snap_path, grid)
+with tempfile.TemporaryDirectory(prefix="sphereflow_2d_") as out:
+    write_timeseries_csv(traj, os.path.join(out, "timeseries.csv"))
+    snap_path = os.path.join(out, "final.mshf")
+    write_snapshot(snap_path, traj.final_state)
+    back = read_snapshot(snap_path, grid)
 print(f"snapshot round trip bit-exact: "
       f"{np.array_equal(back.values, traj.final_state.values)}")
-print(f"outputs in {out}")

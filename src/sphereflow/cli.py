@@ -317,6 +317,11 @@ def cmd_picard(cfg: RunConfig, m: float = 100.0) -> int:
 
 
 def cmd_probe(cfg: RunConfig, which: str, samples: int = 500) -> int:
+    if which == "invariance" and cfg.a != 0.0:
+        raise ConfigError("model.a: probe invariance predicts the growth rate "
+                          "only for a = 0")
+    if which == "omega" and cfg.t_end <= 0:
+        raise ConfigError("stepper.t_end: probe omega needs a positive horizon")
     grid = build_grid(cfg)
     params = build_params(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -12,6 +12,9 @@ ETD1 is exact on the stiff linear part; the explicit schemes are subject to
 the stability limit h <~ 2 / mu_max.  A per-step L2 renormalization (the
 cheapest retraction consistent with the invariance of the unit sphere) is
 applied by default, and a blow-up guard turns runaway V-norms into errors.
+With V = 1 + A the guard reads |c|_V^2 = |c|^2 + <A c, c> of each new state
+from sums the step takes anyway: |c|^2 from the retraction and <A c, c>
+from the next stage, before that stage transforms c or takes F.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy
-from .model import ModelParams, _F_values
+from .model import ModelParams, _a_terms, _F_values
 from .spectral import Field, coeff_norms_sq, norm_l2, phi1
 
 
@@ -118,12 +121,15 @@ class _Kernel:
         else:
             self.decay, self.hb = None, [h * x for x in b]
 
-    def stage(self, c: np.ndarray, values: np.ndarray | None = None) -> tuple:
+    def stage(self, c: np.ndarray, values: np.ndarray | None = None,
+              a_terms: tuple | None = None) -> tuple:
+        """The stage at c; a caller that holds u at c (``values``) or
+        ``_a_terms(grid, c)`` passes them."""
         grid = self.grid
+        ac, a_sq = _a_terms(grid, c) if a_terms is None else a_terms
         if values is None:
             values = grid.to_values(c)
-        ac = grid.A_eigs * c
-        f, s = _F_values(grid, values, c, ac, self.p)
+        f, s = _F_values(grid, values, c, a_sq, self.p)
         n = grid.to_coeffs(f)
         return values, n, n - ac, s
 
@@ -144,10 +150,10 @@ class _Kernel:
         return out
 
 
-def _guard(grid, c: np.ndarray, t: float, last_values: np.ndarray) -> None:
-    """Raise BlowUpError if the V-norm of the state c reached at time t is
-    not finite or exceeds V_NORM_LIMIT; ``last_values`` is the state before it."""
-    vn_sq = float(np.vdot(grid.V_eigs * c, c))
+def _guard(grid, vn_sq: float, t: float, last_values: np.ndarray) -> None:
+    """Raise BlowUpError if the squared V-norm ``vn_sq`` of the state reached
+    at time t is not finite or exceeds V_NORM_LIMIT**2; ``last_values`` is
+    the state before it."""
     if not math.isfinite(vn_sq) or vn_sq > V_NORM_LIMIT**2:
         raise BlowUpError(
             f"blow-up at t = {t:.6g}: V-norm {math.sqrt(max(vn_sq, 0.0))!r} "
@@ -164,7 +170,7 @@ def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
     c = grid.to_coeffs(u.values)
     with np.errstate(over="ignore"):
         out = kernel.advance(c, kernel.stage(c, u.values))
-        _guard(grid, out, h, u.values)
+        _guard(grid, float(np.vdot(grid.V_eigs * out, out)), h, u.values)
     return Field._wrap(grid, grid.to_values(out))
 
 
@@ -194,7 +200,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     the reports are stacked into the ledger's columns once, at the end.  The
     dissipation integral is the trapezoid of |u_t|^2 over every step, with
     u_t = -A u + F(u).  Raises BlowUpError carrying the last valid state and
-    time if the guard trips.
+    time if the guard trips; it trips before F runs on the offending state.
     """
     grid = u0.grid
     if cfg.scheme != "etd1" and cfg.h > 2.0 / grid.mu_max:
@@ -232,10 +238,18 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             if i == n_steps:
                 break
             c = kernel.advance(c, stage)
-            _guard(grid, c, (i + 1) * h, values)
+            t = (i + 1) * h
+            r_sq = float(np.vdot(c, c))
+            if not math.isfinite(r_sq):
+                _guard(grid, r_sq, t, values)
             if cfg.renormalize:
-                c = c / math.sqrt(np.vdot(c, c))
-            stage = kernel.stage(c)
+                c = c / math.sqrt(r_sq)
+            a_terms = _a_terms(grid, c)
+            a_sq = a_terms[1]
+            # |c|_V^2 of the state advance reached, before it is retracted
+            _guard(grid, r_sq * (1.0 + a_sq) if cfg.renormalize else r_sq + a_sq,
+                   t, values)
+            stage = kernel.stage(c, a_terms=a_terms)
 
     ledger = energy.EnergyReport(*map(np.array, zip(*rows)))
     return TrajectoryRecord(ledger=ledger, snapshots=snaps, final_state=u)

@@ -217,7 +217,8 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         for i, c in enumerate(u.coeffs):
             # through the module, so that wrappers of model._F_values see the call
-            f, _ = model._F_values(grid, grid.to_values(c), c, grid.A_eigs * c, p)
+            a_sq = model._a_terms(grid, c)[1]
+            f, _ = model._F_values(grid, grid.to_values(c), c, a_sq, p)
             fc[i] = grid.to_coeffs(f)
     fc *= theta.reshape((-1,) + (1,) * grid.lap_eigs.ndim)
     if free is None:

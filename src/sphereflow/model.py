@@ -167,19 +167,26 @@ def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
         return _fine_power(u.grid, u.values, n, dealias)[2]
 
 
-def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
-              ac: np.ndarray, p: ModelParams) -> tuple[np.ndarray, float]:
-    """(F(u) values, integral of u^(2n)) given both representations of u and
-    ``ac = A_eigs * coeffs``, which the caller shares with -A u.
+def _a_terms(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(A c, <A c, c>) for u's coefficients c: the linear term of the vector
+    field and |u|_H2^2 + 2|u|_H1^2 as the single Parseval sum of A_k c_k^2."""
+    ac = grid.A_eigs * coeffs
+    return ac, float(np.vdot(ac, coeffs))
 
-    |u|_H2^2 + 2|u|_H1^2 is the single Parseval sum of A_k c_k^2; the
-    integral is returned so that energy records reuse it.  The caller holds
-    ``np.errstate(over="ignore")``, as for ``_fine_power``.
+
+def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
+              a_sq: float, p: ModelParams) -> tuple[np.ndarray, float]:
+    """(F(u) values, integral of u^(2n)) given both representations of u and
+    ``a_sq = _a_terms(grid, coeffs)[1]``, which the caller shares with the
+    blow-up guard.
+
+    The integral is returned so that energy records reuse it.  The caller
+    holds ``np.errstate(over="ignore")``, as for ``_fine_power``.
     """
-    a_sq = float(np.vdot(ac, coeffs))
     if p.dealias is None:
-        # _power_and_l2n on the native grid, inline: the small-grid hot path
-        w = _odd_power(values, p.n)
+        # _power_and_l2n on the native grid, inline: the small-grid hot path;
+        # for n = 1 the power is u itself, which F only reads
+        w = values if p.n == 1 else _odd_power(values, p.n)
         s = grid.weight * float(np.vdot(w, values))
         if not math.isfinite(s):
             _raise_overflow(values)
@@ -194,7 +201,7 @@ def nonlinearity_F(u: Field, p: ModelParams) -> Field:
     grid = u.grid
     c = grid.to_coeffs(u.values)
     with np.errstate(over="ignore"):
-        f, _ = _F_values(grid, u.values, c, grid.A_eigs * c, p)
+        f, _ = _F_values(grid, u.values, c, _a_terms(grid, c)[1], p)
     return Field._wrap(grid, f)
 
 
@@ -209,9 +216,9 @@ def projected_rhs(u: Field, p: ModelParams) -> Field:
     check_on_manifold(u)
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    ac = grid.A_eigs * c
+    ac, a_sq = _a_terms(grid, c)
     with np.errstate(over="ignore"):
-        f, _ = _F_values(grid, u.values, c, ac, p)
+        f, _ = _F_values(grid, u.values, c, a_sq, p)
     return Field._wrap(grid, f - grid.to_values(ac))
 
 

@@ -389,6 +389,16 @@ class TestMainEntry:
         assert lines[0] == "eps,measured_rate,predicted_rate,relative_error"
         assert all(float(line.split(",")[3]) <= 0.01 for line in lines[1:])
 
+    def test_probe_invariance_nonzero_a_is_config_error(self, tmp_path, capsys):
+        # the growth-rate prediction holds for a = 0 only
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "q"
+        code = main(["--config", str(cfg), "--set", "model.a=0.5",
+                     "--out", str(out), "probe", "invariance"])
+        assert code == 2
+        assert "model.a" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probe_amu_csv(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "model.n = 2\n")
         out = tmp_path / "q"
@@ -404,3 +414,12 @@ class TestMainEntry:
                      "--out", str(out), "probe", "omega"]) == 0
         lines = (out / "probe_omega.csv").read_text().splitlines()
         assert lines[0] == "q,max_pairwise_v_distance"
+
+    def test_probe_omega_zero_horizon_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "q"
+        code = main(["--config", str(cfg), "--set", "stepper.t_end=0",
+                     "--out", str(out), "probe", "omega"])
+        assert code == 2
+        assert "stepper.t_end" in capsys.readouterr().err
+        assert not out.exists()

@@ -16,7 +16,9 @@ from sphereflow import (
     default_step,
     integrate,
     make_report,
+    nonlinearity_F,
     norm_l2,
+    power_term,
     projected_rhs,
     random_unit_field,
     renormalize,
@@ -24,8 +26,9 @@ from sphereflow import (
     step_projected_euler,
     step_rk4,
 )
+from sphereflow import integrators
 from sphereflow.energy import v_norm
-from sphereflow.integrators import TABLEAUS, V_NORM_LIMIT
+from sphereflow.integrators import TABLEAUS, V_NORM_LIMIT, _Kernel
 from sphereflow.model import _power_and_l2n
 
 PI = np.pi
@@ -267,6 +270,104 @@ class TestIntegrate:
             gains[h] = sep / delta
         assert all(np.isfinite(k) and k < 1e4 for k in gains.values())
         assert max(gains.values()) / min(gains.values()) < 2.0
+
+
+class TestBlowUpGuard:
+    # retracted: the pre-retraction V-norm first crosses the bound at step 6;
+    # free: the run of test_blow_up_guard
+    RUNS = {
+        "retracted": (56, StepperConfig(scheme="projected_euler", h=1e-2, t_end=1.0,
+                                         keep_snapshots=False)),
+        "free": (16, StepperConfig(scheme="projected_euler", h=1e-3, t_end=1.0,
+                                   renormalize=False, keep_snapshots=False)),
+    }
+
+    @staticmethod
+    def two_pass_blow_up(u0, p, cfg):
+        """Step the kernel by hand as integrate does, with the guard's
+        two-pass rule <V c, c> > V_NORM_LIMIT^2 on each new state; returns
+        the time it first holds, the V-norm there and u before that step."""
+        grid, h = u0.grid, cfg.h
+        kernel = _Kernel(cfg.scheme, grid, p, h)
+        c = grid.to_coeffs(u0.values)
+        c = c / math.sqrt(np.vdot(c, c))
+        with np.errstate(over="ignore"):
+            for i in range(int(round(cfg.t_end / h))):
+                first = kernel.stage(c)
+                c = kernel.advance(c, first)
+                vn_sq = float(np.vdot(grid.V_eigs * c, c))
+                if not vn_sq <= V_NORM_LIMIT**2:
+                    return (i + 1) * h, math.sqrt(vn_sq), first[0]
+                if cfg.renormalize:
+                    c = c / math.sqrt(np.vdot(c, c))
+        raise AssertionError("the two-pass rule never trips")
+
+    def blow_up(self, name, monkeypatch):
+        """The BlowUpError of the named run, the two-pass rule's result and
+        the number of F calls the run made."""
+        N, cfg = self.RUNS[name]
+        u0 = random_unit_field(grid_1d(N), np.random.default_rng(6))
+        p = ModelParams(n=2)
+        calls, F = [], integrators._F_values
+        monkeypatch.setattr(integrators, "_F_values",
+                            lambda *args: calls.append(None) or F(*args))
+        with pytest.warns(UserWarning, match="stability"), \
+                pytest.raises(BlowUpError) as err:
+            integrate(u0, p, cfg)
+        f_calls = len(calls)
+        return err.value, self.two_pass_blow_up(u0, p, cfg), f_calls
+
+    @pytest.mark.parametrize("name", ("retracted", "free"))
+    def test_trips_where_the_two_pass_rule_does(self, monkeypatch, name):
+        err, (t, _, last_values), f_calls = self.blow_up(name, monkeypatch)
+        h = self.RUNS[name][1].h
+        assert err.t == t
+        assert np.array_equal(err.last_state.values, last_values)
+        # one stage per step, each state before the offending one: F never
+        # runs on the state that trips the guard
+        assert f_calls == round(t / h)
+        if name == "retracted":
+            assert t > h  # not on the first step
+
+    @pytest.mark.parametrize("name", ("retracted", "free"))
+    def test_reported_v_norm_is_the_two_pass_v_norm(self, monkeypatch, name):
+        err, (_, vn, _), _ = self.blow_up(name, monkeypatch)
+        reported = float(str(err).split("V-norm ")[1].split()[0])
+        assert abs(reported - vn) <= 1e-12 * vn
+
+    @pytest.mark.parametrize("n", (1, 3))
+    @pytest.mark.parametrize("retract", (True, False))
+    @pytest.mark.parametrize("bad", (math.inf, math.nan))
+    def test_nonfinite_state_is_blow_up_before_F(self, monkeypatch, n, retract, bad):
+        advance, F = _Kernel.advance, integrators._F_values
+        steps = []
+
+        def spoiled(self, c, first):
+            out = advance(self, c, first)
+            steps.append(None)
+            if len(steps) == 3:
+                out = out.copy()
+                out[2] = bad
+            return out
+
+        def finite_F(grid, values, *args):
+            assert np.all(np.isfinite(values)), "F ran on a non-finite state"
+            return F(grid, values, *args)
+
+        monkeypatch.setattr(_Kernel, "advance", spoiled)
+        monkeypatch.setattr(integrators, "_F_values", finite_F)
+        u0 = random_unit_field(grid_1d(16), np.random.default_rng(6))
+        with pytest.raises(BlowUpError, match=r"V-norm (inf|nan) exceeded") as err:
+            integrate(u0, ModelParams(n=n), StepperConfig(
+                h=1e-3, t_end=0.01, renormalize=retract, keep_snapshots=False))
+        assert err.value.t == 3 * 1e-3
+        assert np.all(np.isfinite(err.value.last_state.values))
+
+    def test_n1_nonlinearity_does_not_alias_u(self):
+        # F reads u as its own power u^(2n-1) for n = 1; results are still new arrays
+        u = random_unit_field(grid_1d(16), np.random.default_rng(15))
+        for out in (nonlinearity_F(u, ModelParams(n=1)), power_term(u, 1)):
+            assert not np.shares_memory(out.values, u.values)
 
 
 class TestKernel:

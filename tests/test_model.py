@@ -136,7 +136,8 @@ class TestNonlinearity:
         u = random_unit_field(g, np.random.default_rng(13))
         c = g.to_coeffs(u.values)
         transform_count[0] = 0
-        _F_values(g, u.values, c, g.A_eigs * c, ModelParams(n=2, dealias=2))
+        _F_values(g, u.values, c, float(np.vdot(g.A_eigs * c, c)),
+                  ModelParams(n=2, dealias=2))
         # padded inverse, fine forward of the power, coarse inverse
         assert transform_count[0] == 3
 
