@@ -257,6 +257,8 @@ def omega_limit_probe(u0: Field, p: ModelParams, cfg, q_list) -> OmegaLimitRepor
     pairwise distances below CAUCHY_TOL.  The Lyapunov-stall criterion is
     verified on the same run.
     """
+    if not cfg.keep_snapshots:
+        raise ValueError("the tail test needs snapshots: keep_snapshots is False")
     q_list = tuple(sorted(float(q) for q in q_list))
     if q_list and q_list[-1] >= cfg.t_end:
         raise ValueError("largest q must lie inside the integration horizon")

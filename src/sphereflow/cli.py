@@ -320,15 +320,15 @@ def cmd_probe(cfg: RunConfig, which: str, samples: int = 500) -> int:
     if which == "invariance" and cfg.a != 0.0:
         raise ConfigError("model.a: probe invariance predicts the growth rate "
                           "only for a = 0")
-    if which == "omega" and cfg.t_end <= 0:
-        raise ConfigError("stepper.t_end: probe omega needs a positive horizon")
+    if which in ("amu", "omega") and cfg.t_end <= 0:
+        raise ConfigError(f"stepper.t_end: probe {which} needs a positive horizon")
+    if which == "lipschitz" and samples < 1:
+        raise ConfigError("probe lipschitz: samples must be at least 1")
     grid = build_grid(cfg)
     params = build_params(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if which == "lipschitz":
-        if samples < 1:
-            raise ConfigError("probe lipschitz: samples must be at least 1")
         rows = []
         for factor in (1, 2):
             spec = grid.spec

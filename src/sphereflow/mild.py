@@ -241,6 +241,8 @@ def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
     like sqrt(T) as the horizon shrinks, which is the contraction
     mechanism behind the fixed-point construction.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, T, 40)
     base = SpaceTimeGrid.from_semigroup(u0, times)

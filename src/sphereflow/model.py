@@ -15,6 +15,7 @@ implemented so their agreement can be checked numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .spectral import (
     DomainSpec,
     Field,
     SpectralGrid,
+    apply_A,
     inner_l2,
     norm_l2,
     random_coeff_field,
@@ -70,39 +72,19 @@ def check_on_manifold(u: Field) -> None:
         )
 
 
-_fine_grid_cache: dict = {}
-
-
-def _fine_grid(grid: SpectralGrid, factor: int) -> SpectralGrid:
-    spec = grid.spec
-    key = (spec, factor)
-    if key not in _fine_grid_cache:
-        fine = DomainSpec(
-            spec.dim,
-            spec.lengths,
-            tuple(factor * n for n in spec.resolution),
-        )
-        _fine_grid_cache[key] = SpectralGrid(fine)
-    return _fine_grid_cache[key]
-
-
-def _truncate_from_fine(fine: SpectralGrid, w: np.ndarray,
-                        grid: SpectralGrid) -> np.ndarray:
-    """w, given on ``fine``, on grid: its coefficients truncated to grid's."""
-    if fine is grid:
-        return w
-    sl = tuple(slice(0, n) for n in grid.shape)
-    return grid.to_values(fine.to_coeffs(w)[sl])
+@functools.cache
+def _fine_grid(spec: DomainSpec, factor: int) -> SpectralGrid:
+    return SpectralGrid(DomainSpec(
+        spec.dim, spec.lengths, tuple(factor * n for n in spec.resolution)
+    ))
 
 
 def _odd_power(values: np.ndarray, n: int) -> np.ndarray:
-    """u^(2n-1) for an integer n >= 1, as u * (u^2)^(n-1) multiplied in place.
+    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1) multiplied in place.
 
     Multiplication costs the same for either sign of u (pow is far slower on
     negative bases), and the chain is exactly odd: (-u)^(2n-1) = -(u^(2n-1)).
     """
-    if n == 1:
-        return values.copy()
     w = values * values
     if n > 2:
         sq = w.copy()
@@ -119,52 +101,51 @@ def _raise_overflow(values: np.ndarray):
     )
 
 
-def _fine_power(grid: SpectralGrid, values: np.ndarray, n: int, dealias=None,
-                coeffs: np.ndarray | None = None):
-    """(grid, u^(2n-1) values, integral of u^(2n)) on the grid the power is
-    taken on: the zero-padded one when ``dealias`` is set, padded once from
-    ``coeffs`` (u's coefficients, transformed here when not given).
+def _power(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
+           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """(u^(2n-1) values on grid, integral of u^(2n)): the one place both are
+    computed, so <F(u), u> and the energy share the integral by construction.
 
-    The integral is the quadrature of w * u for w = u^(2n-1), so <F(u), u>
-    and the energy share it by construction.  A non-finite w makes the
-    integral non-finite, so the overflow test looks at that one number; the
-    caller holds ``np.errstate(over="ignore")`` so that the power overflows
-    quietly and this test raises.
+    With ``p.dealias`` set the power is taken on the zero-padded grid, padded
+    once from ``coeffs`` (u's coefficients, transformed here when not given),
+    and its coefficients are truncated back to grid's.  For n = 1 on the
+    native grid the power is ``values`` itself, which callers only read.
+
+    The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
+    w makes it non-finite and the overflow test looks at that one number;
+    the caller holds ``np.errstate(over="ignore")`` so that the power
+    overflows quietly and this test raises.
     """
-    if dealias is None:
-        fine, v = grid, values
-    else:
+    fine, v = grid, values
+    if p.dealias is not None:
         if coeffs is None:
             coeffs = grid.to_coeffs(values)
-        fine = _fine_grid(grid, int(dealias))
+        fine = _fine_grid(grid.spec, p.dealias)
+        modes = tuple(slice(0, m) for m in grid.shape)
         padded = np.zeros(fine.shape)
-        padded[tuple(slice(0, m) for m in grid.shape)] = coeffs
+        padded[modes] = coeffs
         v = fine.to_values(padded)
-    w = _odd_power(v, n)
+    w = v if p.n == 1 else _odd_power(v, p.n)
     s = fine.weight * float(np.vdot(w, v))
     if not math.isfinite(s):
         _raise_overflow(v)
-    return fine, w, s
-
-
-def _power_and_l2n(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
-                   coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(u^(2n-1) values, integral of u^(2n)) as F(u) uses them."""
-    fine, w, s = _fine_power(grid, values, p.n, p.dealias, coeffs)
-    return _truncate_from_fine(fine, w, grid), s
+    if p.dealias is not None:
+        w = grid.to_values(fine.to_coeffs(w)[modes])
+    return w, s
 
 
 def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
-    """Pointwise odd power u^(2n-1), optionally dealiased by zero padding."""
+    """Pointwise odd power u^(2n-1), optionally dealiased by zero padding;
+    n and dealias are checked as ModelParams checks them."""
     with np.errstate(over="ignore"):
-        fine, w, _ = _fine_power(u.grid, u.values, n, dealias)
-    return Field._wrap(u.grid, _truncate_from_fine(fine, w, u.grid))
+        w, _ = _power(u.grid, u.values, ModelParams(n=n, dealias=dealias))
+    return Field._wrap(u.grid, w.copy() if w is u.values else w)
 
 
 def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
     """The integral of u^{2n}, on the padded grid when dealiasing is active."""
     with np.errstate(over="ignore"):
-        return _fine_power(u.grid, u.values, n, dealias)[2]
+        return _power(u.grid, u.values, ModelParams(n=n, dealias=dealias))[1]
 
 
 def _a_terms(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -181,17 +162,9 @@ def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
     blow-up guard.
 
     The integral is returned so that energy records reuse it.  The caller
-    holds ``np.errstate(over="ignore")``, as for ``_fine_power``.
+    holds ``np.errstate(over="ignore")``, as for ``_power``.
     """
-    if p.dealias is None:
-        # _power_and_l2n on the native grid, inline: the small-grid hot path;
-        # for n = 1 the power is u itself, which F only reads
-        w = values if p.n == 1 else _odd_power(values, p.n)
-        s = grid.weight * float(np.vdot(w, values))
-        if not math.isfinite(s):
-            _raise_overflow(values)
-    else:
-        w, s = _power_and_l2n(grid, values, p, coeffs)
+    w, s = _power(grid, values, p, coeffs)
     return (a_sq + s) * values - w, s
 
 
@@ -214,12 +187,7 @@ def project_tangent(u: Field, h: Field) -> Field:
 def projected_rhs(u: Field, p: ModelParams) -> Field:
     """Expanded projected vector field -A u + F(u); independent of a on M."""
     check_on_manifold(u)
-    grid = u.grid
-    c = grid.to_coeffs(u.values)
-    ac, a_sq = _a_terms(grid, c)
-    with np.errstate(over="ignore"):
-        f, _ = _F_values(grid, u.values, c, a_sq, p)
-    return Field._wrap(grid, f - grid.to_values(ac))
+    return nonlinearity_F(u, p) - apply_A(u)
 
 
 def projected_rhs_direct(u: Field, p: ModelParams) -> Field:
@@ -230,13 +198,7 @@ def projected_rhs_direct(u: Field, p: ModelParams) -> Field:
 
 def unprojected_rhs(u: Field, p: ModelParams) -> Field:
     """The raw right-hand side -A u - a u - u^(2n-1) before any projection."""
-    grid = u.grid
-    c = grid.to_coeffs(u.values)
-    with np.errstate(over="ignore"):
-        w, _ = _power_and_l2n(grid, u.values, p, c)
-    return Field._wrap(
-        grid, -grid.to_values(grid.A_eigs * c) - p.a * u.values - w
-    )
+    return -apply_A(u) - p.a * u - power_term(u, p.n, p.dealias)
 
 
 def rayleigh_quotient(u: Field) -> float:

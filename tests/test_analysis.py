@@ -227,6 +227,12 @@ class TestSteadyAndOmega:
         assert rep.per_q_max_distance[15.0] <= rep.per_q_max_distance[5.0] + 1e-15
         assert abs(rayleigh_quotient(rep.limit_candidate) - 3.0) <= 1e-6
 
+    def test_omega_limit_requires_snapshots(self):
+        u0 = random_unit_field(grid_1d(16), np.random.default_rng(7))
+        cfg = StepperConfig(scheme="etd1", h=1e-3, t_end=0.1, keep_snapshots=False)
+        with pytest.raises(ValueError, match="snapshots"):
+            omega_limit_probe(u0, ModelParams(n=1), cfg, (0.05,))
+
     def test_stall_events_pass_on_converged_run(self):
         g = grid_1d(32)
         u0 = random_unit_field(g, np.random.default_rng(12))

@@ -379,6 +379,8 @@ class TestMainEntry:
         code = main(["--config", str(cfg), "--out", str(tmp_path / "q"),
                      "probe", "lipschitz", "--samples", "0"])
         assert code == 2
+        assert "samples" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
 
     def test_probe_invariance_csv(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
@@ -405,6 +407,16 @@ class TestMainEntry:
         assert main(["--config", str(cfg), "--set", "stepper.t_end=0.5",
                      "--out", str(out), "probe", "amu"]) == 0
         assert (out / "probe_amu.csv").exists()
+
+    def test_probe_amu_zero_horizon_is_config_error(self, tmp_path, capsys):
+        # a zero horizon has only the t = 0 record: no boundedness along the flow
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "q"
+        code = main(["--config", str(cfg), "--set", "stepper.t_end=0",
+                     "--out", str(out), "probe", "amu"])
+        assert code == 2
+        assert "stepper.t_end" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_probe_omega_csv(self, tmp_path):
         cfg = self.write_cfg(tmp_path)

@@ -29,7 +29,7 @@ from sphereflow import (
 from sphereflow import integrators
 from sphereflow.energy import v_norm
 from sphereflow.integrators import TABLEAUS, V_NORM_LIMIT, _Kernel
-from sphereflow.model import _power_and_l2n
+from sphereflow.model import _power
 
 PI = np.pi
 
@@ -415,7 +415,7 @@ class TestKernel:
 
     @staticmethod
     def reference_integrate(u0, p, cfg):
-        """integrate with the kernel written literally: F from _power_and_l2n,
+        """integrate with the kernel written literally: F from _power,
         generator sums for the stages and the step, and .sum() Parseval sums.
         Returns the final values and the reports."""
         grid, h = u0.grid, cfg.h
@@ -431,7 +431,7 @@ class TestKernel:
             if values is None:
                 values = grid.to_values(c)
             a_sq = float(np.vdot(grid.A_eigs * c, c))
-            w, s = _power_and_l2n(grid, values, p, c)
+            w, s = _power(grid, values, p, c)
             n = grid.to_coeffs((a_sq + s) * values - w)
             return values, n, n - grid.A_eigs * c, s
 

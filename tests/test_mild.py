@@ -287,6 +287,13 @@ class TestPhiMap:
         assert factors[0] < 1.0
         assert factors[2] < factors[1] < factors[0]
 
+    def test_contraction_factor_needs_a_sample(self):
+        # no sample is no evidence, not a perfect contraction
+        u0 = random_unit_field(grid_1d(16), np.random.default_rng(4))
+        with pytest.raises(ValueError, match="sample"):
+            contraction_factor_probe(u0, TruncationTheta(1e6), ModelParams(n=2),
+                                     0.02, samples=0)
+
 
 class TestPicard:
     def test_equilibrium_against_scalar_oracle(self):

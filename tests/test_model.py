@@ -31,7 +31,7 @@ from sphereflow import (
     step_rk4,
     unprojected_rhs,
 )
-from sphereflow.model import _F_values, _power_and_l2n
+from sphereflow.model import _F_values, _power
 
 PI = np.pi
 
@@ -80,6 +80,16 @@ class TestPowerTerm:
             w = power_term(u, n, dealias=n)
             w_oracle = power_term(u, n, dealias=2 * n + 2)
             assert np.max(np.abs(w.values - w_oracle.values)) < 1e-13
+
+    @pytest.mark.parametrize("n, dealias", [(0, None), (2.5, None), (-1, None),
+                                            (2, 1.5), (3, 2), (2, 0)])
+    def test_rejects_bad_exponent_or_factor_by_name(self, n, dealias):
+        # checked as ModelParams checks them: no quiet u^3 for n = 0, no
+        # truncated factor and no aliased power below the factor n
+        u = random_unit_field(grid_1d(), np.random.default_rng(3))
+        for call in (power_term, l2n_power):
+            with pytest.raises(ValueError, match="n must be|zero-pad factor"):
+                call(u, n, dealias)
 
     def test_overflow_reports_location(self):
         g = grid_1d()
@@ -147,8 +157,8 @@ class TestNonlinearity:
         u = random_unit_field(g, np.random.default_rng(12))
         for n in (1, 2, 3):
             for v in (u, -1.0 * u):
-                _, s = _power_and_l2n(g, v.values, ModelParams(n=n))
-                ref = l2n_power(v, n)
+                _, s = _power(g, v.values, ModelParams(n=n))
+                ref = g.weight * float(np.sum(v.values ** (2 * n)))
                 assert abs(s - ref) <= 1e-14 * ref
 
     def test_ground_mode_n1_oracle(self):
