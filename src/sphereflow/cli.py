@@ -12,11 +12,15 @@ Subcommands:
 
 Configuration is flat ``key = value`` text (arrays comma-separated,
 booleans true/false); unknown or duplicate keys are rejected by name.
+``KEYS`` maps each key to its RunConfig field, type and default.  Every
+numeric CSV is written by ``energy.write_csv`` with "%.17g" cells;
+check_report.csv, which has quoted text columns, has its own writer.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import analysis, energy, mild
 from .integrators import SCHEMES, StepperConfig, default_step, divides, integrate
-from .model import ModelParams, random_unit_field
+from .model import ModelParams, _fine_grid, random_unit_field
 from .spectral import (
     DomainSpec,
     Field,
@@ -43,17 +47,33 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-KNOWN_KEYS = (
-    "domain.dim", "domain.L", "domain.N",
-    "model.n", "model.a", "model.dealias",
-    "stepper.scheme", "stepper.h", "stepper.t_end", "stepper.renormalize",
-    "stepper.record_every",
-    "init.kind", "init.seed", "init.mode", "init.path",
-    "init.off_manifold_eps",
-    "output.dir", "output.snapshots",
-)
+_REQUIRED = object()
 
-REQUIRED_KEYS = ("domain.dim", "domain.L", "domain.N")
+# key -> (RunConfig field, type, default as config text).  A 1-tuple type is
+# a comma-separated array of that type.  A key left at a default of None, or
+# set to "none" where that is its default, leaves its field None; an unset
+# init.mode is mode 1 on every axis.
+KEYS = {
+    "domain.dim": ("dim", int, _REQUIRED),
+    "domain.L": ("lengths", (float,), _REQUIRED),
+    "domain.N": ("resolution", (int,), _REQUIRED),
+    "model.n": ("n", int, "1"),
+    "model.a": ("a", float, "0"),
+    "model.dealias": ("dealias", int, "none"),
+    "stepper.scheme": ("scheme", str, "etd1"),
+    "stepper.h": ("h", float, None),
+    "stepper.t_end": ("t_end", float, "1.0"),
+    "stepper.renormalize": ("renormalize", bool, "true"),
+    "stepper.record_every": ("record_every", int, "1"),
+    "init.kind": ("init_kind", str, "mode"),
+    "init.seed": ("seed", int, "0"),
+    "init.mode": ("mode", (int,), None),
+    "init.path": ("path", str, None),
+    "init.off_manifold_eps": ("off_manifold_eps", float, "0"),
+    "output.dir": ("out_dir", str, "out"),
+    "output.snapshots": ("snapshots", bool, "false"),
+}
+KNOWN_KEYS = tuple(KEYS)
 
 DEFAULT_CONFIG = """\
 domain.dim = 1
@@ -92,15 +112,16 @@ class RunConfig:
     snapshots: bool
 
 
-def _parse_bool(key, raw):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigError(f"{key}: expected true or false, got {raw!r}")
-
-
-def _parse_typed(key, raw, kind):
+def _parse(key: str, raw: str, kind):
+    """raw as a value of kind, a type of KEYS; a ConfigError names key."""
+    if isinstance(kind, tuple):
+        return tuple(_parse(key, part.strip(), kind[0]) for part in raw.split(","))
+    if kind is str:
+        return raw
+    if kind is bool:
+        if raw not in ("true", "false"):
+            raise ConfigError(f"{key}: expected true or false, got {raw!r}")
+        return raw == "true"
     try:
         value = kind(raw)
     except ValueError:
@@ -125,7 +146,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"duplicate key {key!r}")
@@ -134,94 +155,56 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}")
         seen[key] = raw
-    for key in REQUIRED_KEYS:
-        if key not in seen:
-            raise ConfigError(f"missing required key {key!r}")
 
-    dim = _parse_typed("domain.dim", seen["domain.dim"], int)
-    lengths = tuple(
-        _parse_typed("domain.L", part.strip(), float)
-        for part in seen["domain.L"].split(",")
-    )
-    resolution = tuple(
-        _parse_typed("domain.N", part.strip(), int)
-        for part in seen["domain.N"].split(",")
-    )
+    fields = {}
+    for key, (field, kind, default) in KEYS.items():
+        raw = seen.get(key, default)
+        if raw is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        unset = raw is None or raw == default == "none"
+        fields[field] = None if unset else _parse(key, raw, kind)
+    cfg = RunConfig(**fields)
+
     try:
-        DomainSpec(dim, lengths, resolution)
+        DomainSpec(cfg.dim, cfg.lengths, cfg.resolution)
     except ValueError as err:
         raise ConfigError(f"domain.*: {err}") from None
-
-    n = _parse_typed("model.n", seen.get("model.n", "1"), int)
-    a = _parse_typed("model.a", seen.get("model.a", "0"), float)
-    raw_dealias = seen.get("model.dealias", "none")
-    dealias = None if raw_dealias == "none" else _parse_typed(
-        "model.dealias", raw_dealias, int
-    )
     try:
-        ModelParams(n=n, a=a, dealias=dealias)
+        ModelParams(n=cfg.n, a=cfg.a, dealias=cfg.dealias)
     except ValueError as err:
         raise ConfigError(f"model.n/model.dealias: {err}") from None
-
-    scheme = seen.get("stepper.scheme", "etd1")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"stepper.scheme: unknown scheme {scheme!r}")
-    h = _parse_typed("stepper.h", seen["stepper.h"], float) if "stepper.h" in seen else None
-    if h is not None and h <= 0:
+    if cfg.scheme not in SCHEMES:
+        raise ConfigError(f"stepper.scheme: unknown scheme {cfg.scheme!r}")
+    if cfg.h is not None and cfg.h <= 0:
         raise ConfigError("stepper.h: step size must be positive")
-    t_end = _parse_typed("stepper.t_end", seen.get("stepper.t_end", "1.0"), float)
-    if t_end < 0:
+    if cfg.t_end < 0:
         raise ConfigError("stepper.t_end: must be nonnegative")
-    renorm = _parse_bool("stepper.renormalize", seen.get("stepper.renormalize", "true"))
-    record_every = _parse_typed(
-        "stepper.record_every", seen.get("stepper.record_every", "1"), int
-    )
-    if record_every < 1:
+    if cfg.record_every < 1:
         raise ConfigError("stepper.record_every: must be at least 1")
-
-    init_kind = seen.get("init.kind", "mode")
-    if init_kind not in ("mode", "random", "file"):
-        raise ConfigError(f"init.kind: unknown kind {init_kind!r}")
-    seed = _parse_typed("init.seed", seen.get("init.seed", "0"), int)
-    if seed < 0:
+    if cfg.init_kind not in ("mode", "random", "file"):
+        raise ConfigError(f"init.kind: unknown kind {cfg.init_kind!r}")
+    if cfg.seed < 0:
         raise ConfigError("init.seed: must be nonnegative")
-    if "init.mode" in seen:
-        mode = tuple(
-            _parse_typed("init.mode", part.strip(), int)
-            for part in seen["init.mode"].split(",")
+    if cfg.mode is None:
+        cfg.mode = (1,) * cfg.dim
+    elif len(cfg.mode) != cfg.dim:
+        raise ConfigError("init.mode: need one index per axis")
+    elif any(not 1 <= k <= n for k, n in zip(cfg.mode, cfg.resolution)):
+        raise ConfigError(
+            f"init.mode: indices {cfg.mode} out of range 1..N for domain.N = "
+            f"{cfg.resolution}"
         )
-        if len(mode) != dim:
-            raise ConfigError("init.mode: need one index per axis")
-        if any(not 1 <= k <= n for k, n in zip(mode, resolution)):
-            raise ConfigError(
-                f"init.mode: indices {mode} out of range 1..N for domain.N = {resolution}"
-            )
-    else:
-        mode = tuple([1] * dim)
-    path = seen.get("init.path")
-    if init_kind == "file" and not path:
+    if cfg.init_kind == "file" and not cfg.path:
         raise ConfigError("init.path: required when init.kind = file")
-    eps = _parse_typed(
-        "init.off_manifold_eps", seen.get("init.off_manifold_eps", "0"), float
-    )
-    if eps <= -1:
+    if cfg.off_manifold_eps <= -1:
         raise ConfigError(
             "init.off_manifold_eps: must be greater than -1 (the state is "
             "scaled by sqrt(1 + eps))"
         )
-    out_dir = seen.get("output.dir", "out")
-    snapshots = _parse_bool("output.snapshots", seen.get("output.snapshots", "false"))
-
-    return RunConfig(
-        dim=dim, lengths=lengths, resolution=resolution,
-        n=n, a=a, dealias=dealias, scheme=scheme, h=h, t_end=t_end,
-        renormalize=renorm, record_every=record_every, init_kind=init_kind,
-        seed=seed, mode=mode, path=path, off_manifold_eps=eps,
-        out_dir=out_dir, snapshots=snapshots,
-    )
+    return cfg
 
 
 def build_grid(cfg: RunConfig) -> SpectralGrid:
@@ -303,12 +286,10 @@ def cmd_picard(cfg: RunConfig, m: float = 100.0) -> int:
     u0 = build_initial(cfg, grid)
     res = mild.picard_solve(u0, theta, params, T=cfg.t_end)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "picard.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,sup_v_distance,factor\n")
-        for j, d in enumerate(res.distances, start=1):
-            factor = res.factors[j - 2] if j >= 2 else float("nan")
-            fh.write(f"{j},{d:.17g},{factor:.17g}\n")
+    # the first iterate has no contraction factor
+    energy.write_csv(os.path.join(cfg.out_dir, "picard.csv"),
+                     ("iter", "sup_v_distance", "factor"),
+                     zip(itertools.count(1), res.distances, [math.nan, *res.factors]))
     print(
         f"picard: {res.iterations} iterations, converged={res.converged}, "
         f"final distance {res.distances[-1]:.3e}"
@@ -316,7 +297,57 @@ def cmd_picard(cfg: RunConfig, m: float = 100.0) -> int:
     return 0
 
 
+# -- probes: each returns (CSV columns, CSV rows, summary line or None) -------
+
+
+def _probe_lipschitz(cfg, grid, params, samples):
+    reps = [analysis.lipschitz_probe(g, params, samples=samples, seed=cfg.seed)
+            for g in (grid, _fine_grid(grid.spec, 2))]
+    return (("resolution", "samples", "ball_radius", "max_ratio"),
+            [(r.resolution, r.samples, r.ball_radius, r.max_ratio) for r in reps],
+            f"lipschitz: ratios {[f'{r.max_ratio:.4f}' for r in reps]}")
+
+
+def _probe_invariance(cfg, grid, params, samples):
+    u0 = build_initial(cfg, grid)
+    u_on = u0.values / norm_l2(u0)
+    rows = []
+    for eps in (1e-3, -1e-3, 1e-2, -1e-2):
+        off = Field(grid, np.sqrt(1.0 + eps) * u_on)
+        rep = analysis.invariance_growth_test(off, params)
+        rows.append((eps, rep.measured_rate, rep.predicted_rate, rep.relative_error))
+    return ("eps", "measured_rate", "predicted_rate", "relative_error"), rows, None
+
+
+def _probe_amu(cfg, grid, params, samples):
+    stepper = build_stepper(cfg, grid)
+    traj = integrate(build_initial(cfg, grid), params, stepper)
+    mus = (0.55, 0.6, 0.75, 0.9)
+    rep = analysis.a_mu_boundedness(traj, mus, t_min=min(0.1, cfg.t_end / 2))
+    return (("t", *(f"mu_{mu}" for mu in mus)),
+            zip(rep.times, *(rep.norms[mu] for mu in mus)),
+            f"amu: sups {[f'{rep.sups[mu]:.4f}' for mu in mus]}")
+
+
+def _probe_omega(cfg, grid, params, samples):
+    stepper = build_stepper(cfg, grid)
+    T = stepper.t_end
+    rep = analysis.omega_limit_probe(
+        build_initial(cfg, grid), params, stepper, (T / 4, T / 2, 3 * T / 4)
+    )
+    return (("q", "max_pairwise_v_distance"),
+            [(q, rep.per_q_max_distance[q]) for q in rep.q_list],
+            f"omega: converged={rep.converged} stall_ok={rep.stall_ok} "
+            f"tail distance {rep.per_q_max_distance[rep.tail_start]:.3e}")
+
+
+PROBES = {"lipschitz": _probe_lipschitz, "invariance": _probe_invariance,
+          "amu": _probe_amu, "omega": _probe_omega}
+
+
 def cmd_probe(cfg: RunConfig, which: str, samples: int = 500) -> int:
+    if which not in PROBES:
+        raise ConfigError(f"unknown probe {which!r}")
     if which == "invariance" and cfg.a != 0.0:
         raise ConfigError("model.a: probe invariance predicts the growth rate "
                           "only for a = 0")
@@ -325,82 +356,12 @@ def cmd_probe(cfg: RunConfig, which: str, samples: int = 500) -> int:
     if which == "lipschitz" and samples < 1:
         raise ConfigError("probe lipschitz: samples must be at least 1")
     grid = build_grid(cfg)
-    params = build_params(cfg)
+    columns, rows, summary = PROBES[which](cfg, grid, build_params(cfg), samples)
     os.makedirs(cfg.out_dir, exist_ok=True)
-
-    if which == "lipschitz":
-        rows = []
-        for factor in (1, 2):
-            spec = grid.spec
-            g = SpectralGrid(
-                DomainSpec(spec.dim, spec.lengths,
-                           tuple(factor * x for x in spec.resolution))
-            )
-            rep = analysis.lipschitz_probe(g, params, samples=samples, seed=cfg.seed)
-            rows.append(rep)
-        path = os.path.join(cfg.out_dir, "probe_lipschitz.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("resolution,samples,ball_radius,max_ratio\n")
-            for rep in rows:
-                fh.write(
-                    f"{rep.resolution},{rep.samples},"
-                    f"{rep.ball_radius:.17g},{rep.max_ratio:.17g}\n"
-                )
-        print(f"lipschitz: ratios {[f'{r.max_ratio:.4f}' for r in rows]}")
-        return 0
-
-    if which == "invariance":
-        u_on = build_initial(cfg, grid)
-        u_on = Field(grid, u_on.values / norm_l2(u_on))
-        path = os.path.join(cfg.out_dir, "probe_invariance.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("eps,measured_rate,predicted_rate,relative_error\n")
-            for eps in (1e-3, -1e-3, 1e-2, -1e-2):
-                off = Field(grid, np.sqrt(1.0 + eps) * u_on.values)
-                rep = analysis.invariance_growth_test(off, params)
-                fh.write(
-                    f"{eps:.17g},{rep.measured_rate:.17g},"
-                    f"{rep.predicted_rate:.17g},{rep.relative_error:.17g}\n"
-                )
-        print(f"invariance: wrote {path}")
-        return 0
-
-    if which == "amu":
-        stepper = build_stepper(cfg, grid)
-        traj = integrate(build_initial(cfg, grid), params, stepper)
-        mus = (0.55, 0.6, 0.75, 0.9)
-        rep = analysis.a_mu_boundedness(traj, mus, t_min=min(0.1, cfg.t_end / 2))
-        path = os.path.join(cfg.out_dir, "probe_amu.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("t," + ",".join(f"mu_{mu}" for mu in mus) + "\n")
-            for i, t in enumerate(rep.times):
-                fh.write(
-                    f"{t:.17g},"
-                    + ",".join(f"{rep.norms[mu][i]:.17g}" for mu in mus)
-                    + "\n"
-                )
-        print(f"amu: sups {[f'{rep.sups[mu]:.4f}' for mu in mus]}")
-        return 0
-
-    if which == "omega":
-        stepper = build_stepper(cfg, grid)
-        T = stepper.t_end
-        q_list = (T / 4, T / 2, 3 * T / 4)
-        rep = analysis.omega_limit_probe(
-            build_initial(cfg, grid), params, stepper, q_list
-        )
-        path = os.path.join(cfg.out_dir, "probe_omega.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("q,max_pairwise_v_distance\n")
-            for q in rep.q_list:
-                fh.write(f"{q:.17g},{rep.per_q_max_distance[q]:.17g}\n")
-        print(
-            f"omega: converged={rep.converged} stall_ok={rep.stall_ok} "
-            f"tail distance {rep.per_q_max_distance[rep.tail_start]:.3e}"
-        )
-        return 0
-
-    raise ConfigError(f"unknown probe {which!r}")
+    path = os.path.join(cfg.out_dir, f"probe_{which}.csv")
+    energy.write_csv(path, columns, rows)
+    print(summary or f"{which}: wrote {path}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -423,12 +384,17 @@ def main(argv=None) -> int:
     picard.add_argument("--m", type=float, default=100.0,
                         help="truncation level (default 100)")
     probe = sub.add_parser("probe", help="run a quantitative probe")
-    probe.add_argument("which", choices=["lipschitz", "invariance", "amu", "omega"])
+    probe.add_argument("which", choices=PROBES)
     probe.add_argument("--samples", type=int, default=500)
 
     args = parser.parse_args(argv)
     try:
-        text = DEFAULT_CONFIG if args.config is None else Path(args.config).read_text()
+        text = DEFAULT_CONFIG
+        if args.config is not None:
+            try:
+                text = Path(args.config).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as err:
+                raise ConfigError(f"--config {args.config}: {err}") from None
         overrides = list(args.set)
         if args.seed is not None:
             overrides.append(f"init.seed={args.seed}")

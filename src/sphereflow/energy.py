@@ -74,30 +74,40 @@ def make_report(u: Field, p: ModelParams, t: float, ut_l2_sq: float,
     )
 
 
-def energy_identity_residual(traj) -> float:
-    """|Y(u(T)) - Y(u_0) + trapezoid of |u_t|^2 over the records|.
+def energy_residual(ledger) -> np.ndarray:
+    """|Y(u(t)) - Y(u_0) + integral_0^t |u_p|_L2^2 dp| at each record; the
+    integral is the ledger's dissipation integral, the trapezoid over every
+    step of the run."""
+    return np.abs(ledger.Y - ledger.Y[0] + ledger.dissipation_integral)
 
-    Second order in the record spacing for smooth, time-resolved
-    trajectories produced by a scheme of order >= 2.
-    """
+
+def energy_identity_residual(traj) -> float:
+    """|Y(u(T)) - Y(u_0) + integral_0^T |u_p|_L2^2 dp|: the last entry of the
+    trajectory's energy_residual column."""
     led = traj.ledger
     if led.t.size < 2:
         raise ValueError("need at least two records to evaluate the identity")
-    return float(abs(led.Y[-1] - led.Y[0] + np.trapezoid(led.ut_l2_sq, led.t)))
+    return float(energy_residual(led)[-1])
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header and numeric rows with every cell formatted "%.17g":
+    floats round-trip exactly, ints of up to 17 digits print exactly and NaN
+    prints as nan."""
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        # "%.17g" % x formats as f"{x:.17g}" does, in one call per row
+        fh.writelines(row_format % tuple(row) for row in rows)
 
 
 TIMESERIES_COLUMNS = ("t", "l2_norm", "h1_seminorm_sq", "h2_seminorm_sq", "l2n_pow", "Y",
                       "ut_l2_sq", "dissipation_integral", "energy_residual")
-_ROW_FORMAT = ",".join(["%.17g"] * len(TIMESERIES_COLUMNS)) + "\n"
 
 
 def write_timeseries_csv(traj, path) -> None:
-    """Write the trajectory ledger with .17g formatting for exact round trips."""
+    """Write the trajectory ledger, one record per row, with write_csv."""
     led = traj.ledger
-    residual = np.abs(led.Y - led.Y[0] + led.dissipation_integral)
     table = np.column_stack([getattr(led, name) for name in TIMESERIES_COLUMNS[:-1]]
-                            + [residual])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        # "%.17g" % x formats as f"{x:.17g}" does, in one call per row
-        fh.writelines(_ROW_FORMAT % tuple(row) for row in table.tolist())
+                            + [energy_residual(led)])
+    write_csv(path, TIMESERIES_COLUMNS, table.tolist())

@@ -103,13 +103,14 @@ def _raise_overflow(values: np.ndarray):
 
 def _power(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
            coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(u^(2n-1) values on grid, integral of u^(2n)): the one place both are
+    """(u^(2n-1) values, integral of u^(2n)): the one place both are
     computed, so <F(u), u> and the energy share the integral by construction.
 
-    With ``p.dealias`` set the power is taken on the zero-padded grid, padded
+    With ``p.dealias`` set both are taken on the zero-padded grid, padded
     once from ``coeffs`` (u's coefficients, transformed here when not given),
-    and its coefficients are truncated back to grid's.  For n = 1 on the
-    native grid the power is ``values`` itself, which callers only read.
+    and the power is returned there; a caller that uses it brings it back to
+    grid with ``_truncate``.  For n = 1 on the native grid the power is
+    ``values`` itself, which callers only read.
 
     The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
     w makes it non-finite and the overflow test looks at that one number;
@@ -121,24 +122,31 @@ def _power(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
         if coeffs is None:
             coeffs = grid.to_coeffs(values)
         fine = _fine_grid(grid.spec, p.dealias)
-        modes = tuple(slice(0, m) for m in grid.shape)
         padded = np.zeros(fine.shape)
-        padded[modes] = coeffs
+        padded[tuple(map(slice, grid.shape))] = coeffs
         v = fine.to_values(padded)
     w = v if p.n == 1 else _odd_power(v, p.n)
     s = fine.weight * float(np.vdot(w, v))
     if not math.isfinite(s):
         _raise_overflow(v)
-    if p.dealias is not None:
-        w = grid.to_values(fine.to_coeffs(w)[modes])
     return w, s
+
+
+def _truncate(grid: SpectralGrid, w: np.ndarray, factor: int) -> np.ndarray:
+    """Values on grid of w, given on the factor-times-padded grid: w's
+    coefficients truncated to grid's modes."""
+    fine = _fine_grid(grid.spec, factor)
+    return grid.to_values(fine.to_coeffs(w)[tuple(map(slice, grid.shape))])
 
 
 def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
     """Pointwise odd power u^(2n-1), optionally dealiased by zero padding;
     n and dealias are checked as ModelParams checks them."""
+    p = ModelParams(n=n, dealias=dealias)
     with np.errstate(over="ignore"):
-        w, _ = _power(u.grid, u.values, ModelParams(n=n, dealias=dealias))
+        w, _ = _power(u.grid, u.values, p)
+    if p.dealias is not None:
+        w = _truncate(u.grid, w, p.dealias)
     return Field._wrap(u.grid, w.copy() if w is u.values else w)
 
 
@@ -165,6 +173,8 @@ def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
     holds ``np.errstate(over="ignore")``, as for ``_power``.
     """
     w, s = _power(grid, values, p, coeffs)
+    if p.dealias is not None:
+        w = _truncate(grid, w, p.dealias)
     return (a_sq + s) * values - w, s
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import sphereflow
 from sphereflow import DomainSpec, SpectralGrid, basis_mode, norm_l2, write_snapshot
 from sphereflow.cli import (
+    KEYS,
     KNOWN_KEYS,
     ConfigError,
     build_grid,
@@ -366,6 +368,18 @@ class TestMainEntry:
         assert "--m" in capsys.readouterr().err
         assert not (out / "picard.csv").exists()
 
+    @pytest.mark.parametrize("fault", ("missing", "directory", "not utf-8"))
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, fault):
+        path = tmp_path / "run.cfg"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "not utf-8":
+            path.write_bytes(b"domain.dim = 1\n\xff\n")
+        code = main(["--config", str(path), "--out", str(tmp_path / "o"), "run"])
+        assert code == 2
+        assert f"error: --config {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_is_closed(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
@@ -435,3 +449,28 @@ class TestMainEntry:
         assert code == 2
         assert "stepper.t_end" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("which, header, rows", [
+        ("lipschitz", "resolution,samples,ball_radius,max_ratio", 2),
+        ("invariance", "eps,measured_rate,predicted_rate,relative_error", 4),
+        ("omega", "q,max_pairwise_v_distance", 3),
+        # records every 5 steps of 1e-3 to t_end = 0.02; t_min = t_end / 2
+        ("amu", "t,mu_0.55,mu_0.6,mu_0.75,mu_0.9", 3),
+    ])
+    def test_probe_csv_header_and_rows(self, tmp_path, which, header, rows):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "q"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "probe", which, "--samples", "5"]) == 0
+        lines = (out / f"probe_{which}.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+        assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+        if which == "amu":
+            assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(
+                [0.01, 0.015, 0.02], rel=1e-12)
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [key for key in KEYS if f"`{key}`" not in readme] == []

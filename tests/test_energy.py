@@ -17,7 +17,7 @@ from sphereflow import (
     v_norm_sq,
     write_timeseries_csv,
 )
-from sphereflow.energy import TIMESERIES_COLUMNS, EnergyReport
+from sphereflow.energy import TIMESERIES_COLUMNS, EnergyReport, write_csv
 
 PI = np.pi
 
@@ -145,6 +145,14 @@ class TestReports:
         # .17g formatting round-trips exactly
         assert float(first["Y"]) == traj.ledger.Y[0]
         assert float(first["l2_norm"]) == traj.ledger.l2_norm[0]
+
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "table.csv"
+        x = 0.1 + 0.2
+        write_csv(path, ("i", "x", "y"), [(1, float("nan"), x), (12345678901, x, -0.0)])
+        text = path.read_text()
+        assert text == "i,x,y\n1,nan,0.30000000000000004\n12345678901,0.30000000000000004,-0\n"
+        assert float(text.split(",")[-2]) == x
 
     def test_csv_rows_format_like_fstrings_on_edge_values(self, tmp_path):
         edges = (-0.0, 5e-324, 1e308, 1.0, 0.1 + 0.2, np.float64(1.0) / 3.0)

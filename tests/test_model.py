@@ -151,6 +151,13 @@ class TestNonlinearity:
         # padded inverse, fine forward of the power, coarse inverse
         assert transform_count[0] == 3
 
+    def test_dealiased_l2n_power_transforms_twice(self, transform_count):
+        # coarse forward, padded inverse: the power is not truncated back
+        u = random_unit_field(grid_1d(32), np.random.default_rng(13))
+        transform_count[0] = 0
+        l2n_power(u, 2, dealias=2)
+        assert transform_count[0] == 2
+
     def test_energy_term_matches_l2n_power(self):
         # the L^{2n} term inside F is the energy's quadrature of u^{2n}
         g = grid_1d()
