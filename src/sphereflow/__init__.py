@@ -31,7 +31,6 @@ from .integrators import (
     convergence_order_probe,
     default_step,
     integrate,
-    renormalize,
     step_etd1,
     step_projected_euler,
     step_rk4,
@@ -61,6 +60,7 @@ from .model import (
     projected_rhs_direct,
     random_unit_field,
     rayleigh_quotient,
+    renormalize,
     unprojected_rhs,
 )
 from .spectral import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import v_norm
 from .integrators import _Kernel, integrate
-from .model import ModelParams, l2n_power, nonlinearity_F
+from .model import ModelParams, check_on_manifold, l2n_power, nonlinearity_F
 from .spectral import (
     Field,
     SpectralGrid,
@@ -32,6 +32,7 @@ STALL_WINDOW = 1.0  # time between the two records of a stall candidate
 STALL_TOL = 1e-12  # |Y(t1) - Y(t0)| below this is an energy stall
 RESIDUAL_TOL = 1e-6  # |u_t|_L2 below this is a numerical fixed point
 CAUCHY_TOL = 1e-6  # pairwise V-distances in a converged orbit tail
+INVARIANCE_EPS = (1e-3, -1e-3, 1e-2, -1e-2)  # defects psi(0) the probes start from
 
 
 # -- Lipschitz envelope ------------------------------------------------------
@@ -135,8 +136,10 @@ class InvarianceGrowthReport:
     relative_error: float
 
 
-def invariance_growth_test(u0_off: Field, p: ModelParams) -> InvarianceGrowthReport:
-    """Measured versus predicted initial growth rate of psi = |u|^2 - 1.
+def invariance_growth_test(u: Field, p: ModelParams,
+                           eps: float) -> InvarianceGrowthReport:
+    """Measured versus predicted initial growth rate of psi = |u|^2 - 1,
+    started off the sphere at sqrt(1 + eps) u for u on it, so psi(0) = eps.
 
     Integrates the literally projected field (projection taken at the raw,
     off-sphere state) with two RK4 steps of the stepping kernel, without
@@ -150,7 +153,11 @@ def invariance_growth_test(u0_off: Field, p: ModelParams) -> InvarianceGrowthRep
     """
     if p.a != 0.0:
         raise ValueError("growth-rate prediction requires a = 0")
-    grid = u0_off.grid
+    if not eps > -1.0:
+        raise ValueError(f"eps must be greater than -1, got {eps!r}")
+    check_on_manifold(u)
+    u0_off = Field(u.grid, np.sqrt(1.0 + eps) * u.values)
+    grid = u.grid
     c0 = grid.to_coeffs(u0_off.values)
     psi0 = float(np.vdot(c0, c0)) - 1.0
     if abs(psi0) < 1e-13:

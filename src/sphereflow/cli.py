@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis, energy, mild
 from .integrators import SCHEMES, StepperConfig, default_step, divides, integrate
-from .model import ModelParams, _fine_grid, random_unit_field
+from .model import ModelParams, _fine_grid, random_unit_field, renormalize
 from .spectral import (
     DomainSpec,
     Field,
@@ -69,7 +69,6 @@ KEYS = {
     "init.seed": ("seed", int, "0"),
     "init.mode": ("mode", (int,), None),
     "init.path": ("path", str, None),
-    "init.off_manifold_eps": ("off_manifold_eps", float, "0"),
     "output.dir": ("out_dir", str, "out"),
     "output.snapshots": ("snapshots", bool, "false"),
 }
@@ -107,7 +106,6 @@ class RunConfig:
     seed: int
     mode: tuple
     path: str | None
-    off_manifold_eps: float
     out_dir: str
     snapshots: bool
 
@@ -199,11 +197,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         )
     if cfg.init_kind == "file" and not cfg.path:
         raise ConfigError("init.path: required when init.kind = file")
-    if cfg.off_manifold_eps <= -1:
-        raise ConfigError(
-            "init.off_manifold_eps: must be greater than -1 (the state is "
-            "scaled by sqrt(1 + eps))"
-        )
+    if not cfg.out_dir:
+        raise ConfigError("output.dir: must not be empty")
     return cfg
 
 
@@ -234,19 +229,16 @@ def build_stepper(cfg: RunConfig, grid: SpectralGrid,
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> Field:
+    """The configured initial state, put on the unit sphere."""
     if cfg.init_kind == "mode":
         u = basis_mode(grid, cfg.mode)
     elif cfg.init_kind == "random":
         u = random_unit_field(grid, np.random.default_rng(cfg.seed))
     else:
         u = read_snapshot(cfg.path, grid)
-    r = norm_l2(u)
-    if r == 0.0:  # only a file can hold the zero state
-        raise ValueError(f"{cfg.path}: the state is zero, so it cannot be normalized")
-    u = Field(u.grid, u.values / r)
-    if cfg.off_manifold_eps:
-        u = Field(u.grid, np.sqrt(1.0 + cfg.off_manifold_eps) * u.values)
-    return u
+        if norm_l2(u) == 0.0:  # only a file can hold the zero state
+            raise ValueError(f"{cfg.path}: the state is zero, so it cannot be normalized")
+    return renormalize(u)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -310,11 +302,9 @@ def _probe_lipschitz(cfg, grid, params, samples):
 
 def _probe_invariance(cfg, grid, params, samples):
     u0 = build_initial(cfg, grid)
-    u_on = u0.values / norm_l2(u0)
     rows = []
-    for eps in (1e-3, -1e-3, 1e-2, -1e-2):
-        off = Field(grid, np.sqrt(1.0 + eps) * u_on)
-        rep = analysis.invariance_growth_test(off, params)
+    for eps in analysis.INVARIANCE_EPS:
+        rep = analysis.invariance_growth_test(u0, params, eps)
         rows.append((eps, rep.measured_rate, rep.predicted_rate, rep.relative_error))
     return ("eps", "measured_rate", "predicted_rate", "relative_error"), rows, None
 

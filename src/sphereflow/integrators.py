@@ -96,14 +96,6 @@ def default_step(scheme: str, grid) -> float:
     return min(1e-3, 0.5 / grid.mu_max)
 
 
-def renormalize(u: Field) -> Field:
-    """Retraction onto the unit sphere: u / |u|_L2."""
-    r = norm_l2(u)
-    if r == 0.0:
-        raise ValueError("cannot renormalize the zero field")
-    return Field(u.grid, u.values / r)
-
-
 class _Kernel:
     """One scheme for one grid, model and step size, with the h-dependent
     weights computed once.  A stage is the tuple (values, N, k, s): u at the

@@ -72,6 +72,14 @@ def check_on_manifold(u: Field) -> None:
         )
 
 
+def renormalize(u: Field) -> Field:
+    """Retraction onto the unit sphere: u / |u|_L2."""
+    r = norm_l2(u)
+    if r == 0.0:
+        raise ValueError("cannot renormalize the zero field")
+    return Field(u.grid, u.values / r)
+
+
 @functools.cache
 def _fine_grid(spec: DomainSpec, factor: int) -> SpectralGrid:
     return SpectralGrid(DomainSpec(
@@ -219,8 +227,4 @@ def rayleigh_quotient(u: Field) -> float:
 
 def random_unit_field(grid: SpectralGrid, rng: np.random.Generator, decay: float = 3.0) -> Field:
     """Seeded random state on M: |k|^-decay spectral profile, L2-normalized."""
-    u = random_coeff_field(grid, rng, decay)
-    r = norm_l2(u)
-    if r == 0.0:
-        raise ValueError("degenerate zero sample")
-    return Field(grid, u.values / r)
+    return renormalize(random_coeff_field(grid, rng, decay))

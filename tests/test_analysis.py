@@ -4,6 +4,8 @@ import pytest
 from sphereflow import (
     DomainSpec,
     Field,
+    InvarianceGrowthReport,
+    ManifoldError,
     ModelParams,
     SpectralGrid,
     StepperConfig,
@@ -22,8 +24,9 @@ from sphereflow import (
     sample_v_field,
     scalar_power_gap_constant,
 )
-from sphereflow.analysis import predicted_psi_rate
+from sphereflow.analysis import INVARIANCE_EPS, predicted_psi_rate
 from sphereflow.energy import v_norm
+from sphereflow.integrators import _Kernel
 
 PI = np.pi
 
@@ -109,22 +112,39 @@ class TestXiLipschitzFormulaShape:
             assert np.all(np.diff(k) > 0)
 
 
+def reference_growth_report(off, p):
+    """The growth report as computed from an off-sphere state: the literal
+    sqrt(1 + eps) u callers used to build, then two RK4 steps and the
+    Richardson-extrapolated rate."""
+    grid = off.grid
+    c0 = grid.to_coeffs(off.values)
+    psi0 = float(np.vdot(c0, c0)) - 1.0
+    h = min(1e-5, 0.2 / grid.mu_max)
+    kernel = _Kernel("rk4", grid, p, h)
+    c1 = kernel.advance(c0, kernel.stage(c0, off.values))
+    c2 = kernel.advance(c1, kernel.stage(c1))
+    r1 = (np.log(abs(float(np.vdot(c1, c1)) - 1.0)) - np.log(abs(psi0))) / h
+    r2 = (np.log(abs(float(np.vdot(c2, c2)) - 1.0)) - np.log(abs(psi0))) / (2 * h)
+    measured = 2.0 * r1 - r2
+    predicted = predicted_psi_rate(off, p)
+    return InvarianceGrowthReport(
+        measured_rate=float(measured), predicted_rate=float(predicted), psi0=psi0,
+        relative_error=float(abs(measured - predicted) / abs(predicted)))
+
+
 class TestInvarianceGrowth:
     def test_scaled_ground_mode_rates(self):
         g = grid_1d(16)
         for eps in (1e-3, -1e-3, 1e-2, -1e-2):
-            off = Field(g, np.sqrt(1 + eps) * basis_mode(g, 1).values)
-            rep = invariance_growth_test(off, ModelParams(n=1))
+            rep = invariance_growth_test(basis_mode(g, 1), ModelParams(n=1), eps)
             assert rep.relative_error <= 0.01
             # predicted rate is the (1+eps)-scaled version of 2*(1+2+1) = 8
             assert rep.predicted_rate == pytest.approx(8.0 * (1 + eps), rel=1e-10)
 
     def test_sign_symmetry_of_growth(self):
         g = grid_1d(16)
-        up = Field(g, np.sqrt(1 + 1e-3) * basis_mode(g, 1).values)
-        dn = Field(g, np.sqrt(1 - 1e-3) * basis_mode(g, 1).values)
-        rp = invariance_growth_test(up, ModelParams(n=1))
-        rn = invariance_growth_test(dn, ModelParams(n=1))
+        rp = invariance_growth_test(basis_mode(g, 1), ModelParams(n=1), 1e-3)
+        rn = invariance_growth_test(basis_mode(g, 1), ModelParams(n=1), -1e-3)
         assert rp.psi0 > 0 > rn.psi0
         # |psi| grows on both sides at the same rate up to the O(eps)
         # difference between the two base states
@@ -134,8 +154,7 @@ class TestInvarianceGrowth:
     def test_random_state_n2(self):
         g = grid_1d(8)
         u = random_unit_field(g, np.random.default_rng(9))
-        off = Field(g, np.sqrt(1 + 1e-2) * u.values)
-        rep = invariance_growth_test(off, ModelParams(n=2))
+        rep = invariance_growth_test(u, ModelParams(n=2), 1e-2)
         assert rep.relative_error <= 0.01
 
     def test_random_state_n2_resolved_at_n16(self):
@@ -144,20 +163,43 @@ class TestInvarianceGrowth:
         g = grid_1d(16)
         u = random_unit_field(g, np.random.default_rng(9))
         for eps in (1e-3, -1e-3, 1e-2, -1e-2):
-            off = Field(g, np.sqrt(1 + eps) * u.values)
-            rep = invariance_growth_test(off, ModelParams(n=2))
+            rep = invariance_growth_test(u, ModelParams(n=2), eps)
             assert rep.relative_error <= 1e-3, eps
+
+    @pytest.mark.parametrize("n, N, base", [(1, 16, "mode"), (2, 16, "random"),
+                                            (2, 8, "random")])
+    def test_same_report_as_literal_off_state(self, n, N, base):
+        # the check_psi_rate presets: the report equals, bit for bit, the one
+        # computed from the literal off-sphere state sqrt(1 + eps) u
+        g = grid_1d(N)
+        u = (basis_mode(g, 1) if base == "mode"
+             else random_unit_field(g, np.random.default_rng(9)))
+        for eps in INVARIANCE_EPS:
+            off = Field(g, np.sqrt(1 + eps) * u.values)
+            want = reference_growth_report(off, ModelParams(n=n))
+            assert invariance_growth_test(u, ModelParams(n=n), eps) == want, eps
 
     def test_on_manifold_is_degenerate(self):
         g = grid_1d(16)
-        with pytest.raises(ValueError):
-            invariance_growth_test(basis_mode(g, 1), ModelParams(n=1))
+        with pytest.raises(ValueError, match="degenerate"):
+            invariance_growth_test(basis_mode(g, 1), ModelParams(n=1), 0.0)
 
     def test_rejects_nonzero_a(self):
         g = grid_1d(16)
-        off = Field(g, 1.001 * basis_mode(g, 1).values)
         with pytest.raises(ValueError):
-            invariance_growth_test(off, ModelParams(n=1, a=2.0))
+            invariance_growth_test(basis_mode(g, 1), ModelParams(n=1, a=2.0), 2e-3)
+
+    @pytest.mark.parametrize("eps", (-1.0, -2.0, float("nan")))
+    def test_rejects_eps_at_or_below_minus_one(self, eps):
+        g = grid_1d(16)
+        with pytest.raises(ValueError, match="eps must be greater than -1"):
+            invariance_growth_test(basis_mode(g, 1), ModelParams(n=1), eps)
+
+    def test_rejects_off_sphere_base(self):
+        # the base state must be on M, so that psi(0) is eps
+        g = grid_1d(16)
+        with pytest.raises(ManifoldError):
+            invariance_growth_test(2.0 * basis_mode(g, 1), ModelParams(n=1), 1e-3)
 
     def test_predicted_rate_formula(self):
         g = grid_1d(16)

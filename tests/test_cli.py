@@ -13,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphereflow
-from sphereflow import DomainSpec, SpectralGrid, basis_mode, norm_l2, write_snapshot
+from sphereflow import (
+    DomainSpec,
+    Field,
+    SpectralGrid,
+    basis_mode,
+    norm_l2,
+    random_coeff_field,
+    read_snapshot,
+    write_snapshot,
+)
 from sphereflow.cli import (
     KEYS,
     KNOWN_KEYS,
@@ -50,7 +59,6 @@ stepper.renormalize = true
 stepper.record_every = 10
 init.kind = random
 init.seed = 7
-init.off_manifold_eps = 0
 output.dir = out
 output.snapshots = false
 """
@@ -102,8 +110,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, raw", [
         ("stepper.t_end", "inf"), ("stepper.t_end", "nan"), ("model.a", "inf"),
-        ("stepper.h", "-inf"), ("domain.L", "nan"), ("init.off_manifold_eps", "nan"),
-        ("init.off_manifold_eps", "-2"), ("init.off_manifold_eps", "-1"),
+        ("stepper.h", "-inf"), ("domain.L", "nan"),
     ])
     def test_nonfinite_or_out_of_range_float_named(self, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -126,10 +133,8 @@ class TestParseConfig:
                 cfg = parse_config(text, overrides)
             except ConfigError:
                 continue
-            floats = (cfg.a, cfg.t_end, cfg.off_manifold_eps, *cfg.lengths,
-                      1.0 if cfg.h is None else cfg.h)
+            floats = (cfg.a, cfg.t_end, *cfg.lengths, 1.0 if cfg.h is None else cfg.h)
             assert all(math.isfinite(x) for x in floats)
-            assert cfg.off_manifold_eps > -1
 
     def test_mode_rank_checked(self):
         with pytest.raises(ConfigError, match="init.mode"):
@@ -183,10 +188,23 @@ class TestParseConfig:
         last = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(0.01, rel=1e-12)
 
-    def test_off_manifold_eps_scales_norm(self):
-        cfg = parse_config(MINIMAL + "init.off_manifold_eps = 0.01\n")
-        u0 = build_initial(cfg, build_grid(cfg))
-        assert norm_l2(u0) ** 2 == pytest.approx(1.01, rel=1e-12)
+    def test_initial_state_is_its_literal_normalization(self, tmp_path):
+        # mode, random (normalized once by random_unit_field) and file
+        # states are each divided by their L2 norm, bit for bit
+        g = SpectralGrid(DomainSpec(1, (PI,), (16,)))
+        raw = random_coeff_field(g, np.random.default_rng(5))
+        path = tmp_path / "ic.mshf"
+        write_snapshot(path, 3.0 * basis_mode(g, 2) + raw)
+        rand = random_coeff_field(g, np.random.default_rng(4))
+        rand = Field(g, rand.values / norm_l2(rand))
+        cases = (("init.kind = mode\ninit.mode = 3\n", basis_mode(g, 3)),
+                 ("init.kind = random\ninit.seed = 4\n", rand),
+                 (f"init.kind = file\ninit.path = {path}\n", read_snapshot(path, g)))
+        for text, u in cases:
+            cfg = parse_config(MINIMAL + text)
+            u0 = build_initial(cfg, build_grid(cfg))
+            want = Field(g, u.values / norm_l2(u))
+            assert u0.values.tobytes() == want.values.tobytes(), text
 
     def test_file_initial_state(self, tmp_path):
         g = SpectralGrid(DomainSpec(1, (PI,), (16,)))
@@ -265,6 +283,27 @@ class TestMainEntry:
         code = main(["--config", str(cfg), "--set", "model.n=0", "run"])
         assert code == 2
         assert "model.n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ("config", "--set"))
+    def test_off_manifold_eps_key_is_unknown(self, tmp_path, capsys, via):
+        # every command put the state back on the sphere; the key is gone
+        extra, args = "", []
+        if via == "config":
+            extra = "init.off_manifold_eps = 0.01\n"
+        else:
+            args = ["--set", "init.off_manifold_eps=0.01"]
+        cfg = self.write_cfg(tmp_path, extra)
+        code = main(["--config", str(cfg), *args, "--out", str(tmp_path / "o"), "run"])
+        assert code == 2
+        assert "unknown key 'init.off_manifold_eps'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", (["--set", "output.dir="], ["--out", ""]))
+    def test_empty_output_dir_is_config_error(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_cfg(tmp_path)
+        assert main(["--config", str(cfg), *args, "run"]) == 2
+        assert "output.dir" in capsys.readouterr().err
 
     def test_boundary_key_is_config_error(self, tmp_path, capsys):
         # the sine basis is the only basis; the key is unknown
