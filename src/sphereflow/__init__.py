@@ -61,7 +61,6 @@ from .model import (
     random_unit_field,
     rayleigh_quotient,
     renormalize,
-    unprojected_rhs,
 )
 from .spectral import (
     DomainSpec,

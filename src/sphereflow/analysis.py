@@ -143,16 +143,12 @@ def invariance_growth_test(u: Field, p: ModelParams,
 
     Integrates the literally projected field (projection taken at the raw,
     off-sphere state) with two RK4 steps of the stepping kernel, without
-    retraction, and extrapolates d/dt log|psi| at t = 0.  With a = 0 that
-    field, pi_u(-A u - u^(2n-1)), expands to the kernel's -A u + F(u) at
-    any base point, and the rate is exactly
-    2 (|u|_{H2}^2 + 2 |u|_{H1}^2 + |u|_{L2n}^{2n}); a nonzero linear
-    coefficient adds a 2 a |u|^2 term that the prediction does not include,
-    so a = 0 is required.  The step min(1e-5, 0.2 / mu_max) resolves the
+    retraction, and extrapolates d/dt log|psi| at t = 0.  That field,
+    pi_u(-A u - u^(2n-1)), expands to the kernel's -A u + F(u) at any base
+    point, and the rate is exactly 2 (|u|_{H2}^2 + 2 |u|_{H1}^2 +
+    |u|_{L2n}^{2n}).  The step min(1e-5, 0.2 / mu_max) resolves the
     stiffest retained mode.
     """
-    if p.a != 0.0:
-        raise ValueError("growth-rate prediction requires a = 0")
     if not eps > -1.0:
         raise ValueError(f"eps must be greater than -1, got {eps!r}")
     check_on_manifold(u)

@@ -169,7 +169,7 @@ def check_formula_equivalence(tab: Table, seed: int):
         scale = norm_l2(r_exp)
         outs = []
         for a in (-1.0, 0.0, 1.0, 10.0):
-            r_dir = projected_rhs_direct(u, ModelParams(n=2, a=a))
+            r_dir = projected_rhs_direct(u, p0, a)
             outs.append(r_dir)
             worst = max(worst, norm_l2(r_exp - r_dir) / scale)
         for other in outs[1:]:

@@ -58,7 +58,6 @@ KEYS = {
     "domain.L": ("lengths", (float,), _REQUIRED),
     "domain.N": ("resolution", (int,), _REQUIRED),
     "model.n": ("n", int, "1"),
-    "model.a": ("a", float, "0"),
     "model.dealias": ("dealias", int, "none"),
     "stepper.scheme": ("scheme", str, "etd1"),
     "stepper.h": ("h", float, None),
@@ -95,7 +94,6 @@ class RunConfig:
     lengths: tuple
     resolution: tuple
     n: int
-    a: float
     dealias: int | None
     scheme: str
     h: float | None
@@ -171,7 +169,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"domain.*: {err}") from None
     try:
-        ModelParams(n=cfg.n, a=cfg.a, dealias=cfg.dealias)
+        build_params(cfg)
     except ValueError as err:
         raise ConfigError(f"model.n/model.dealias: {err}") from None
     if cfg.scheme not in SCHEMES:
@@ -207,7 +205,7 @@ def build_grid(cfg: RunConfig) -> SpectralGrid:
 
 
 def build_params(cfg: RunConfig) -> ModelParams:
-    return ModelParams(n=cfg.n, a=cfg.a, dealias=cfg.dealias)
+    return ModelParams(n=cfg.n, dealias=cfg.dealias)
 
 
 def build_stepper(cfg: RunConfig, grid: SpectralGrid,
@@ -338,9 +336,6 @@ PROBES = {"lipschitz": _probe_lipschitz, "invariance": _probe_invariance,
 def cmd_probe(cfg: RunConfig, which: str, samples: int = 500) -> int:
     if which not in PROBES:
         raise ConfigError(f"unknown probe {which!r}")
-    if which == "invariance" and cfg.a != 0.0:
-        raise ConfigError("model.a: probe invariance predicts the growth rate "
-                          "only for a = 0")
     if which in ("amu", "omega") and cfg.t_end <= 0:
         raise ConfigError(f"stepper.t_end: probe {which} needs a positive horizon")
     if which == "lipschitz" and samples < 1:

@@ -75,8 +75,10 @@ class StepperConfig:
             raise ValueError("t_end must be nonnegative")
         if not divides(self.h, self.t_end):
             raise ValueError(f"step h = {self.h!r} does not divide t_end = {self.t_end!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        if not (self.record_every >= 1 and self.record_every % 1 == 0):
+            raise ValueError(
+                f"record_every must be an integer >= 1, got {self.record_every!r}"
+            )
 
 
 @dataclass

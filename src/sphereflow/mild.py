@@ -230,6 +230,11 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
     return SpaceTimeGrid._wrap(grid, u.times, out)
 
 
+def _check_horizon(T: float) -> None:
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T!r}")
+
+
 def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
                              T: float, samples: int = 8, seed: int = 0) -> float:
     """Sampled Lipschitz factor of Phi in the space-time (X_T) metric.
@@ -241,6 +246,7 @@ def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
     like sqrt(T) as the horizon shrinks, which is the contraction
     mechanism behind the fixed-point construction.
     """
+    _check_horizon(T)
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -285,8 +291,7 @@ def picard_solve(u0: Field, th: TruncationTheta, p: ModelParams, T: float,
     consecutive increases of the distance (or runaway growth) raise
     NonContractionError, which advises a smaller horizon T.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    _check_horizon(T)
     check_on_manifold(u0)
     times = np.linspace(0.0, T, num_points)
     free = SpaceTimeGrid.from_semigroup(u0, times)

@@ -9,8 +9,9 @@ equivalent form -A u + F(u) with
 
     F(u) = |u|_{H2}^2 u + 2 |u|_{H1}^2 u + |u|_{L2n}^{2n} u - u^(2n-1),
 
-which is independent of the linear coefficient a.  Both forms are
-implemented so their agreement can be checked numerically.
+in which the linear coefficient a has cancelled, so the solver has no a.
+``projected_rhs_direct`` evaluates the literal projection for any a, so
+the agreement of both forms can be checked numerically.
 """
 
 from __future__ import annotations
@@ -41,23 +42,22 @@ class ManifoldError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Nonlinearity exponent n (a positive integer), linear coefficient a and
-    dealiasing policy.
+    """Nonlinearity exponent n (a positive integer) and dealiasing policy.
 
     ``dealias=None`` evaluates u^(2n-1) on the native grid; an integer
     factor >= n zero-pads so the collocation power is alias-free.
     """
 
     n: int = 1
-    a: float = 0.0
     dealias: int | None = None
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
+        # inf % 1 is nan: an infinite value fails the integer test, nan both
+        if not (self.n >= 1 and self.n % 1 == 0):
             raise ValueError(f"n must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         if self.dealias is not None:
-            if int(self.dealias) != self.dealias or self.dealias < self.n:
+            if not (self.dealias >= self.n and self.dealias % 1 == 0):
                 raise ValueError(
                     f"zero-pad factor must be an integer >= n, got {self.dealias}"
                 )
@@ -208,15 +208,10 @@ def projected_rhs(u: Field, p: ModelParams) -> Field:
     return nonlinearity_F(u, p) - apply_A(u)
 
 
-def projected_rhs_direct(u: Field, p: ModelParams) -> Field:
-    """Literal projection pi_u(-A u - a u - u^(2n-1)) of the unexpanded field."""
-    g = unprojected_rhs(u, p)
-    return project_tangent(u, g)
-
-
-def unprojected_rhs(u: Field, p: ModelParams) -> Field:
-    """The raw right-hand side -A u - a u - u^(2n-1) before any projection."""
-    return -apply_A(u) - p.a * u - power_term(u, p.n, p.dealias)
+def projected_rhs_direct(u: Field, p: ModelParams, a: float = 0.0) -> Field:
+    """Literal projection pi_u(-A u - a u - u^(2n-1)) of the unexpanded field,
+    for a linear coefficient a that the projection cancels on M."""
+    return project_tangent(u, -apply_A(u) - a * u - power_term(u, p.n, p.dealias))
 
 
 def rayleigh_quotient(u: Field) -> float:

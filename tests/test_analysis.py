@@ -184,11 +184,6 @@ class TestInvarianceGrowth:
         with pytest.raises(ValueError, match="degenerate"):
             invariance_growth_test(basis_mode(g, 1), ModelParams(n=1), 0.0)
 
-    def test_rejects_nonzero_a(self):
-        g = grid_1d(16)
-        with pytest.raises(ValueError):
-            invariance_growth_test(basis_mode(g, 1), ModelParams(n=1, a=2.0), 2e-3)
-
     @pytest.mark.parametrize("eps", (-1.0, -2.0, float("nan")))
     def test_rejects_eps_at_or_below_minus_one(self, eps):
         g = grid_1d(16)

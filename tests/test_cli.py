@@ -50,7 +50,6 @@ domain.dim = 1
 domain.L = 3.141592653589793
 domain.N = 16
 model.n = 2
-model.a = 0.5
 model.dealias = 2
 stepper.scheme = rk4
 stepper.h = 1e-5
@@ -68,7 +67,7 @@ class TestParseConfig:
     def test_minimal_gets_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.dim == 1 and cfg.resolution == (16,)
-        assert cfg.n == 1 and cfg.a == 0.0 and cfg.dealias is None
+        assert cfg.n == 1 and cfg.dealias is None
         assert cfg.scheme == "etd1" and cfg.h is None and cfg.t_end == 1.0
         assert cfg.renormalize is True and cfg.record_every == 1
         assert cfg.init_kind == "mode" and cfg.mode == (1,)
@@ -76,7 +75,7 @@ class TestParseConfig:
 
     def test_full_round_trip(self):
         cfg = parse_config(FULL)
-        assert cfg.n == 2 and cfg.a == 0.5 and cfg.dealias == 2
+        assert cfg.n == 2 and cfg.dealias == 2
         assert cfg.scheme == "rk4" and cfg.h == 1e-5
         assert cfg.seed == 7 and cfg.record_every == 10
 
@@ -109,7 +108,7 @@ class TestParseConfig:
             parse_config("domain.dim = 1\ndomain.L = 1.0\ndomain.N = 7\n")
 
     @pytest.mark.parametrize("key, raw", [
-        ("stepper.t_end", "inf"), ("stepper.t_end", "nan"), ("model.a", "inf"),
+        ("stepper.t_end", "inf"), ("stepper.t_end", "nan"),
         ("stepper.h", "-inf"), ("domain.L", "nan"),
     ])
     def test_nonfinite_or_out_of_range_float_named(self, key, raw):
@@ -133,7 +132,7 @@ class TestParseConfig:
                 cfg = parse_config(text, overrides)
             except ConfigError:
                 continue
-            floats = (cfg.a, cfg.t_end, *cfg.lengths, 1.0 if cfg.h is None else cfg.h)
+            floats = (cfg.t_end, *cfg.lengths, 1.0 if cfg.h is None else cfg.h)
             assert all(math.isfinite(x) for x in floats)
 
     def test_mode_rank_checked(self):
@@ -444,14 +443,19 @@ class TestMainEntry:
         assert lines[0] == "eps,measured_rate,predicted_rate,relative_error"
         assert all(float(line.split(",")[3]) <= 0.01 for line in lines[1:])
 
-    def test_probe_invariance_nonzero_a_is_config_error(self, tmp_path, capsys):
-        # the growth-rate prediction holds for a = 0 only
-        cfg = self.write_cfg(tmp_path)
+    @pytest.mark.parametrize("via", ("config", "--set"))
+    def test_model_a_key_is_unknown(self, tmp_path, capsys, via):
+        # the projection cancels a on the sphere, so no output read it
+        extra, args = "", []
+        if via == "config":
+            extra = "model.a = 0.5\n"
+        else:
+            args = ["--set", "model.a=0.5"]
+        cfg = self.write_cfg(tmp_path, extra)
         out = tmp_path / "q"
-        code = main(["--config", str(cfg), "--set", "model.a=0.5",
-                     "--out", str(out), "probe", "invariance"])
+        code = main(["--config", str(cfg), *args, "--out", str(out), "probe", "invariance"])
         assert code == 2
-        assert "model.a" in capsys.readouterr().err
+        assert "unknown key 'model.a'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_probe_amu_csv(self, tmp_path):

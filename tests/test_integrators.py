@@ -56,6 +56,12 @@ class TestStepperConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             StepperConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", (2.5, math.nan, math.inf))
+    def test_record_every_must_be_integer(self, value):
+        # 2.5 used to record at steps 0, 5, 10, ... through i % 2.5 == 0
+        with pytest.raises(ValueError, match="record_every must be an integer"):
+            StepperConfig(record_every=value)
+
     def test_step_must_divide_t_end(self):
         # rounding t_end / h used to stop these runs at t = 0.9 and t = 0.8
         for h in (0.3, 0.4):
