@@ -423,12 +423,12 @@ class TestPicard:
             picard_solve(1.1 * basis_mode(g, 1), TruncationTheta(10.0),
                          ModelParams(n=1), T=0.01)
 
-    @pytest.mark.parametrize("T", (0.0, -1.0, np.nan, np.inf))
-    def test_rejects_bad_horizon(self, T):
+    def test_rejects_bad_horizon(self):
         # named before any time grid is built, so no warning comes first
         u0, th, p = basis_mode(grid_1d(16), 1), TruncationTheta(10.0), ModelParams(n=1)
-        for solve in (picard_solve, contraction_factor_probe):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="horizon T must be positive and finite"):
-                    solve(u0, th, p, T)
+        for T in (0.0, -1.0, np.nan, np.inf):
+            for solve in (picard_solve, contraction_factor_probe):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+                        solve(u0, th, p, T)
