@@ -30,8 +30,10 @@ traj = integrate(u0, params, cfg)
 led = traj.ledger
 
 print(" t      Rayleigh <Au,u>   energy Y        |u_t|_L2")
-for t, snap, Y, ut in zip(led.t, traj.snapshots, led.Y, np.sqrt(led.ut_l2_sq)):
-    print(f"{t:5.2f}   {rayleigh_quotient(snap):.12f}   {Y:.10f}   {ut:.3e}")
+# the Rayleigh quotient <Ac, c> of each record's coefficients, by Parseval
+rayleigh = ((grid.A_eigs * traj.coeffs) * traj.coeffs).sum(axis=1)
+for t, rq, Y, ut in zip(led.t, rayleigh, led.Y, np.sqrt(led.ut_l2_sq)):
+    print(f"{t:5.2f}   {rq:.12f}   {Y:.10f}   {ut:.3e}")
 
 ground = basis_mode(grid, 1)
 sign = 1.0 if norm_l2(traj.final_state - ground) < 1.0 else -1.0

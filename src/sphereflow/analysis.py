@@ -21,7 +21,6 @@ from .model import ModelParams, check_on_manifold, l2n_power, nonlinearity_F
 from .spectral import (
     Field,
     SpectralGrid,
-    apply_A_power,
     norm_l2,
     random_coeff_field,
     sobolev_norms_sq,
@@ -189,18 +188,26 @@ class AMuReport:
 
 
 def a_mu_boundedness(traj, mu_list, t_min: float = 0.1) -> AMuReport:
-    """Sup of |A^mu u(t)|_L2 over recorded snapshots past t_min, per mu."""
-    if traj.snapshots is None:
+    """Sup of |A^mu u(t)|_L2 over the records past t_min, per mu in (0, 1].
+
+    |A^mu u|_L2 is the Parseval sum sqrt(sum_k (A_k^mu c_k)^2) over the
+    recorded coefficients, so the probe makes no transform.
+    """
+    for mu in mu_list:
+        if not 0.0 < mu <= 1.0:
+            raise ValueError(f"mu must lie in (0, 1], got {mu!r}")
+    if traj.coeffs is None:
         raise ValueError("trajectory was recorded without snapshots")
     mask = traj.ledger.t >= t_min
     if not mask.any():
-        raise ValueError(f"no snapshots at or beyond t_min = {t_min}")
+        raise ValueError(f"no records at or beyond t_min = {t_min}")
     times = traj.ledger.t[mask]
-    snaps = [s for s, keep in zip(traj.snapshots, mask) if keep]
+    tail = traj.coeffs[mask]
+    A_eigs = traj.final_state.grid.A_eigs
     norms = {}
     for mu in mu_list:
-        series = np.asarray([norm_l2(apply_A_power(s, mu)) for s in snaps])
-        norms[mu] = series
+        x = (A_eigs**mu * tail).reshape(times.size, -1)
+        norms[mu] = np.sqrt((x * x).sum(axis=1))
     sups = {mu: float(series.max()) for mu, series in norms.items()}
     return AMuReport(t_min=t_min, times=times, norms=norms, sups=sups)
 
@@ -255,10 +262,13 @@ class OmegaLimitReport:
 def omega_limit_probe(u0: Field, p: ModelParams, cfg, q_list) -> OmegaLimitReport:
     """Integrate long and test the orbit tail for Cauchy behavior in V.
 
-    For each q the snapshots past q are compared pairwise in the V-norm;
-    convergence means the deepest tail has at least one pair and all
-    pairwise distances below CAUCHY_TOL.  The Lyapunov-stall criterion is
-    verified on the same run.
+    For each q the records past q are compared pairwise in the V-norm,
+    sqrt(sum_k V_k (c_k - c'_k)^2) over their coefficients; convergence
+    means the deepest tail has at least one pair and all pairwise distances
+    below CAUCHY_TOL.  One pass takes, for each record, its largest
+    distance to the records after it; a tail's largest distance is the
+    maximum of these over the tail's records.  The Lyapunov-stall
+    criterion is verified on the same run.
     """
     if not cfg.keep_snapshots:
         raise ValueError("the tail test needs snapshots: keep_snapshots is False")
@@ -266,13 +276,23 @@ def omega_limit_probe(u0: Field, p: ModelParams, cfg, q_list) -> OmegaLimitRepor
     if q_list and q_list[-1] >= cfg.t_end:
         raise ValueError("largest q must lie inside the integration horizon")
     traj = integrate(u0, p, cfg)
+    t = traj.ledger.t
+    C = traj.coeffs.reshape(t.size, -1)
+    V = u0.grid.V_eigs.ravel()
+    # row[i]: the largest squared V-distance from record i to a later record;
+    # the differences go into one buffer, so the pass holds one extra copy
+    row = np.zeros(t.size)
+    buf = np.empty_like(C[1:])
+    for i in range(t.size - 1):
+        d = np.subtract(C[i + 1:], C[i], out=buf[i:])
+        d *= d
+        row[i] = (d @ V).max()
     per_q = {}
     converged = False
     for q in q_list:
-        tail = [s for s, t in zip(traj.snapshots, traj.ledger.t) if t >= q]
-        dists = [v_norm(a - b) for i, a in enumerate(tail) for b in tail[i + 1:]]
-        per_q[q] = max(dists, default=0.0)
-        converged = bool(dists) and per_q[q] < CAUCHY_TOL
+        start = int(np.searchsorted(t, q))  # the first record with t >= q
+        per_q[q] = float(np.sqrt(row[start:].max(initial=0.0)))
+        converged = t.size - start >= 2 and per_q[q] < CAUCHY_TOL
     stall_ok, events = gradient_stall_check(traj)
     return OmegaLimitReport(
         q_list=q_list,

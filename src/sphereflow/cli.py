@@ -253,8 +253,9 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.snapshots:
         snap_dir = os.path.join(cfg.out_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
-        for idx, snap in enumerate(traj.snapshots):
-            write_snapshot(os.path.join(snap_dir, f"t_{idx}.mshf"), snap)
+        for idx, c in enumerate(traj.coeffs):
+            write_snapshot(os.path.join(snap_dir, f"t_{idx}.mshf"),
+                           Field._wrap(grid, grid.to_values(c)))
     led = traj.ledger
     print(
         f"run: {led.t.size} records to t = {led.t[-1]:g}; "
@@ -274,7 +275,11 @@ def cmd_picard(cfg: RunConfig, m: float = 100.0) -> int:
     grid = build_grid(cfg)
     params = build_params(cfg)
     u0 = build_initial(cfg, grid)
-    res = mild.picard_solve(u0, theta, params, T=cfg.t_end)
+    try:
+        res = mild.picard_solve(u0, theta, params, T=cfg.t_end)
+    except mild.NonContractionError as err:
+        raise mild.NonContractionError(
+            f"{err}: set stepper.t_end below {cfg.t_end!r}") from None
     os.makedirs(cfg.out_dir, exist_ok=True)
     # the first iterate has no contraction factor
     energy.write_csv(os.path.join(cfg.out_dir, "picard.csv"),

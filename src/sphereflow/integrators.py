@@ -84,10 +84,12 @@ class StepperConfig:
 @dataclass
 class TrajectoryRecord:
     """The energy ledger (one numpy column per ``EnergyReport`` field), the
-    snapshots at its record times if kept, and the final state."""
+    coefficients of the state at its record times if kept (one row per
+    record, shaped ``(records,) + grid.shape`` as ``SpaceTimeGrid.coeffs``)
+    and the final state."""
 
     ledger: energy.EnergyReport
-    snapshots: list | None
+    coeffs: np.ndarray | None
     final_state: Field
 
 
@@ -189,9 +191,10 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     The state marches in coefficient space (so unexcited high modes decay
     to the dynamical floor instead of being pinned at transform roundoff).
     Every ``record_every`` steps and at t_end it records an energy report
-    (norm drift | |u|_L2^2 - 1 | included) and optionally a snapshot, both
-    from the first stage of the next step, so a record costs no transform;
-    the reports are stacked into the ledger's columns once, at the end.  The
+    (norm drift | |u|_L2^2 - 1 | included) from the first stage of the next
+    step, so a record costs no transform, and with ``keep_snapshots`` the
+    state's coefficients c into one preallocated array; the reports are
+    stacked into the ledger's columns once, at the end.  The
     dissipation integral is the trapezoid of |u_t|^2 over every step, with
     u_t = -A u + F(u).  Raises BlowUpError carrying the last valid state and
     time if the guard trips; it trips before F runs on the offending state.
@@ -213,7 +216,10 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
         raise ValueError("cannot renormalize the zero field")
     c = c / r
 
-    rows, snaps = [], [] if cfg.keep_snapshots else None
+    rows = []
+    # steps 0, record_every, 2 record_every, ... and the last step
+    n_records = math.ceil(n_steps / cfg.record_every) + 1
+    coeffs = np.empty((n_records,) + grid.shape) if cfg.keep_snapshots else None
     dissipation = 0.0
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         stage = kernel.stage(c)
@@ -226,9 +232,9 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             if i % cfg.record_every == 0 or i == n_steps:
                 u = Field._wrap(grid, values)
                 sums = coeff_norms_sq(grid, c)
+                if coeffs is not None:
+                    coeffs[len(rows)] = c
                 rows.append(energy.make_report(u, p, i * h, ut_sq, dissipation, sums, s))
-                if snaps is not None:
-                    snaps.append(u)
             if i == n_steps:
                 break
             c = kernel.advance(c, stage)
@@ -246,7 +252,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             stage = kernel.stage(c, a_terms=a_terms)
 
     ledger = energy.EnergyReport(*map(np.array, zip(*rows)))
-    return TrajectoryRecord(ledger=ledger, snapshots=snaps, final_state=u)
+    return TrajectoryRecord(ledger=ledger, coeffs=coeffs, final_state=u)
 
 
 @dataclass(frozen=True)

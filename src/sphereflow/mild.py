@@ -91,9 +91,6 @@ class SpaceTimeGrid:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def field_at(self, i: int) -> Field:
-        return Field._wrap(self.grid, self.grid.to_values(self.coeffs[i]))
-
     @classmethod
     def from_semigroup(cls, u0: Field, times) -> "SpaceTimeGrid":
         """The free evolution S(t) u0 sampled on the time grid."""

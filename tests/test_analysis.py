@@ -10,6 +10,7 @@ from sphereflow import (
     SpectralGrid,
     StepperConfig,
     a_mu_boundedness,
+    apply_A_power,
     basis_mode,
     g_bound,
     gradient_stall_check,
@@ -237,6 +238,34 @@ class TestAMu:
         with pytest.raises(ValueError):
             a_mu_boundedness(traj, [0.75])
 
+    def test_equals_norm_of_the_applied_power(self):
+        g = grid_1d(32)
+        traj = integrate(random_unit_field(g, np.random.default_rng(4)), ModelParams(n=2),
+                         StepperConfig(scheme="etd1", h=1e-3, t_end=0.3, record_every=20))
+        mus = (0.55, 0.75, 1.0)
+        rep = a_mu_boundedness(traj, mus, t_min=0.1)
+        tail = traj.coeffs[traj.ledger.t >= 0.1]
+        assert tail.shape[0] == rep.times.size > 1
+        for mu in mus:
+            ref = [norm_l2(apply_A_power(Field._wrap(g, g.to_values(c)), mu)) for c in tail]
+            assert np.max(np.abs(rep.norms[mu] - ref) / ref) <= 1e-13, mu
+
+    @pytest.mark.parametrize("mu", (0.0, 1.5, float("nan")))
+    def test_refuses_mu_outside_unit_interval(self, mu):
+        g = grid_1d(16)
+        traj = integrate(basis_mode(g, 1), ModelParams(n=1),
+                         StepperConfig(scheme="etd1", h=1e-3, t_end=0.2))
+        with pytest.raises(ValueError, match=r"mu must lie in \(0, 1\]"):
+            a_mu_boundedness(traj, [0.75, mu])
+
+    def test_makes_no_transform(self, transform_count):
+        g = grid_1d(16)
+        traj = integrate(random_unit_field(g, np.random.default_rng(4)), ModelParams(n=2),
+                         StepperConfig(scheme="etd1", h=1e-3, t_end=0.2, record_every=10))
+        transform_count[0] = 0
+        a_mu_boundedness(traj, [0.55, 0.9], t_min=0.1)
+        assert transform_count[0] == 0
+
     def test_requires_tail(self):
         g = grid_1d(16)
         traj = integrate(basis_mode(g, 1), ModelParams(n=1),
@@ -263,6 +292,46 @@ class TestSteadyAndOmega:
         assert rep.stall_ok
         assert rep.per_q_max_distance[15.0] <= rep.per_q_max_distance[5.0] + 1e-15
         assert abs(rayleigh_quotient(rep.limit_candidate) - 3.0) <= 1e-6
+
+    def test_tail_distances_equal_pairwise_v_norms(self):
+        g = grid_1d(16)
+        u0 = random_unit_field(g, np.random.default_rng(7))
+        p = ModelParams(n=2)
+        # t_end lies two ulps above 0.03 = 30 h, the last record time, so
+        # the q one ulp above 0.03 has an empty tail
+        cfg = StepperConfig(scheme="etd1", h=1e-3, t_end=0.030000000000000006)
+        traj = integrate(u0, p, cfg)
+        t = traj.ledger.t
+        past_last = np.nextafter(t[-1], 1.0)
+        assert t[-1] < past_last < cfg.t_end
+        fields = [Field._wrap(g, g.to_values(c)) for c in traj.coeffs]
+        # tails of 31, 11, 2, 1 and 0 records
+        q_list = (0.0, t[-11], t[-2], t[-1], past_last)
+        rep = omega_limit_probe(u0, p, cfg, q_list)
+        for q, size in zip(q_list, (31, 11, 2, 1, 0)):
+            tail = [f for f, tf in zip(fields, t) if tf >= q]
+            assert len(tail) == size
+            ref = max((v_norm(a - b) for i, a in enumerate(tail) for b in tail[i + 1:]),
+                      default=0.0)
+            got = rep.per_q_max_distance[q]
+            if size > 1:
+                assert ref > 0.0 and abs(got - ref) <= 1e-9 * ref, q
+            else:
+                assert got == 0.0, q
+        assert not rep.converged  # the deepest tail holds no pair
+        rep = omega_limit_probe(u0, p, cfg, (t[-1],))
+        assert rep.per_q_max_distance[t[-1]] == 0.0 and not rep.converged
+
+    def test_tail_test_makes_no_transform_after_the_run(self, transform_count):
+        g = grid_1d(16)
+        u0 = random_unit_field(g, np.random.default_rng(7))
+        cfg = StepperConfig(scheme="etd1", h=1e-3, t_end=0.5, record_every=5)
+        transform_count[0] = 0
+        integrate(u0, ModelParams(n=1), cfg)
+        run = transform_count[0]
+        transform_count[0] = 0
+        omega_limit_probe(u0, ModelParams(n=1), cfg, (0.1, 0.25))
+        assert transform_count[0] == run
 
     def test_omega_limit_requires_snapshots(self):
         u0 = random_unit_field(grid_1d(16), np.random.default_rng(7))

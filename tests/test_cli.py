@@ -34,7 +34,7 @@ from sphereflow.cli import (
     main,
     parse_config,
 )
-from sphereflow.integrators import default_step
+from sphereflow.integrators import default_step, integrate
 
 PI = np.pi
 
@@ -247,6 +247,21 @@ class TestMainEntry:
         snaps = sorted(os.listdir(out / "snapshots"))
         assert snaps[0] == "t_0.mshf"
 
+    def test_last_snapshot_is_the_final_state(self, tmp_path):
+        cfg_path = self.write_cfg(tmp_path, "output.snapshots = true\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "run"]) == 0
+        cfg = parse_config(cfg_path.read_text())
+        grid = build_grid(cfg)
+        traj = integrate(build_initial(cfg, grid), build_params(cfg),
+                         build_stepper(cfg, grid))
+        write_snapshot(tmp_path / "final.mshf", traj.final_state)
+        rows = len((out / "timeseries.csv").read_text().splitlines()) - 1
+        assert sorted(os.listdir(out / "snapshots")) == sorted(
+            f"t_{i}.mshf" for i in range(rows))
+        assert (out / "snapshots" / f"t_{rows - 1}.mshf").read_bytes() == (
+            tmp_path / "final.mshf").read_bytes()
+
     def test_run_deterministic_byte_identical(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -395,6 +410,15 @@ class TestMainEntry:
                      "--out", str(out), "picard"])
         assert code == 2
         assert "stepper.t_end" in capsys.readouterr().err
+        assert not (out / "picard.csv").exists()
+
+    def test_picard_default_horizon_names_the_key(self, tmp_path, capsys):
+        # the default stepper.t_end = 1.0 is too long for Phi to contract
+        out = tmp_path / "p"
+        assert main(["--out", str(out), "picard"]) == 1
+        err = capsys.readouterr().err
+        assert "NonContractionError" in err
+        assert "set stepper.t_end below 1.0" in err
         assert not (out / "picard.csv").exists()
 
     @pytest.mark.parametrize("m", ("nan", "0", "-1", "inf"))
