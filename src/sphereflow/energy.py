@@ -46,7 +46,7 @@ EnergyReport.__doc__ = """Energy ledger: one record's values, or a whole run's w
 column per field.  ``norm_drift`` is | |u|_L2^2 - 1 |."""
 
 
-def make_report(u: Field, p: ModelParams, t: float, ut_l2_sq: float,
+def make_report(u: Field | None, p: ModelParams, t: float, ut_l2_sq: float,
                 dissipation_integral: float, norms_sq=None,
                 l2n: float | None = None) -> EnergyReport:
     """Energy ledger entry at state u.
@@ -54,7 +54,8 @@ def make_report(u: Field, p: ModelParams, t: float, ut_l2_sq: float,
     A caller that already holds u's Parseval sums ``norms_sq`` (as
     ``coeff_norms_sq`` returns them) and the integral ``l2n`` of u^(2n) (as
     F(u) took it) passes them, and the record then costs no transform and
-    no second power; otherwise both are computed from u.
+    no second power, and reads nothing of u, which may be None; otherwise
+    both are computed from u.
     """
     l2sq, h1sq, h2sq = sobolev_norms_sq(u) if norms_sq is None else norms_sq
     vsq = l2sq + 2.0 * h1sq + h2sq

@@ -14,7 +14,9 @@ cheapest retraction consistent with the invariance of the unit sphere) is
 applied by default, and a blow-up guard turns runaway V-norms into errors.
 With V = 1 + A the guard reads |c|_V^2 = |c|^2 + <A c, c> of each new state
 from sums the step takes anyway: |c|^2 from the retraction and <A c, c>
-from the next stage, before that stage transforms c or takes F.
+from the next stage, before that stage takes F.  The state never leaves
+coefficient space: u's values are computed for the final state only, or
+for the last valid state when the guard trips.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy
-from .model import ModelParams, _a_terms, _F_values
-from .spectral import Field, coeff_norms_sq, norm_l2, phi1
+from .model import ModelParams, _a_terms, _F_values, _Work
+from .spectral import Field, _vdot, coeff_norms_sq, norm_l2, phi1
 
 
 # scheme -> (a, b) as in the module docstring
@@ -102,13 +104,15 @@ def default_step(scheme: str, grid) -> float:
 
 class _Kernel:
     """One scheme for one grid, model and step size, with the h-dependent
-    weights computed once.  A stage is the tuple (values, N, k, s): u at the
-    stage state, N, k = N - A c and the integral s of u^(2n) as F took it.
-    Callers hold ``np.errstate(over="ignore")`` around their steps."""
+    weights and F's work arrays made once.  A stage is the tuple (N, k, s):
+    N, k = N - A c and the integral s of u^(2n) as F took it; both arrays
+    are new, since RK4 holds its k's across stages.  Callers hold
+    ``np.errstate(over="ignore")`` around their steps."""
 
-    def __init__(self, scheme: str, grid, p: ModelParams, h: float):
+    def __init__(self, scheme: str, grid, p: ModelParams, h: float, buffers: bool = True):
         a, b = TABLEAUS[scheme]
         self.grid, self.p = grid, p
+        self.work = _Work(grid, p, buffers)
         # the nonzero (j, h a_ij) of each stage row
         self.ha = [[(j, h * x) for j, x in enumerate(row) if x] for row in a]
         if callable(b[0]):
@@ -121,40 +125,36 @@ class _Kernel:
               a_terms: tuple | None = None) -> tuple:
         """The stage at c; a caller that holds u at c (``values``) or
         ``_a_terms(grid, c)`` passes them."""
-        grid = self.grid
-        ac, a_sq = _a_terms(grid, c) if a_terms is None else a_terms
-        if values is None:
-            values = grid.to_values(c)
-        f, s = _F_values(grid, values, c, a_sq, self.p)
-        n = grid.to_coeffs(f)
-        return values, n, n - ac, s
+        ac, a_sq = _a_terms(self.grid, c) if a_terms is None else a_terms
+        n, s = _F_values(self.grid, c, a_sq, self.p, self.work, values)
+        return n, n - ac, s
 
     def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:
         """The next coefficients, given ``first = stage(c)``.  Sums run left
         to right from c: c + h x_0 k_0 + h x_1 k_1 + ..."""
         if self.decay is not None:
-            return self.decay * c + self.hb[0] * first[1]
-        ks = [first[2]]
+            return self.decay * c + self.hb[0] * first[0]
+        ks = [first[1]]
         for row in self.ha:
             ci = c
             for j, x in row:
                 ci = ci + x * ks[j]
-            ks.append(self.stage(ci)[2])
+            ks.append(self.stage(ci)[1])
         out = c
         for x, k in zip(self.hb, ks):
             out = out + x * k
         return out
 
 
-def _guard(grid, vn_sq: float, t: float, last_values: np.ndarray) -> None:
+def _guard(grid, vn_sq: float, t: float, last: np.ndarray) -> None:
     """Raise BlowUpError if the squared V-norm ``vn_sq`` of the state reached
-    at time t is not finite or exceeds V_NORM_LIMIT**2; ``last_values`` is
-    the state before it."""
+    at time t is not finite or exceeds V_NORM_LIMIT**2; ``last`` holds the
+    coefficients of the state before it."""
     if not math.isfinite(vn_sq) or vn_sq > V_NORM_LIMIT**2:
         raise BlowUpError(
             f"blow-up at t = {t:.6g}: V-norm {math.sqrt(max(vn_sq, 0.0))!r} "
             f"exceeded {V_NORM_LIMIT:g}",
-            t=t, last_state=Field._wrap(grid, last_values),
+            t=t, last_state=Field._wrap(grid, grid.to_values(last)),
         )
 
 
@@ -162,11 +162,12 @@ def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
     if h <= 0:
         raise ValueError("step size must be positive")
     grid = u.grid
-    kernel = _Kernel(scheme, grid, p, h)
+    # a single step: work buffers would not be reused
+    kernel = _Kernel(scheme, grid, p, h, buffers=False)
     c = grid.to_coeffs(u.values)
     with np.errstate(over="ignore"):
         out = kernel.advance(c, kernel.stage(c, u.values))
-        _guard(grid, float(np.vdot(grid.V_eigs * out, out)), h, u.values)
+        _guard(grid, float(_vdot(grid.V_eigs * out, out)), h, c)
     return Field._wrap(grid, grid.to_values(out))
 
 
@@ -194,10 +195,11 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     (norm drift | |u|_L2^2 - 1 | included) from the first stage of the next
     step, so a record costs no transform, and with ``keep_snapshots`` the
     state's coefficients c into one preallocated array; the reports are
-    stacked into the ledger's columns once, at the end.  The
-    dissipation integral is the trapezoid of |u_t|^2 over every step, with
-    u_t = -A u + F(u).  Raises BlowUpError carrying the last valid state and
-    time if the guard trips; it trips before F runs on the offending state.
+    stacked into the ledger's columns once, at the end.  u's values are
+    computed once, for the final state.  The dissipation integral is the
+    trapezoid of |u_t|^2 over every step, with u_t = -A u + F(u).  Raises
+    BlowUpError carrying the last valid state and time if the guard trips;
+    it trips before F runs on the offending state.
     """
     grid = u0.grid
     if cfg.scheme != "etd1" and cfg.h > 2.0 / grid.mu_max:
@@ -211,7 +213,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     kernel = _Kernel(cfg.scheme, grid, p, h)
 
     c = grid.to_coeffs(u0.values)
-    r = math.sqrt(np.vdot(c, c))
+    r = math.sqrt(_vdot(c, c))
     if r == 0.0:
         raise ValueError("cannot renormalize the zero field")
     c = c / r
@@ -224,35 +226,35 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         stage = kernel.stage(c)
         for i in range(n_steps + 1):
-            values, _, k, s = stage
-            ut_sq = float(np.vdot(k, k))
+            _, k, s = stage
+            ut_sq = float(_vdot(k, k))
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
             prev_ut_sq = ut_sq
             if i % cfg.record_every == 0 or i == n_steps:
-                u = Field._wrap(grid, values)
                 sums = coeff_norms_sq(grid, c)
                 if coeffs is not None:
                     coeffs[len(rows)] = c
-                rows.append(energy.make_report(u, p, i * h, ut_sq, dissipation, sums, s))
+                rows.append(energy.make_report(None, p, i * h, ut_sq, dissipation, sums, s))
             if i == n_steps:
                 break
-            c = kernel.advance(c, stage)
+            last, c = c, kernel.advance(c, stage)
             t = (i + 1) * h
-            r_sq = float(np.vdot(c, c))
+            r_sq = float(_vdot(c, c))
             if not math.isfinite(r_sq):
-                _guard(grid, r_sq, t, values)
+                _guard(grid, r_sq, t, last)
             if cfg.renormalize:
                 c = c / math.sqrt(r_sq)
             a_terms = _a_terms(grid, c)
             a_sq = a_terms[1]
             # |c|_V^2 of the state advance reached, before it is retracted
             _guard(grid, r_sq * (1.0 + a_sq) if cfg.renormalize else r_sq + a_sq,
-                   t, values)
+                   t, last)
             stage = kernel.stage(c, a_terms=a_terms)
 
     ledger = energy.EnergyReport(*map(np.array, zip(*rows)))
-    return TrajectoryRecord(ledger=ledger, coeffs=coeffs, final_state=u)
+    return TrajectoryRecord(ledger=ledger, coeffs=coeffs,
+                            final_state=Field._wrap(grid, grid.to_values(c)))
 
 
 @dataclass(frozen=True)

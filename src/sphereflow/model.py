@@ -26,6 +26,7 @@ from .spectral import (
     DomainSpec,
     Field,
     SpectralGrid,
+    _vdot,
     apply_A,
     inner_l2,
     norm_l2,
@@ -87,15 +88,21 @@ def _fine_grid(spec: DomainSpec, factor: int) -> SpectralGrid:
     ))
 
 
-def _odd_power(values: np.ndarray, n: int) -> np.ndarray:
-    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1) multiplied in place.
+def _odd_power(values: np.ndarray, n: int, out: np.ndarray | None = None,
+               sq: np.ndarray | None = None) -> np.ndarray:
+    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1) multiplied in place,
+    into ``out`` when given; for n > 2 u^2 is kept in ``sq`` when given.
+    Neither may alias ``values``.
 
     Multiplication costs the same for either sign of u (pow is far slower on
     negative bases), and the chain is exactly odd: (-u)^(2n-1) = -(u^(2n-1)).
     """
-    w = values * values
+    w = np.multiply(values, values, out)
     if n > 2:
-        sq = w.copy()
+        if sq is None:
+            sq = w.copy()
+        else:
+            sq[...] = w
         for _ in range(n - 2):
             w *= sq
     w *= values
@@ -109,32 +116,60 @@ def _raise_overflow(values: np.ndarray):
     )
 
 
-def _power(grid: SpectralGrid, values: np.ndarray, p: ModelParams,
-           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(u^(2n-1) values, integral of u^(2n)): the one place both are
-    computed, so <F(u), u> and the energy share the integral by construction.
+class _Work:
+    """Where the power on (grid, p) is taken: the grid ``fine`` (zero-padded
+    with dealiasing) and, with ``buffers`` and n >= 2, the arrays F writes
+    and drops there: u's values, u^(2n-1), its coefficients, the middle
+    product of each transform and, for n > 2, u^2.  Without them each is a
+    new array.  A caller that takes F many times on one grid makes one with
+    buffers and passes it to every ``_F_values``, which then allocates only
+    the N it returns."""
 
-    With ``p.dealias`` set both are taken on the zero-padded grid, padded
-    once from ``coeffs`` (u's coefficients, transformed here when not given),
-    and the power is returned there; a caller that uses it brings it back to
-    grid with ``_truncate``.  For n = 1 on the native grid the power is
-    ``values`` itself, which callers only read.
+    def __init__(self, grid: SpectralGrid, p: ModelParams, buffers: bool = True):
+        self.fine = grid if p.dealias is None else _fine_grid(grid.spec, p.dealias)
+        shape = self.fine.shape
+        self.values = self.power = self.coeffs = self.mid = self.square = None
+        if buffers and p.n > 1:
+            self.values, self.power, self.coeffs = (np.empty(shape) for _ in range(3))
+            if len(shape) > 1:
+                self.mid = np.empty(shape)
+            if p.n > 2:
+                self.square = np.empty(shape)
+        if p.dealias is not None:
+            # grid's modes among the padded ones; every use writes only
+            # those, so the others stay zero
+            self.modes = tuple(map(slice, grid.shape))
+            self.padded = np.zeros(shape)
+
+
+def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
+           coeffs: np.ndarray | None = None, work: _Work | None = None
+           ) -> tuple[np.ndarray, float]:
+    """(u^(2n-1) values, integral of u^(2n)): the one place both are
+    computed from u's values, so <F(u), u> and the energy share the integral
+    by construction.
+
+    u is given by its ``values``, its ``coeffs`` or both.  With ``p.dealias``
+    set both results are taken on the zero-padded grid, padded once from the
+    coefficients (transformed here when not given), and the power is
+    returned there.  For n = 1 on the native grid the power is u's values
+    themselves, which callers only read.  The power is built in ``work``
+    (new arrays when not given).
 
     The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
     w makes it non-finite and the overflow test looks at that one number;
     the caller holds ``np.errstate(over="ignore")`` so that the power
     overflows quietly and this test raises.
     """
-    fine, v = grid, values
+    work = _Work(grid, p, buffers=False) if work is None else work
+    v = values
     if p.dealias is not None:
-        if coeffs is None:
-            coeffs = grid.to_coeffs(values)
-        fine = _fine_grid(grid.spec, p.dealias)
-        padded = np.zeros(fine.shape)
-        padded[tuple(map(slice, grid.shape))] = coeffs
-        v = fine.to_values(padded)
-    w = v if p.n == 1 else _odd_power(v, p.n)
-    s = fine.weight * float(np.vdot(w, v))
+        work.padded[work.modes] = grid.to_coeffs(values) if coeffs is None else coeffs
+        v = work.fine.to_values(work.padded, work.values, work.mid)
+    elif v is None:
+        v = grid.to_values(coeffs, work.values, work.mid)
+    w = v if p.n == 1 else _odd_power(v, p.n, work.power, work.square)
+    s = work.fine.weight * float(_vdot(w, v))
     if not math.isfinite(s):
         _raise_overflow(v)
     return w, s
@@ -168,32 +203,52 @@ def _a_terms(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, float]
     """(A c, <A c, c>) for u's coefficients c: the linear term of the vector
     field and |u|_H2^2 + 2|u|_H1^2 as the single Parseval sum of A_k c_k^2."""
     ac = grid.A_eigs * coeffs
-    return ac, float(np.vdot(ac, coeffs))
+    return ac, float(_vdot(ac, coeffs))
 
 
-def _F_values(grid: SpectralGrid, values: np.ndarray, coeffs: np.ndarray,
-              a_sq: float, p: ModelParams) -> tuple[np.ndarray, float]:
-    """(F(u) values, integral of u^(2n)) given both representations of u and
-    ``a_sq = _a_terms(grid, coeffs)[1]``, which the caller shares with the
-    blow-up guard.
+def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParams,
+              work: _Work | None = None, values: np.ndarray | None = None
+              ) -> tuple[np.ndarray, float]:
+    """(N, s): the coefficients N = (a_sq + s) c - P of F(u), for u's
+    coefficients c, and the integral s of u^(2n), given
+    ``a_sq = _a_terms(grid, c)[1]``, which the caller shares with the
+    blow-up guard.  P holds the coefficients of u^(2n-1).
 
-    The integral is returned so that energy records reuse it.  The caller
-    holds ``np.errstate(over="ignore")``, as for ``_power``.
+    Every term of F but the power is a number times u, so only P needs
+    transforms: for n = 1 P is c and s is |c|^2 by Parseval, and F takes
+    none; for n >= 2 F takes two, u's values (none when the caller holds
+    them as ``values``) and P, on the padded grid with dealiasing.  N is a
+    new array; the power and its transforms are written into ``work``
+    (``_Work(grid, p)``) when given, and into new arrays otherwise.  The integral is returned so that
+    energy records reuse it.  The caller holds ``np.errstate(over="ignore")``,
+    as for ``_power``.
     """
-    w, s = _power(grid, values, p, coeffs)
+    if p.n == 1:
+        s = float(_vdot(coeffs, coeffs))
+        if not math.isfinite(s):
+            _raise_overflow(grid.to_values(coeffs))
+        return (a_sq + s) * coeffs - coeffs, s
+    work = _Work(grid, p, buffers=False) if work is None else work
+    w, s = _power(grid, values, p, coeffs, work)
+    P = work.fine.to_coeffs(w, work.coeffs, work.mid)
     if p.dealias is not None:
-        w = _truncate(grid, w, p.dealias)
-    return (a_sq + s) * values - w, s
+        P = P[work.modes]
+    return (a_sq + s) * coeffs - P, s
 
 
 def nonlinearity_F(u: Field, p: ModelParams) -> Field:
-    """The four-term nonlinearity F(u); every norm factor is quadrature-consistent
-    with power_term so the discrete flow keeps the exact gradient structure."""
+    """The four-term nonlinearity F(u) = (a_sq + s) u - u^(2n-1), taken on
+    u's values, so it costs one transform and no more without dealiasing;
+    every norm factor is quadrature-consistent with power_term so the
+    discrete flow keeps the exact gradient structure.  ``_F_values`` is the
+    same F on coefficients."""
     grid = u.grid
     c = grid.to_coeffs(u.values)
     with np.errstate(over="ignore"):
-        f, _ = _F_values(grid, u.values, c, _a_terms(grid, c)[1], p)
-    return Field._wrap(grid, f)
+        w, s = _power(grid, u.values, p, c)
+    if p.dealias is not None:
+        w = _truncate(grid, w, p.dealias)
+    return Field._wrap(grid, (_a_terms(grid, c)[1] + s) * u.values - w)
 
 
 def project_tangent(u: Field, h: Field) -> Field:

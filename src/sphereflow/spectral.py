@@ -18,6 +18,10 @@ import numpy as np
 # which beats the FFT call overhead for the small grids used in probes
 _DENSE_AXIS_LIMIT = 256
 
+# np.vdot without its __array_function__ dispatch, which costs about a third
+# of a 64-point dot; a step takes several dots of plain arrays
+_vdot = getattr(np.vdot, "__wrapped__", np.vdot)
+
 
 class GridMismatch(ValueError):
     """Fields living on incompatible grids were combined."""
@@ -61,9 +65,11 @@ class DomainSpec:
 
 
 def _sine_matrix(n: int) -> np.ndarray:
-    # orthonormal DST-I matrix, symmetric and self-inverse
+    # orthonormal DST-I matrix, symmetric and self-inverse.  sin(pi jk/(n+1))
+    # has period 2(n + 1) in jk: reducing jk exactly first keeps the argument
+    # below 2 pi, so each entry carries one rounding, not ~n of them
     j = np.arange(1, n + 1)
-    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1))) / (n + 1))
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -83,16 +89,21 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _contract_axes(mats, x: np.ndarray) -> np.ndarray:
-    """Apply mats[k] along axis k of x with one matrix product per axis."""
+def _contract_axes(mats, x: np.ndarray, out: np.ndarray | None = None,
+                   mid: np.ndarray | None = None) -> np.ndarray:
+    """Apply mats[k] along axis k of x with one matrix product per axis,
+    into ``out``; in 2D and 3D the product between two axes goes to
+    ``mid``.  Each is a new array when not given."""
     if x.ndim == 1:
-        return mats[0] @ x
+        return np.matmul(mats[0], x, out)
     if x.ndim == 2:
-        return mats[0] @ x @ mats[1].T
+        return np.matmul(np.matmul(mats[0], x, mid), mats[1].T, out)
     a, b, c = x.shape
-    y = (x.reshape(a * b, c) @ mats[2].T).reshape(a, b, c)
-    y = mats[1] @ y  # batched over the first axis
-    return (mats[0] @ y.reshape(a, b * c)).reshape(a, b, c)
+    out = np.empty(x.shape) if out is None else out
+    y = np.matmul(x.reshape(a * b, c), mats[2].T, out.reshape(a * b, c))
+    y = np.matmul(mats[1], y.reshape(a, b, c), mid)  # batched over the first axis
+    np.matmul(mats[0], y.reshape(a, b * c), out.reshape(a, b * c))
+    return out
 
 
 class SpectralGrid:
@@ -151,15 +162,23 @@ class SpectralGrid:
 
     # -- transforms -------------------------------------------------------
 
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        if self._coeff_mats is None:
-            return self._sqrt_weight * _dst1(values)
-        return _contract_axes(self._coeff_mats, values)
+    # Each transform writes its result into ``out`` and, on the dense path in
+    # 2D and 3D, the product between two axes into ``mid``: C-contiguous
+    # arrays of the grid's shape that alias neither the input nor each
+    # other.  Either is a new array when not given, so a caller that gives
+    # both allocates nothing.
 
-    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
+    def to_coeffs(self, values: np.ndarray, out: np.ndarray | None = None,
+                  mid: np.ndarray | None = None) -> np.ndarray:
+        if self._coeff_mats is None:
+            return np.multiply(self._sqrt_weight, _dst1(values), out)
+        return _contract_axes(self._coeff_mats, values, out, mid)
+
+    def to_values(self, coeffs: np.ndarray, out: np.ndarray | None = None,
+                  mid: np.ndarray | None = None) -> np.ndarray:
         if self._value_mats is None:
-            return _dst1(coeffs) / self._sqrt_weight
-        return _contract_axes(self._value_mats, coeffs)
+            return np.divide(_dst1(coeffs), self._sqrt_weight, out)
+        return _contract_axes(self._value_mats, coeffs, out, mid)
 
     def compatible(self, other: "SpectralGrid") -> bool:
         return self is other or self.spec == other.spec
@@ -329,7 +348,7 @@ def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray):
     lam_c2 = grid.lap_eigs * c2
     # np.add.reduce over every axis is what .sum() calls, without its wrappers
     return (float(np.add.reduce(c2, axis=None)), float(np.add.reduce(lam_c2, axis=None)),
-            float(np.vdot(lam_c2, grid.lap_eigs)))
+            float(_vdot(lam_c2, grid.lap_eigs)))
 
 
 # -- exponential integrator weights -----------------------------------------

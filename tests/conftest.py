@@ -10,9 +10,9 @@ def transform_count(monkeypatch):
     for name in ("to_coeffs", "to_values"):
         orig = getattr(SpectralGrid, name)
 
-        def counted(self, x, _orig=orig):
+        def counted(self, *args, _orig=orig, **kwargs):
             count[0] += 1
-            return _orig(self, x)
+            return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(SpectralGrid, name, counted)
     return count

@@ -28,7 +28,7 @@ from sphereflow import (
 )
 from sphereflow import integrators
 from sphereflow.integrators import TABLEAUS, V_NORM_LIMIT, _Kernel
-from sphereflow.model import _power, _truncate
+from sphereflow.model import _fine_grid, _power
 
 PI = np.pi
 
@@ -297,11 +297,10 @@ class TestBlowUpGuard:
         c = c / math.sqrt(np.vdot(c, c))
         with np.errstate(over="ignore"):
             for i in range(int(round(cfg.t_end / h))):
-                first = kernel.stage(c)
-                c = kernel.advance(c, first)
+                last, c = c, kernel.advance(c, kernel.stage(c))
                 vn_sq = float(np.vdot(grid.V_eigs * c, c))
                 if not vn_sq <= V_NORM_LIMIT**2:
-                    return (i + 1) * h, math.sqrt(vn_sq), first[0]
+                    return (i + 1) * h, math.sqrt(vn_sq), grid.to_values(last)
                 if cfg.renormalize:
                     c = c / math.sqrt(np.vdot(c, c))
         raise AssertionError("the two-pass rule never trips")
@@ -354,9 +353,9 @@ class TestBlowUpGuard:
                 out[2] = bad
             return out
 
-        def finite_F(grid, values, *args):
-            assert np.all(np.isfinite(values)), "F ran on a non-finite state"
-            return F(grid, values, *args)
+        def finite_F(grid, c, *args):
+            assert np.all(np.isfinite(c)), "F ran on a non-finite state"
+            return F(grid, c, *args)
 
         monkeypatch.setattr(_Kernel, "advance", spoiled)
         monkeypatch.setattr(integrators, "_F_values", finite_F)
@@ -380,15 +379,21 @@ class TestKernel:
     def test_transforms_per_step_and_records_add_none(self, transform_count):
         g = grid_1d(16)
         u0 = random_unit_field(g, np.random.default_rng(11))
-        per_step = {"etd1": 2, "projected_euler": 2, "rk4": 8}
-        for scheme, h in self.SCHEMES:
-            for record_every in (1, 10**9):
-                transform_count[0] = 0
-                integrate(u0, ModelParams(n=2), StepperConfig(
-                    scheme=scheme, h=h, t_end=10 * h, record_every=record_every,
-                    keep_snapshots=False))
-                # the initial transform and the first stage, then each step
-                assert transform_count[0] == 3 + 10 * per_step[scheme]
+        stages = {"etd1": 1, "projected_euler": 1, "rk4": 4}
+        # F is a number times c for n = 1, and takes u's values and the
+        # power's coefficients for n = 2, on the padded grid when dealiased
+        per_stage = {(1, None): 0, (1, 2): 0, (2, None): 2, (2, 2): 2}
+        for (n, dealias), cost in per_stage.items():
+            for scheme, h in self.SCHEMES:
+                for record_every in (1, 10**9):
+                    transform_count[0] = 0
+                    integrate(u0, ModelParams(n=n, dealias=dealias), StepperConfig(
+                        scheme=scheme, h=h, t_end=10 * h, record_every=record_every,
+                        keep_snapshots=False))
+                    # the initial and the final transform, the first stage
+                    # and then each step's stages
+                    want = 2 + (1 + 10 * stages[scheme]) * cost
+                    assert transform_count[0] == want, (n, dealias, scheme)
 
     def test_records_match_make_report_from_the_state(self):
         g = grid_1d(16)
@@ -420,9 +425,11 @@ class TestKernel:
 
     @staticmethod
     def reference_integrate(u0, p, cfg):
-        """integrate with the kernel written literally: F from _power and _truncate,
-        generator sums for the stages and the step, and .sum() Parseval sums.
-        Returns the final values and the reports."""
+        """integrate with the kernel written literally: N = (a_sq + s) c - P
+        with P = c and s = |c|^2 for n = 1 and P the coefficients of _power's
+        u^(2n-1) otherwise, fresh arrays throughout, generator sums for the
+        stages and the step, and .sum() Parseval sums.  Returns the final
+        values and the reports."""
         grid, h = u0.grid, cfg.h
         a, b = TABLEAUS[cfg.scheme]
         ha = [[h * x for x in row] for row in a]
@@ -432,22 +439,26 @@ class TestKernel:
         else:
             decay, hb = None, [h * x for x in b]
 
-        def stage(c, values=None):
-            if values is None:
-                values = grid.to_values(c)
+        def stage(c):
             a_sq = float(np.vdot(grid.A_eigs * c, c))
-            w, s = _power(grid, values, p, c)
-            if p.dealias is not None:
-                w = _truncate(grid, w, p.dealias)
-            n = grid.to_coeffs((a_sq + s) * values - w)
-            return values, n, n - grid.A_eigs * c, s
+            if p.n == 1:
+                P, s = c, float(np.vdot(c, c))
+            elif p.dealias is None:
+                w, s = _power(grid, grid.to_values(c), p)
+                P = grid.to_coeffs(w)
+            else:
+                w, s = _power(grid, None, p, c)
+                P = _fine_grid(grid.spec, p.dealias).to_coeffs(w)[
+                    tuple(map(slice, grid.shape))]
+            n = (a_sq + s) * c - P
+            return n, n - grid.A_eigs * c, s
 
         def advance(c, first):
             if decay is not None:
-                return decay * c + hb[0] * first[1]
-            ks = [first[2]]
+                return decay * c + hb[0] * first[0]
+            ks = [first[1]]
             for row in ha:
-                ks.append(stage(sum((x * k for x, k in zip(row, ks) if x), c))[2])
+                ks.append(stage(sum((x * k for x, k in zip(row, ks) if x), c))[1])
             return sum((x * k for x, k in zip(hb, ks)), c)
 
         c = grid.to_coeffs(u0.values)
@@ -456,7 +467,7 @@ class TestKernel:
         reports, dissipation = [], 0.0
         st = stage(c)
         for i in range(n_steps + 1):
-            values, _, k, s = st
+            _, k, s = st
             ut_sq = float(np.vdot(k, k))
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
@@ -466,10 +477,9 @@ class TestKernel:
                 lam_c2 = grid.lap_eigs * c2
                 sums = (float(c2.sum()), float(lam_c2.sum()),
                         float(np.vdot(lam_c2, grid.lap_eigs)))
-                reports.append(make_report(Field._wrap(grid, values), p, i * h,
-                                           ut_sq, dissipation, sums, s))
+                reports.append(make_report(None, p, i * h, ut_sq, dissipation, sums, s))
             if i == n_steps:
-                return values, reports
+                return grid.to_values(c), reports
             c = advance(c, st)
             c = c / math.sqrt(np.vdot(c, c))
             st = stage(c)

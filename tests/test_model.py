@@ -31,7 +31,7 @@ from sphereflow import (
     sobolev_norms_sq,
     step_rk4,
 )
-from sphereflow.model import _F_values, _power
+from sphereflow.model import _F_values, _power, _Work
 
 PI = np.pi
 
@@ -148,10 +148,42 @@ class TestNonlinearity:
         u = random_unit_field(g, np.random.default_rng(13))
         c = g.to_coeffs(u.values)
         transform_count[0] = 0
-        _F_values(g, u.values, c, float(np.vdot(g.A_eigs * c, c)),
-                  ModelParams(n=2, dealias=2))
-        # padded inverse, fine forward of the power, coarse inverse
-        assert transform_count[0] == 3
+        _F_values(g, c, float(np.vdot(g.A_eigs * c, c)), ModelParams(n=2, dealias=2))
+        # padded inverse, fine forward of the power
+        assert transform_count[0] == 2
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_coefficients_match_the_literal_F_values(self, dim):
+        # N = (a_sq + s) c - P against the coefficients of the four-term F
+        # built from its values: Sobolev norms, l2n_power and power_term
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, (16, 12)[:dim]))
+        u = random_unit_field(g, np.random.default_rng(16))
+        c = g.to_coeffs(u.values)
+        _, h1sq, h2sq = sobolev_norms_sq(u)
+        for n in (1, 2, 3):
+            for dealias in (None, n):
+                p = ModelParams(n=n, dealias=dealias)
+                literal = ((h2sq + 2 * h1sq + l2n_power(u, n, dealias)) * u.values
+                           - power_term(u, n, dealias).values)
+                ref = g.to_coeffs(literal)
+                N, s = _F_values(g, c, float(np.vdot(g.A_eigs * c, c)), p)
+                assert np.max(np.abs(N - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, dealias)
+                assert abs(s - l2n_power(u, n, dealias)) <= 1e-13 * s, (n, dealias)
+
+    def test_work_arrays_give_the_fresh_result(self):
+        # the same bits with and without _Work, and F twice on one _Work
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (12, 8)))
+        rng = np.random.default_rng(17)
+        for n in (2, 3):
+            for dealias in (None, n):
+                p = ModelParams(n=n, dealias=dealias)
+                work = _Work(g, p)
+                for _ in range(2):
+                    c = g.to_coeffs(random_unit_field(g, rng).values)
+                    a_sq = float(np.vdot(g.A_eigs * c, c))
+                    fresh = _F_values(g, c, a_sq, p)
+                    N, s = _F_values(g, c, a_sq, p, work)
+                    assert np.array_equal(N, fresh[0]) and s == fresh[1], (n, dealias)
 
     def test_dealiased_l2n_power_transforms_twice(self, transform_count):
         # coarse forward, padded inverse: the power is not truncated back
