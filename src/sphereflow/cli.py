@@ -71,7 +71,6 @@ KEYS = {
     "output.dir": ("out_dir", str, "out"),
     "output.snapshots": ("snapshots", bool, "false"),
 }
-KNOWN_KEYS = tuple(KEYS)
 
 DEFAULT_CONFIG = """\
 domain.dim = 1

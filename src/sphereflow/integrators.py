@@ -6,7 +6,7 @@ F(u), and a scheme is only its stage coefficients (a, b) in ``TABLEAUS``:
 
     c_i = c + h sum_j a[i-1][j] k_j    state of stage i >= 1 (stage 0 at c)
     c+  = c + h sum_j b[j] k_j         explicit: projected Euler, RK4
-    c+  = exp(-hA) c + h b[0](hA) N_0  exponential (b a function of hA): ETD1
+    c+  = exp(-hA) c + b[0] N_0        exponential: ETD1, b naming phi_weights columns
 
 ETD1 is exact on the stiff linear part; the explicit schemes are subject to
 the stability limit h <~ 2 / mu_max.  A per-step L2 renormalization (the
@@ -29,12 +29,12 @@ import numpy as np
 
 from . import energy
 from .model import ModelParams, _a_terms, _F_values, _Work
-from .spectral import Field, _vdot, coeff_norms_sq, norm_l2, phi1
+from .spectral import Field, _vdot, coeff_norms_sq, norm_l2, phi_weights
 
 
 # scheme -> (a, b) as in the module docstring
 TABLEAUS = {
-    "etd1": ((), (phi1,)),
+    "etd1": ((), ("h_phi1",)),
     "projected_euler": ((), (1.0,)),
     "rk4": (((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
 }
@@ -109,15 +109,15 @@ class _Kernel:
     are new, since RK4 holds its k's across stages.  Callers hold
     ``np.errstate(over="ignore")`` around their steps."""
 
-    def __init__(self, scheme: str, grid, p: ModelParams, h: float, buffers: bool = True):
+    def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
         self.grid, self.p = grid, p
-        self.work = _Work(grid, p, buffers)
+        self.work = _Work(grid, p)
         # the nonzero (j, h a_ij) of each stage row
         self.ha = [[(j, h * x) for j, x in enumerate(row) if x] for row in a]
-        if callable(b[0]):
-            z = h * grid.A_eigs
-            self.decay, self.hb = np.exp(-z), [h * f(z) for f in b]
+        if isinstance(b[0], str):
+            weights = phi_weights(grid, h)
+            self.decay, self.hb = weights.decay, [getattr(weights, x) for x in b]
         else:
             self.decay, self.hb = None, [h * x for x in b]
 
@@ -162,8 +162,7 @@ def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
     if h <= 0:
         raise ValueError("step size must be positive")
     grid = u.grid
-    # a single step: work buffers would not be reused
-    kernel = _Kernel(scheme, grid, p, h, buffers=False)
+    kernel = _Kernel(scheme, grid, p, h)
     c = grid.to_coeffs(u.values)
     with np.errstate(over="ignore"):
         out = kernel.advance(c, kernel.stage(c, u.values))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model
 from .model import ModelParams, check_on_manifold
-from .spectral import Field, SpectralGrid, phi1, random_coeff_field
+from .spectral import Field, SpectralGrid, phi_weights, random_coeff_field, semigroup_factors
 
 
 class NonContractionError(RuntimeError):
@@ -94,12 +94,8 @@ class SpaceTimeGrid:
     @classmethod
     def from_semigroup(cls, u0: Field, times) -> "SpaceTimeGrid":
         """The free evolution S(t) u0 sampled on the time grid."""
-        times = np.asarray(times, dtype=float)
-        c0 = u0.grid.to_coeffs(u0.values)
-        z = -times.reshape((-1,) + (1,) * c0.ndim) * u0.grid.A_eigs
-        # exp is exactly 0 below -746: skipping it avoids numpy's slow underflow path
-        coeffs = np.exp(z, out=np.zeros_like(z), where=z > -746) * c0
-        return cls(u0.grid, times, coeffs)
+        times, grid = np.asarray(times, dtype=float), u0.grid
+        return cls(grid, times, semigroup_factors(grid, times) * grid.to_coeffs(u0.values))
 
 
 def _squares(st: SpaceTimeGrid, out=None) -> np.ndarray:
@@ -109,13 +105,11 @@ def _squares(st: SpaceTimeGrid, out=None) -> np.ndarray:
     return np.multiply(c, c, out=None if out is None else out.reshape(c.shape))
 
 
-def _v_norms_sq(st: SpaceTimeGrid, sq=None) -> np.ndarray:
-    sq = _squares(st) if sq is None else sq
+def _v_norms_sq(st: SpaceTimeGrid, sq: np.ndarray) -> np.ndarray:
     return sq @ st.grid.V_eigs.ravel()
 
 
-def _e_norms_sq(st: SpaceTimeGrid, sq=None) -> np.ndarray:
-    sq = _squares(st) if sq is None else sq
+def _e_norms_sq(st: SpaceTimeGrid, sq: np.ndarray) -> np.ndarray:
     return sq @ (st.grid.A_eigs**2).ravel()
 
 
@@ -147,35 +141,6 @@ def xt_distance(a: SpaceTimeGrid, b: SpaceTimeGrid) -> float:
     return xt_norm(SpaceTimeGrid._wrap(a.grid, a.times, a.coeffs - b.coeffs))
 
 
-def _phi2(z):
-    """(z - 1 + exp(-z)) / z^2 with a series guard; phi2(0) = 1/2."""
-    z = np.asarray(z, dtype=float)
-    small = z < 1e-4
-    zs = np.where(small, 1.0, z)
-    series = 0.5 - z / 6.0 + z**2 / 24.0 - z**3 / 120.0
-    return np.where(small, series, (zs - 1.0 + np.exp(-zs)) / zs**2)
-
-
-_conv_weights_cache: dict = {}
-_CONV_WEIGHTS_MAX = 8  # entries; each holds three grid-sized arrays
-
-
-def _conv_weights(grid: SpectralGrid, h: float):
-    """(exp(-hA), h (phi1 - phi2)(hA), h phi2(hA)), read-only and cached per
-    grid spec and step, so that repeated solves on one grid share them."""
-    key = (grid.spec, h)
-    weights = _conv_weights_cache.get(key)
-    if weights is None:
-        if len(_conv_weights_cache) >= _CONV_WEIGHTS_MAX:
-            _conv_weights_cache.clear()
-        z = h * grid.A_eigs
-        weights = (np.exp(-z), h * (phi1(z) - _phi2(z)), h * _phi2(z))
-        for w in weights:
-            w.flags.writeable = False
-        _conv_weights_cache[key] = weights
-    return weights
-
-
 def convolve_semigroup(f: SpaceTimeGrid, out=None) -> SpaceTimeGrid:
     """u(t_i) = integral_0^{t_i} S(t_i - p) f(p) dp, exact for f piecewise
     linear in time, via the per-mode recurrence
@@ -184,7 +149,7 @@ def convolve_semigroup(f: SpaceTimeGrid, out=None) -> SpaceTimeGrid:
 
     written into ``out`` (shaped like ``f.coeffs``, not aliasing it) when given.
     """
-    decay, w_left, w_right = _conv_weights(f.grid, f.dt)
+    decay, _, w_left, w_right = phi_weights(f.grid, f.dt)
     fc = f.coeffs
     out = np.empty_like(fc) if out is None else out
     out[0] = 0.0

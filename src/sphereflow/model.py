@@ -88,21 +88,16 @@ def _fine_grid(spec: DomainSpec, factor: int) -> SpectralGrid:
     ))
 
 
-def _odd_power(values: np.ndarray, n: int, out: np.ndarray | None = None,
-               sq: np.ndarray | None = None) -> np.ndarray:
-    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1) multiplied in place,
-    into ``out`` when given; for n > 2 u^2 is kept in ``sq`` when given.
-    Neither may alias ``values``.
+def _odd_power(values: np.ndarray, n: int, out: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
+    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1) multiplied in place
+    into ``out``; for n > 2 u^2 is kept in ``sq``.  Neither may alias ``values``.
 
     Multiplication costs the same for either sign of u (pow is far slower on
     negative bases), and the chain is exactly odd: (-u)^(2n-1) = -(u^(2n-1)).
     """
     w = np.multiply(values, values, out)
     if n > 2:
-        if sq is None:
-            sq = w.copy()
-        else:
-            sq[...] = w
+        sq[...] = w
         for _ in range(n - 2):
             w *= sq
     w *= values
@@ -118,18 +113,17 @@ def _raise_overflow(values: np.ndarray):
 
 class _Work:
     """Where the power on (grid, p) is taken: the grid ``fine`` (zero-padded
-    with dealiasing) and, with ``buffers`` and n >= 2, the arrays F writes
-    and drops there: u's values, u^(2n-1), its coefficients, the middle
-    product of each transform and, for n > 2, u^2.  Without them each is a
-    new array.  A caller that takes F many times on one grid makes one with
-    buffers and passes it to every ``_F_values``, which then allocates only
-    the N it returns."""
+    with dealiasing) and, for n >= 2, the arrays F writes and drops there:
+    u's values, u^(2n-1), its coefficients, the middle product of each
+    transform and, for n > 2, u^2.  A caller that takes F many times on one
+    grid makes one and passes it to every ``_F_values``, which then
+    allocates only the N it returns."""
 
-    def __init__(self, grid: SpectralGrid, p: ModelParams, buffers: bool = True):
+    def __init__(self, grid: SpectralGrid, p: ModelParams):
         self.fine = grid if p.dealias is None else _fine_grid(grid.spec, p.dealias)
         shape = self.fine.shape
         self.values = self.power = self.coeffs = self.mid = self.square = None
-        if buffers and p.n > 1:
+        if p.n > 1:
             self.values, self.power, self.coeffs = (np.empty(shape) for _ in range(3))
             if len(shape) > 1:
                 self.mid = np.empty(shape)
@@ -153,15 +147,15 @@ def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
     set both results are taken on the zero-padded grid, padded once from the
     coefficients (transformed here when not given), and the power is
     returned there.  For n = 1 on the native grid the power is u's values
-    themselves, which callers only read.  The power is built in ``work``
-    (new arrays when not given).
+    themselves, which callers only read.  The power is built in ``work``,
+    a new ``_Work(grid, p)`` when not given.
 
     The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
     w makes it non-finite and the overflow test looks at that one number;
     the caller holds ``np.errstate(over="ignore")`` so that the power
     overflows quietly and this test raises.
     """
-    work = _Work(grid, p, buffers=False) if work is None else work
+    work = _Work(grid, p) if work is None else work
     v = values
     if p.dealias is not None:
         work.padded[work.modes] = grid.to_coeffs(values) if coeffs is None else coeffs
@@ -218,17 +212,16 @@ def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParam
     transforms: for n = 1 P is c and s is |c|^2 by Parseval, and F takes
     none; for n >= 2 F takes two, u's values (none when the caller holds
     them as ``values``) and P, on the padded grid with dealiasing.  N is a
-    new array; the power and its transforms are written into ``work``
-    (``_Work(grid, p)``) when given, and into new arrays otherwise.  The integral is returned so that
-    energy records reuse it.  The caller holds ``np.errstate(over="ignore")``,
-    as for ``_power``.
+    new array; the power and its transforms go to ``work``, a new
+    ``_Work(grid, p)`` when not given.  The integral is returned so that
+    energy records reuse it.  The caller holds ``np.errstate(over="ignore")``.
     """
     if p.n == 1:
         s = float(_vdot(coeffs, coeffs))
         if not math.isfinite(s):
             _raise_overflow(grid.to_values(coeffs))
         return (a_sq + s) * coeffs - coeffs, s
-    work = _Work(grid, p, buffers=False) if work is None else work
+    work = _Work(grid, p) if work is None else work
     w, s = _power(grid, values, p, coeffs, work)
     P = work.fine.to_coeffs(w, work.coeffs, work.mid)
     if p.dealias is not None:

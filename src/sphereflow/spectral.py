@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,9 +219,6 @@ class Field:
         obj.values = values
         return obj
 
-    def copy(self) -> "Field":
-        return Field._wrap(self.grid, self.values.copy())
-
     def __add__(self, other):
         _check_same_grid(self, other)
         return Field._wrap(self.grid, self.values + other.values)
@@ -309,13 +307,19 @@ def apply_A(u: Field) -> Field:
     return _scale_modes(u, u.grid.A_eigs)
 
 
+def semigroup_factors(grid: SpectralGrid, t) -> np.ndarray:
+    """exp(-t mu) per eigenvalue mu of A, for a time t >= 0 or stacked for
+    an array of times.  exp(-z) is exactly 0 past z = 746: skipping it there
+    avoids numpy's slow underflow path and keeps the bits of np.exp."""
+    z = np.multiply.outer(t, grid.A_eigs)
+    return np.exp(-z, out=np.zeros_like(z), where=z < 746)
+
+
 def apply_semigroup(u: Field, t: float) -> Field:
     """Apply exp(-t*A); the identity at t = 0."""
     if not t >= 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    # exp is exactly 0 below -746: skipping it avoids numpy's slow underflow path
-    z = -t * u.grid.A_eigs
-    return _scale_modes(u, np.exp(z, out=np.zeros_like(z), where=z > -746))
+    return _scale_modes(u, semigroup_factors(u.grid, t))
 
 
 def apply_A_power(u: Field, mu: float) -> Field:
@@ -369,6 +373,45 @@ def phi1(z):
     zs = np.where(small, 1.0, z)
     out = np.where(small, 1.0 - z / 2.0 + z**2 / 6.0, -np.expm1(-zs) / zs)
     return float(out) if out.ndim == 0 else out
+
+
+def _phi2(z):
+    """(z - 1 + exp(-z)) / z^2 with a series guard; phi2(0) = 1/2."""
+    z = np.asarray(z, dtype=float)
+    small = z < 1e-4
+    zs = np.where(small, 1.0, z)
+    series = 0.5 - z / 6.0 + z**2 / 24.0 - z**3 / 120.0
+    return np.where(small, series, (zs - 1.0 + np.exp(-zs)) / zs**2)
+
+
+class PhiWeights(NamedTuple):
+    """Weights of an exponential step h, at z = h mu per eigenvalue mu of A."""
+
+    decay: np.ndarray        # exp(-z)
+    h_phi1: np.ndarray       # h phi1(z)
+    h_phi1_phi2: np.ndarray  # h (phi1 - phi2)(z)
+    h_phi2: np.ndarray       # h phi2(z)
+
+
+_phi_weights_cache: dict = {}
+
+
+def phi_weights(grid: SpectralGrid, h: float) -> PhiWeights:
+    """The read-only PhiWeights of step h on grid, which ETD1 and the mild
+    convolution read.  Only the last (grid.spec, h) is kept: every repeated
+    use (runs on one grid, the one-step wrappers, the maps of a Picard
+    solve) asks for it again, and one entry bounds the memory held."""
+    key = (grid.spec, h)
+    weights = _phi_weights_cache.get(key)
+    if weights is None:
+        _phi_weights_cache.clear()
+        z = h * grid.A_eigs
+        p1, p2 = phi1(z), _phi2(z)
+        weights = PhiWeights(semigroup_factors(grid, h), h * p1, h * (p1 - p2), h * p2)
+        for w in weights:
+            w.flags.writeable = False
+        _phi_weights_cache[key] = weights
+    return weights
 
 
 # -- snapshot files ----------------------------------------------------------

@@ -25,7 +25,6 @@ from sphereflow import (
 )
 from sphereflow.cli import (
     KEYS,
-    KNOWN_KEYS,
     ConfigError,
     build_grid,
     build_initial,
@@ -121,7 +120,7 @@ class TestParseConfig:
             parse_config(f"domain.dim = 1\ndomain.L = {L}\ndomain.N = 8\n")
 
     @settings(deadline=None, max_examples=300)
-    @given(key=st.sampled_from(KNOWN_KEYS) | st.text(max_size=12),
+    @given(key=st.sampled_from(tuple(KEYS)) | st.text(max_size=12),
            raw=st.text(max_size=24) | st.floats().map(repr)
            | st.integers(-10**6, 10**400).map(str)
            | st.sampled_from(["inf", "-inf", "nan", "5e-324", "1e-300", "-1", "none"]))

@@ -26,7 +26,7 @@ from sphereflow import (
     step_projected_euler,
     step_rk4,
 )
-from sphereflow import integrators
+from sphereflow import integrators, spectral
 from sphereflow.integrators import TABLEAUS, V_NORM_LIMIT, _Kernel
 from sphereflow.model import _fine_grid, _power
 
@@ -423,6 +423,22 @@ class TestKernel:
                                                  renormalize=False))
             assert norm_l2(steps[scheme](u, p, h) - traj.final_state) <= 1e-14
 
+    def test_etd1_reads_one_cached_weight_table(self, monkeypatch):
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (16, 12)))
+        u = random_unit_field(g, np.random.default_rng(16))
+        p, h = ModelParams(n=2), 1e-3
+        builds, phi2 = [], spectral._phi2
+        monkeypatch.setattr(spectral, "_phi_weights_cache", {})
+        monkeypatch.setattr(spectral, "_phi2", lambda z: builds.append(None) or phi2(z))
+        step_etd1(step_etd1(u, p, h), p, h)
+        integrate(u, p, StepperConfig(h=h, t_end=5 * h))
+        kernel = _Kernel("etd1", g, p, h)
+        assert len(builds) == 1
+        weights = spectral.phi_weights(g, h)
+        assert kernel.decay is weights.decay
+        assert len(kernel.hb) == 1 and kernel.hb[0] is weights.h_phi1
+        assert not (kernel.decay.flags.writeable or kernel.hb[0].flags.writeable)
+
     @staticmethod
     def reference_integrate(u0, p, cfg):
         """integrate with the kernel written literally: N = (a_sq + s) c - P
@@ -433,9 +449,9 @@ class TestKernel:
         grid, h = u0.grid, cfg.h
         a, b = TABLEAUS[cfg.scheme]
         ha = [[h * x for x in row] for row in a]
-        if callable(b[0]):
+        if cfg.scheme == "etd1":  # plain exp and phi1, not the phi-weight table
             z = h * grid.A_eigs
-            decay, hb = np.exp(-z), [h * f(z) for f in b]
+            decay, hb = np.exp(-z), [h * spectral.phi1(z)]
         else:
             decay, hb = None, [h * x for x in b]
 

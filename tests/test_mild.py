@@ -23,7 +23,7 @@ from sphereflow import (
     theta_eval,
     xt_norm,
 )
-from sphereflow import mild
+from sphereflow import mild, spectral
 from sphereflow.cli import main
 
 PI = np.pi
@@ -127,6 +127,11 @@ class TestSpaceTimeGrid:
         assert np.array_equal(st.coeffs, np.exp(z) * c0)
         plain = g.to_values(np.exp(z[-1]) * c0)
         assert np.array_equal(apply_semigroup(u, times[-1]).values, plain)
+        # the phi-weight table's exp(-hA) for the grid's step h
+        h = float(times[1] - times[0])
+        decay = spectral.phi_weights(g, h).decay
+        assert np.count_nonzero(h * g.A_eigs > 745) > 0.3 * decay.size
+        assert np.array_equal(decay, np.exp(-h * g.A_eigs))
 
 
 class TestXtNorm:
@@ -140,8 +145,9 @@ class TestXtNorm:
         st = SpaceTimeGrid(g, np.linspace(0.0, 0.1, 40), coeffs)
         axes = tuple(range(1, coeffs.ndim))
         # the per-slot broadcast reduction the matrix-vector products replace
-        for got, weights in ((mild._v_norms_sq(st), g.V_eigs),
-                             (mild._e_norms_sq(st), g.A_eigs**2)):
+        sq = mild._squares(st)
+        for got, weights in ((mild._v_norms_sq(st, sq), g.V_eigs),
+                             (mild._e_norms_sq(st, sq), g.A_eigs**2)):
             ref = (weights * coeffs**2).sum(axis=axes)
             assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
@@ -171,7 +177,7 @@ class TestXtNorm:
 
 class TestConvolution:
     def test_weights_cached_once_per_spec_and_step(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(mild, "_conv_weights_cache", {})
+        monkeypatch.setattr(spectral, "_phi_weights_cache", {})
         cfg = tmp_path / "p.cfg"
         cfg.write_text("domain.dim = 1\ndomain.L = 3.141592653589793\n"
                        "domain.N = 16\nstepper.t_end = 0.01\n"
@@ -179,8 +185,8 @@ class TestConvolution:
         for k in range(3):
             out = tmp_path / f"p{k}"
             assert main(["--config", str(cfg), "--out", str(out), "picard"]) == 0
-        assert len(mild._conv_weights_cache) == 1
-        for w in next(iter(mild._conv_weights_cache.values())):
+        assert len(spectral._phi_weights_cache) == 1
+        for w in next(iter(spectral._phi_weights_cache.values())):
             assert not w.flags.writeable
 
     def test_constant_source_closed_form(self):
@@ -202,8 +208,10 @@ class TestConvolution:
         # the recurrence as one expression per slot, the form it replaced
         h = times[1] - times[0]
         z = h * g.A_eigs
+        assert z.min() > 1e-4  # phi2 needs no series here
         decay = np.exp(-z)
-        w_left, w_right = h * (mild.phi1(z) - mild._phi2(z)), h * mild._phi2(z)
+        phi2 = (z - 1.0 + np.exp(-z)) / z**2
+        w_left, w_right = h * (spectral.phi1(z) - phi2), h * phi2
         ref = np.zeros_like(fc)
         for i in range(1, 40):
             ref[i] = decay * ref[i - 1] + w_left * fc[i - 1] + w_right * fc[i]
@@ -340,10 +348,11 @@ class TestPicard:
         diff = res.solution.coeffs - g.to_coeffs(basis_mode(g, 1).values)
         assert np.sqrt((diff**2).sum(axis=1).max()) <= 1e-10
 
-    def test_limit_matches_rk4_reference(self):
+    @pytest.mark.parametrize("dealias", (None, 2))
+    def test_limit_matches_rk4_reference(self, dealias):
         g = SpectralGrid(DomainSpec(1, (PI,), (14,)))
         u0 = random_unit_field(g, np.random.default_rng(5))
-        p = ModelParams(n=2)
+        p = ModelParams(n=2, dealias=dealias)
         T = 0.02
         res = picard_solve(u0, TruncationTheta(1e6), p, T=T, num_points=41)
         assert res.converged

@@ -31,7 +31,7 @@ from sphereflow import (
     transform_inverse,
     write_snapshot,
 )
-from sphereflow.spectral import _dst1, _sine_matrix
+from sphereflow.spectral import _dst1, _phi2, _sine_matrix
 
 PI = np.pi
 
@@ -413,6 +413,21 @@ class TestPhi1:
         assert out.shape == (2,)
         with pytest.raises(ValueError):
             phi1(-1e-3)
+
+
+class TestPhi2:
+    def test_against_decimal_oracle(self):
+        import decimal
+
+        ctx = decimal.Context(prec=50)
+        for z in (0.0, 1e-6, 5e-5, 1.0, 10.0, 100.0):
+            d = decimal.Decimal(z)  # the float's exact value
+            if z == 0.0:
+                exact = 0.5
+            else:
+                exact = float(ctx.divide(ctx.add(ctx.subtract(d, 1), ctx.exp(-d)),
+                                         ctx.multiply(d, d)))
+            assert abs(_phi2(z) - exact) <= 1e-15 * exact, z
 
 
 @st.composite
