@@ -24,7 +24,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,35 +76,14 @@ DEFAULT_CONFIG = """\
 domain.dim = 1
 domain.L = 3.141592653589793
 domain.N = 64
-model.n = 1
-stepper.scheme = etd1
-stepper.t_end = 1.0
 init.kind = random
-init.seed = 0
 """
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration; grid-dependent defaults are resolved
-    when the grid is built."""
-
-    dim: int
-    lengths: tuple
-    resolution: tuple
-    n: int
-    dealias: int | None
-    scheme: str
-    h: float | None
-    t_end: float
-    renormalize: bool
-    record_every: int
-    init_kind: str
-    seed: int
-    mode: tuple
-    path: str | None
-    out_dir: str
-    snapshots: bool
+# The validated run configuration, one field per key; grid-dependent
+# defaults are resolved when the grid is built.
+RunConfig = make_dataclass("RunConfig", [field for field, _, _ in KEYS.values()])
+RunConfig.__module__ = __name__  # before Python 3.12 it reads "types"
 
 
 def _parse(key: str, raw: str, kind):
@@ -264,7 +243,7 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_picard(cfg: RunConfig, m: float = 100.0) -> int:
+def cmd_picard(cfg: RunConfig, m: float) -> int:
     if cfg.t_end <= 0:
         raise ConfigError("stepper.t_end: picard needs a positive horizon")
     try:
@@ -337,7 +316,7 @@ PROBES = {"lipschitz": _probe_lipschitz, "invariance": _probe_invariance,
           "amu": _probe_amu, "omega": _probe_omega}
 
 
-def cmd_probe(cfg: RunConfig, which: str, samples: int = 500) -> int:
+def cmd_probe(cfg: RunConfig, which: str, samples: int) -> int:
     if which not in PROBES:
         raise ConfigError(f"unknown probe {which!r}")
     if which in ("amu", "omega") and cfg.t_end <= 0:

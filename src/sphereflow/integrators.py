@@ -39,6 +39,8 @@ TABLEAUS = {
     "rk4": (((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
 }
 SCHEMES = tuple(TABLEAUS)
+# the schemes whose b names phi_weights columns
+EXPONENTIAL = tuple(name for name, (_, b) in TABLEAUS.items() if isinstance(b[0], str))
 V_NORM_LIMIT = 1e8  # the blow-up guard trips above this V-norm
 
 
@@ -95,11 +97,16 @@ class TrajectoryRecord:
     final_state: Field
 
 
+def stability_limit(grid) -> float:
+    """The largest step the explicit schemes take stably, 2 / mu_max."""
+    return 2.0 / grid.mu_max
+
+
 def default_step(scheme: str, grid) -> float:
-    """Default step size: 1e-3 for ETD1, stability-limited for explicit schemes."""
-    if scheme == "etd1":
+    """Default step size: 1e-3 for exponential schemes, else stability-limited."""
+    if scheme in EXPONENTIAL:
         return 1e-3
-    return min(1e-3, 0.5 / grid.mu_max)
+    return min(1e-3, stability_limit(grid) / 4)
 
 
 class _Kernel:
@@ -115,7 +122,7 @@ class _Kernel:
         self.work = _Work(grid, p)
         # the nonzero (j, h a_ij) of each stage row
         self.ha = [[(j, h * x) for j, x in enumerate(row) if x] for row in a]
-        if isinstance(b[0], str):
+        if scheme in EXPONENTIAL:
             weights = phi_weights(grid, h)
             self.decay, self.hb = weights.decay, [getattr(weights, x) for x in b]
         else:
@@ -201,10 +208,10 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     it trips before F runs on the offending state.
     """
     grid = u0.grid
-    if cfg.scheme != "etd1" and cfg.h > 2.0 / grid.mu_max:
+    if cfg.scheme not in EXPONENTIAL and cfg.h > stability_limit(grid):
         warnings.warn(
             f"step {cfg.h} exceeds the explicit stability limit "
-            f"{2.0 / grid.mu_max:.3e} for scheme {cfg.scheme}",
+            f"{stability_limit(grid):.3e} for scheme {cfg.scheme}",
             stacklevel=2,
         )
     h = cfg.h
@@ -269,7 +276,8 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
 
     Runs the retracted scheme at each h in ``h_list`` (geometric, at least
     three entries) against an RK4 reference at min(h) / 16 and returns the
-    least-squares slope of log error versus log h.
+    least-squares slope of log error versus log h.  A reference step above
+    the stability limit raises ValueError before any run.
     """
     h_list = sorted(float(h) for h in h_list)
     if len(h_list) < 3:
@@ -282,6 +290,9 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
     # every step is checked against t_end before the first run
     ref_cfg = config("rk4", h_list[0] / 16)
     cfgs = [config(scheme, h) for h in h_list]
+    if ref_cfg.h > stability_limit(u0.grid):
+        raise ValueError(f"RK4 reference step {ref_cfg.h:.3e} exceeds the stability "
+                         f"limit {stability_limit(u0.grid):.3e}; use smaller steps")
     ref = integrate(u0, p, ref_cfg).final_state
     errors = [norm_l2(integrate(u0, p, cfg).final_state - ref) for cfg in cfgs]
     x = np.log(np.asarray(h_list))

@@ -26,6 +26,9 @@ from .model import ModelParams, check_on_manifold
 from .spectral import Field, SpectralGrid, phi_weights, random_coeff_field, semigroup_factors
 
 
+PICARD_POINTS = 40  # uniform times on [0, T] of a Picard iterate
+
+
 class NonContractionError(RuntimeError):
     """Picard distances stopped decreasing; the horizon T is too large."""
 
@@ -201,9 +204,9 @@ def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
                              T: float, samples: int = 8, seed: int = 0) -> float:
     """Sampled Lipschitz factor of Phi in the space-time (X_T) metric.
 
-    Draws pairs of trajectories on 40 uniform times that deviate from the
-    free evolution by independent time-constant perturbations (|k|^-3
-    spectra, unit V norm) and returns the largest observed ratio
+    Draws pairs of trajectories on PICARD_POINTS uniform times that deviate
+    from the free evolution by independent time-constant perturbations
+    (|k|^-3 spectra, unit V norm) and returns the largest observed ratio
     ||Phi(u1) - Phi(u2)||_{X_T} / ||u1 - u2||_{X_T}.  The factor decays
     like sqrt(T) as the horizon shrinks, which is the contraction
     mechanism behind the fixed-point construction.
@@ -212,7 +215,7 @@ def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    times = np.linspace(0.0, T, 40)
+    times = np.linspace(0.0, T, PICARD_POINTS)
     base = SpaceTimeGrid.from_semigroup(u0, times)
 
     def perturbed():
@@ -246,7 +249,7 @@ class PicardResult:
 
 def picard_solve(u0: Field, th: TruncationTheta, p: ModelParams, T: float,
                  tol: float = 1e-10, max_iter: int = 100,
-                 num_points: int = 40) -> PicardResult:
+                 num_points: int = PICARD_POINTS) -> PicardResult:
     """Iterate u_{j+1} = Phi(u_j) from the free evolution u_0 = S(.) u0.
 
     Stops when the successive sup-V distance drops below ``tol``.  Two

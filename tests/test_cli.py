@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -24,8 +25,10 @@ from sphereflow import (
     write_snapshot,
 )
 from sphereflow.cli import (
+    DEFAULT_CONFIG,
     KEYS,
     ConfigError,
+    RunConfig,
     build_grid,
     build_initial,
     build_params,
@@ -71,6 +74,15 @@ class TestParseConfig:
         assert cfg.renormalize is True and cfg.record_every == 1
         assert cfg.init_kind == "mode" and cfg.mode == (1,)
         assert cfg.out_dir == "out" and cfg.snapshots is False
+
+    def test_keys_declare_every_field_and_default(self):
+        # RunConfig's fields are KEYS' fields in order, and DEFAULT_CONFIG
+        # sets no key to the default KEYS already gives it
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            field for field, _, _ in KEYS.values()]
+        for line in DEFAULT_CONFIG.splitlines():
+            key, raw = (part.strip() for part in line.split("="))
+            assert raw != KEYS[key][2], key
 
     def test_full_round_trip(self):
         cfg = parse_config(FULL)

@@ -27,7 +27,7 @@ from sphereflow import (
     step_rk4,
 )
 from sphereflow import integrators, spectral
-from sphereflow.integrators import TABLEAUS, V_NORM_LIMIT, _Kernel
+from sphereflow.integrators import EXPONENTIAL, SCHEMES, TABLEAUS, V_NORM_LIMIT, _Kernel
 from sphereflow.model import _fine_grid, _power
 
 PI = np.pi
@@ -73,10 +73,12 @@ class TestStepperConfig:
             convergence_order_probe(u0, ModelParams(n=1), "etd1", (0.1, 0.2, 0.3),
                                     t_end=1.0)
 
-    def test_default_step(self):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_default_step(self, scheme):
+        # 1e-3 for the exponential schemes, stability-limited for the others
         g = grid_1d(64)
-        assert default_step("etd1", g) == 1e-3
-        assert default_step("rk4", g) == min(1e-3, 0.5 / g.mu_max)
+        want = 1e-3 if scheme in EXPONENTIAL else min(1e-3, 0.5 / g.mu_max)
+        assert default_step(scheme, g) == want
 
 
 class TestEquilibrium:
@@ -553,6 +555,10 @@ class TestOrders:
         with pytest.raises(ValueError):
             convergence_order_probe(u0, ModelParams(n=1), "etd1",
                                     [3e-3, 1.5e-3, 0.75e-3], t_end=0.1)
+        # the RK4 reference at 1e-3 / 16 = 6.25e-5 is above 2 / mu_max = 3.03e-5
+        with pytest.raises(ValueError, match="reference step 6.250e-05.*limit 3.028e-05"):
+            convergence_order_probe(u0, ModelParams(n=1), "etd1",
+                                    [4e-3, 2e-3, 1e-3], t_end=0.02)
 
 
 class TestGroundStateFlow:

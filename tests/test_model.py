@@ -152,11 +152,11 @@ class TestNonlinearity:
         # padded inverse, fine forward of the power
         assert transform_count[0] == 2
 
-    @pytest.mark.parametrize("dim", (1, 2))
+    @pytest.mark.parametrize("dim", (1, 2, 3))
     def test_coefficients_match_the_literal_F_values(self, dim):
         # N = (a_sq + s) c - P against the coefficients of the four-term F
         # built from its values: Sobolev norms, l2n_power and power_term
-        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, (16, 12)[:dim]))
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, (16, 12, 8)[:dim]))
         u = random_unit_field(g, np.random.default_rng(16))
         c = g.to_coeffs(u.values)
         _, h1sq, h2sq = sobolev_norms_sq(u)
