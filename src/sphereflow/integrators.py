@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy
-from .model import ModelParams, _a_terms, _F_values, _Work
+from .model import ModelParams, _a_terms, _F_values
 from .spectral import Field, _vdot, coeff_norms_sq, norm_l2, phi_weights
 
 
@@ -111,15 +111,14 @@ def default_step(scheme: str, grid) -> float:
 
 class _Kernel:
     """One scheme for one grid, model and step size, with the h-dependent
-    weights and F's work arrays made once.  A stage is the tuple (N, k, s):
-    N, k = N - A c and the integral s of u^(2n) as F took it; both arrays
-    are new, since RK4 holds its k's across stages.  Callers hold
-    ``np.errstate(over="ignore")`` around their steps."""
+    weights made once.  A stage is the tuple (N, k, s): N, k = N - A c and
+    the integral s of u^(2n) as F took it; both arrays are new, since RK4
+    holds its k's across stages, and so is the c ``advance`` returns.
+    Callers hold ``np.errstate(over="ignore")`` around their steps."""
 
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
         self.grid, self.p = grid, p
-        self.work = _Work(grid, p)
         # the nonzero (j, h a_ij) of each stage row
         self.ha = [[(j, h * x) for j, x in enumerate(row) if x] for row in a]
         if scheme in EXPONENTIAL:
@@ -133,14 +132,17 @@ class _Kernel:
         """The stage at c; a caller that holds u at c (``values``) or
         ``_a_terms(grid, c)`` passes them."""
         ac, a_sq = _a_terms(self.grid, c) if a_terms is None else a_terms
-        n, s = _F_values(self.grid, c, a_sq, self.p, self.work, values)
+        n, s = _F_values(self.grid, c, a_sq, self.p, values)
         return n, n - ac, s
 
     def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:
         """The next coefficients, given ``first = stage(c)``.  Sums run left
         to right from c: c + h x_0 k_0 + h x_1 k_1 + ..."""
         if self.decay is not None:
-            return self.decay * c + self.hb[0] * first[0]
+            # IEEE addition commutes, so this is decay * c + hb * N to the bit
+            out = self.hb[0] * first[0]
+            out += self.decay * c
+            return out
         ks = [first[1]]
         for row in self.ha:
             ci = c
@@ -250,7 +252,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             if not math.isfinite(r_sq):
                 _guard(grid, r_sq, t, last)
             if cfg.renormalize:
-                c = c / math.sqrt(r_sq)
+                c /= math.sqrt(r_sq)  # c is advance's new array
             a_terms = _a_terms(grid, c)
             a_sq = a_terms[1]
             # |c|_V^2 of the state advance reached, before it is retracted
@@ -276,8 +278,9 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
 
     Runs the retracted scheme at each h in ``h_list`` (geometric, at least
     three entries) against an RK4 reference at min(h) / 16 and returns the
-    least-squares slope of log error versus log h.  A reference step above
-    the stability limit raises ValueError before any run.
+    least-squares slope of log error versus log h.  A reference step, or
+    for an explicit scheme a step in ``h_list``, above the stability limit
+    raises ValueError before any run.
     """
     h_list = sorted(float(h) for h in h_list)
     if len(h_list) < 3:
@@ -290,9 +293,13 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
     # every step is checked against t_end before the first run
     ref_cfg = config("rk4", h_list[0] / 16)
     cfgs = [config(scheme, h) for h in h_list]
-    if ref_cfg.h > stability_limit(u0.grid):
+    limit = stability_limit(u0.grid)
+    if ref_cfg.h > limit:
         raise ValueError(f"RK4 reference step {ref_cfg.h:.3e} exceeds the stability "
-                         f"limit {stability_limit(u0.grid):.3e}; use smaller steps")
+                         f"limit {limit:.3e}; use smaller steps")
+    if scheme not in EXPONENTIAL and h_list[-1] > limit:
+        raise ValueError(f"{scheme} step {h_list[-1]:.3e} exceeds the stability "
+                         f"limit {limit:.3e}; use smaller steps")
     ref = integrate(u0, p, ref_cfg).final_state
     errors = [norm_l2(integrate(u0, p, cfg).final_state - ref) for cfg in cfgs]
     x = np.log(np.asarray(h_list))

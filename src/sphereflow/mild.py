@@ -179,12 +179,11 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
     fc = np.empty_like(u.coeffs) if scratch is None else scratch
     # fc holds the squared coefficients until the loop below overwrites it
     theta = theta_eval(th, np.sqrt(_running_xt_sq(u, scratch=fc)))
-    work = model._Work(grid, p)
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         for i, c in enumerate(u.coeffs):
             # through the module, so that wrappers of model._F_values see the call
             a_sq = model._a_terms(grid, c)[1]
-            fc[i] = model._F_values(grid, c, a_sq, p, work)[0]
+            fc[i] = model._F_values(grid, c, a_sq, p)[0]
     fc *= theta.reshape((-1,) + (1,) * grid.lap_eigs.ndim)
     if free is None:
         free = SpaceTimeGrid.from_semigroup(u0, u.times)

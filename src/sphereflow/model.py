@@ -88,18 +88,15 @@ def _fine_grid(spec: DomainSpec, factor: int) -> SpectralGrid:
     ))
 
 
-def _odd_power(values: np.ndarray, n: int, out: np.ndarray, sq: np.ndarray | None) -> np.ndarray:
-    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1) multiplied in place
-    into ``out``; for n > 2 u^2 is kept in ``sq``.  Neither may alias ``values``.
+def _odd_power(values: np.ndarray, n: int) -> np.ndarray:
+    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1), in a new array.
 
     Multiplication costs the same for either sign of u (pow is far slower on
     negative bases), and the chain is exactly odd: (-u)^(2n-1) = -(u^(2n-1)).
     """
-    w = np.multiply(values, values, out)
-    if n > 2:
-        sq[...] = w
-        for _ in range(n - 2):
-            w *= sq
+    sq = w = values * values
+    for _ in range(n - 2):
+        w = w * sq
     w *= values
     return w
 
@@ -111,36 +108,8 @@ def _raise_overflow(values: np.ndarray):
     )
 
 
-class _Work:
-    """Where the power on (grid, p) is taken: the grid ``fine`` (zero-padded
-    with dealiasing) and, for n >= 2, the arrays F writes and drops there:
-    u's values, u^(2n-1), its coefficients, the middle product of each
-    transform and, for n > 2, u^2.  A caller that takes F many times on one
-    grid makes one and passes it to every ``_F_values``, which then
-    allocates only the N it returns.  The arrays stay because fresh ones
-    fault in new pages on every step: over ten times the minor page faults
-    per step of a 256^2 n = 2 ETD1 run (ROADMAP records the time cost)."""
-
-    def __init__(self, grid: SpectralGrid, p: ModelParams):
-        self.fine = grid if p.dealias is None else _fine_grid(grid.spec, p.dealias)
-        shape = self.fine.shape
-        self.values = self.power = self.coeffs = self.mid = self.square = None
-        if p.n > 1:
-            self.values, self.power, self.coeffs = (np.empty(shape) for _ in range(3))
-            if len(shape) > 1:
-                self.mid = np.empty(shape)
-            if p.n > 2:
-                self.square = np.empty(shape)
-        if p.dealias is not None:
-            # grid's modes among the padded ones; every use writes only
-            # those, so the others stay zero
-            self.modes = tuple(map(slice, grid.shape))
-            self.padded = np.zeros(shape)
-
-
 def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
-           coeffs: np.ndarray | None = None, work: _Work | None = None
-           ) -> tuple[np.ndarray, float]:
+           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(u^(2n-1) values, integral of u^(2n)): the one place both are
     computed from u's values, so <F(u), u> and the energy share the integral
     by construction.
@@ -149,33 +118,35 @@ def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
     set both results are taken on the zero-padded grid, padded once from the
     coefficients (transformed here when not given), and the power is
     returned there.  For n = 1 on the native grid the power is u's values
-    themselves, which callers only read.  The power is built in ``work``,
-    a new ``_Work(grid, p)`` when not given.
+    themselves, which callers only read; otherwise it is a new array.
 
     The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
     w makes it non-finite and the overflow test looks at that one number;
     the caller holds ``np.errstate(over="ignore")`` so that the power
     overflows quietly and this test raises.
     """
-    work = _Work(grid, p) if work is None else work
-    v = values
+    fine, v = grid, values
     if p.dealias is not None:
-        work.padded[work.modes] = grid.to_coeffs(values) if coeffs is None else coeffs
-        v = work.fine.to_values(work.padded, work.values, work.mid)
+        fine = _fine_grid(grid.spec, p.dealias)
+        padded = np.zeros(fine.shape)
+        padded[tuple(map(slice, grid.shape))] = (
+            grid.to_coeffs(values) if coeffs is None else coeffs)
+        v = fine.to_values(padded)
     elif v is None:
-        v = grid.to_values(coeffs, work.values, work.mid)
-    w = v if p.n == 1 else _odd_power(v, p.n, work.power, work.square)
-    s = work.fine.weight * float(_vdot(w, v))
+        v = grid.to_values(coeffs)
+    w = v if p.n == 1 else _odd_power(v, p.n)
+    s = fine.weight * float(_vdot(w, v))
     if not math.isfinite(s):
         _raise_overflow(v)
     return w, s
 
 
-def _truncate(grid: SpectralGrid, w: np.ndarray, factor: int) -> np.ndarray:
-    """Values on grid of w, given on the factor-times-padded grid: w's
-    coefficients truncated to grid's modes."""
-    fine = _fine_grid(grid.spec, factor)
-    return grid.to_values(fine.to_coeffs(w)[tuple(map(slice, grid.shape))])
+def _power_coeffs(grid: SpectralGrid, w: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Coefficients on grid of the power w that ``_power`` returned: with
+    dealiasing, w's padded coefficients truncated to grid's modes."""
+    if p.dealias is None:
+        return grid.to_coeffs(w)
+    return _fine_grid(grid.spec, p.dealias).to_coeffs(w)[tuple(map(slice, grid.shape))]
 
 
 def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
@@ -185,7 +156,7 @@ def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
     with np.errstate(over="ignore"):
         w, _ = _power(u.grid, u.values, p)
     if p.dealias is not None:
-        w = _truncate(u.grid, w, p.dealias)
+        w = u.grid.to_values(_power_coeffs(u.grid, w, p))
     return Field._wrap(u.grid, w.copy() if w is u.values else w)
 
 
@@ -203,8 +174,7 @@ def _a_terms(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, float]
 
 
 def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParams,
-              work: _Work | None = None, values: np.ndarray | None = None
-              ) -> tuple[np.ndarray, float]:
+              values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(N, s): the coefficients N = (a_sq + s) c - P of F(u), for u's
     coefficients c, and the integral s of u^(2n), given
     ``a_sq = _a_terms(grid, c)[1]``, which the caller shares with the
@@ -214,21 +184,21 @@ def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParam
     transforms: for n = 1 P is c and s is |c|^2 by Parseval, and F takes
     none; for n >= 2 F takes two, u's values (none when the caller holds
     them as ``values``) and P, on the padded grid with dealiasing.  N is a
-    new array; the power and its transforms go to ``work``, a new
-    ``_Work(grid, p)`` when not given.  The integral is returned so that
-    energy records reuse it.  The caller holds ``np.errstate(over="ignore")``.
+    new array.  The integral is returned so that energy records reuse it.
+    The caller holds ``np.errstate(over="ignore")``.
     """
     if p.n == 1:
         s = float(_vdot(coeffs, coeffs))
         if not math.isfinite(s):
             _raise_overflow(grid.to_values(coeffs))
         return (a_sq + s) * coeffs - coeffs, s
-    work = _Work(grid, p) if work is None else work
-    w, s = _power(grid, values, p, coeffs, work)
-    P = work.fine.to_coeffs(w, work.coeffs, work.mid)
-    if p.dealias is not None:
-        P = P[work.modes]
-    return (a_sq + s) * coeffs - P, s
+    w, s = _power(grid, values, p, coeffs)
+    P = _power_coeffs(grid, w, p)
+    # subtracting in place saves a grid-sized temporary, whose page faults
+    # cost ~10 % of a 256^2 n = 2 ETD1 step when it is a new array
+    N = (a_sq + s) * coeffs
+    N -= P
+    return N, s
 
 
 def nonlinearity_F(u: Field, p: ModelParams) -> Field:
@@ -242,7 +212,7 @@ def nonlinearity_F(u: Field, p: ModelParams) -> Field:
     with np.errstate(over="ignore"):
         w, s = _power(grid, u.values, p, c)
     if p.dealias is not None:
-        w = _truncate(grid, w, p.dealias)
+        w = grid.to_values(_power_coeffs(grid, w, p))
     return Field._wrap(grid, (_a_terms(grid, c)[1] + s) * u.values - w)
 
 

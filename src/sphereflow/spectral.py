@@ -90,21 +90,16 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _contract_axes(mats, x: np.ndarray, out: np.ndarray | None = None,
-                   mid: np.ndarray | None = None) -> np.ndarray:
-    """Apply mats[k] along axis k of x with one matrix product per axis,
-    into ``out``; in 2D and 3D the product between two axes goes to
-    ``mid``.  Each is a new array when not given."""
+def _contract_axes(mats, x: np.ndarray) -> np.ndarray:
+    """Apply mats[k] along axis k of x with one matrix product per axis."""
     if x.ndim == 1:
-        return np.matmul(mats[0], x, out)
+        return mats[0] @ x
     if x.ndim == 2:
-        return np.matmul(np.matmul(mats[0], x, mid), mats[1].T, out)
+        return mats[0] @ x @ mats[1].T
     a, b, c = x.shape
-    out = np.empty(x.shape) if out is None else out
-    y = np.matmul(x.reshape(a * b, c), mats[2].T, out.reshape(a * b, c))
-    y = np.matmul(mats[1], y.reshape(a, b, c), mid)  # batched over the first axis
-    np.matmul(mats[0], y.reshape(a, b * c), out.reshape(a, b * c))
-    return out
+    y = x.reshape(a * b, c) @ mats[2].T
+    y = mats[1] @ y.reshape(a, b, c)  # batched over the first axis
+    return (mats[0] @ y.reshape(a, b * c)).reshape(a, b, c)
 
 
 class SpectralGrid:
@@ -163,23 +158,15 @@ class SpectralGrid:
 
     # -- transforms -------------------------------------------------------
 
-    # Each transform writes its result into ``out`` and, on the dense path in
-    # 2D and 3D, the product between two axes into ``mid``: C-contiguous
-    # arrays of the grid's shape that alias neither the input nor each
-    # other.  Either is a new array when not given, so a caller that gives
-    # both allocates nothing.
-
-    def to_coeffs(self, values: np.ndarray, out: np.ndarray | None = None,
-                  mid: np.ndarray | None = None) -> np.ndarray:
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         if self._coeff_mats is None:
-            return np.multiply(self._sqrt_weight, _dst1(values), out)
-        return _contract_axes(self._coeff_mats, values, out, mid)
+            return self._sqrt_weight * _dst1(values)
+        return _contract_axes(self._coeff_mats, values)
 
-    def to_values(self, coeffs: np.ndarray, out: np.ndarray | None = None,
-                  mid: np.ndarray | None = None) -> np.ndarray:
+    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         if self._value_mats is None:
-            return np.divide(_dst1(coeffs), self._sqrt_weight, out)
-        return _contract_axes(self._value_mats, coeffs, out, mid)
+            return _dst1(coeffs) / self._sqrt_weight
+        return _contract_axes(self._value_mats, coeffs)
 
     def compatible(self, other: "SpectralGrid") -> bool:
         return self is other or self.spec == other.spec

@@ -447,7 +447,7 @@ class TestKernel:
         with P = c and s = |c|^2 for n = 1 and P the coefficients of _power's
         u^(2n-1) otherwise, fresh arrays throughout, generator sums for the
         stages and the step, and .sum() Parseval sums.  Returns the final
-        values and the reports."""
+        values, the reports and a copy of c at each record."""
         grid, h = u0.grid, cfg.h
         a, b = TABLEAUS[cfg.scheme]
         ha = [[h * x for x in row] for row in a]
@@ -482,7 +482,7 @@ class TestKernel:
         c = grid.to_coeffs(u0.values)
         c = c / math.sqrt(np.vdot(c, c))
         n_steps = int(round(cfg.t_end / h))
-        reports, dissipation = [], 0.0
+        reports, rows, dissipation = [], [], 0.0
         st = stage(c)
         for i in range(n_steps + 1):
             _, k, s = st
@@ -496,8 +496,9 @@ class TestKernel:
                 sums = (float(c2.sum()), float(lam_c2.sum()),
                         float(np.vdot(lam_c2, grid.lap_eigs)))
                 reports.append(make_report(None, p, i * h, ut_sq, dissipation, sums, s))
+                rows.append(c.copy())
             if i == n_steps:
-                return grid.to_values(c), reports
+                return grid.to_values(c), reports, rows
             c = advance(c, st)
             c = c / math.sqrt(np.vdot(c, c))
             st = stage(c)
@@ -518,11 +519,12 @@ class TestKernel:
             for dealias in (None, n):
                 p = ModelParams(n=n, dealias=dealias)
                 traj = integrate(u0, p, cfg)
-                values, reports = self.reference_integrate(u0, p, cfg)
+                values, reports, rows = self.reference_integrate(u0, p, cfg)
                 assert np.array_equal(traj.final_state.values.view(np.int64),
                                       values.view(np.int64)), (n, dealias)
                 # the ledger's columns are the reference's rows, stacked
                 assert np.array_equal(bits(traj.ledger), bits(reports).T), (n, dealias)
+                assert np.array_equal(bits(traj.coeffs), bits(rows)), (n, dealias)
 
 
 class TestOrders:
@@ -559,6 +561,10 @@ class TestOrders:
         with pytest.raises(ValueError, match="reference step 6.250e-05.*limit 3.028e-05"):
             convergence_order_probe(u0, ModelParams(n=1), "etd1",
                                     [4e-3, 2e-3, 1e-3], t_end=0.02)
+        # an explicit step above the limit is refused too, not run unstably
+        with pytest.raises(ValueError, match="projected_euler step 1.600e-04.*limit 3.028e-05"):
+            convergence_order_probe(u0, ModelParams(n=2), "projected_euler",
+                                    [1.6e-4, 8e-5, 4e-5], t_end=0.0016)
 
 
 class TestGroundStateFlow:

@@ -31,7 +31,7 @@ from sphereflow import (
     sobolev_norms_sq,
     step_rk4,
 )
-from sphereflow.model import _F_values, _power, _Work
+from sphereflow.model import _F_values, _power
 
 PI = np.pi
 
@@ -169,21 +169,6 @@ class TestNonlinearity:
                 N, s = _F_values(g, c, float(np.vdot(g.A_eigs * c, c)), p)
                 assert np.max(np.abs(N - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, dealias)
                 assert abs(s - l2n_power(u, n, dealias)) <= 1e-13 * s, (n, dealias)
-
-    def test_work_arrays_give_the_fresh_result(self):
-        # the same bits with and without _Work, and F twice on one _Work
-        g = SpectralGrid(DomainSpec(2, (PI, PI), (12, 8)))
-        rng = np.random.default_rng(17)
-        for n in (2, 3):
-            for dealias in (None, n):
-                p = ModelParams(n=n, dealias=dealias)
-                work = _Work(g, p)
-                for _ in range(2):
-                    c = g.to_coeffs(random_unit_field(g, rng).values)
-                    a_sq = float(np.vdot(g.A_eigs * c, c))
-                    fresh = _F_values(g, c, a_sq, p)
-                    N, s = _F_values(g, c, a_sq, p, work)
-                    assert np.array_equal(N, fresh[0]) and s == fresh[1], (n, dealias)
 
     def test_dealiased_l2n_power_transforms_twice(self, transform_count):
         # coarse forward, padded inverse: the power is not truncated back

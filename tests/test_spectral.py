@@ -193,20 +193,6 @@ class TestTransforms:
             err = np.linalg.norm(_sine_matrix(n) @ x - ref) / np.linalg.norm(ref)
             assert err <= 1e-15, n
 
-    def test_out_is_filled_and_equal_to_a_fresh_result(self):
-        # dense 1D, 2D and 3D and the FFT path, with and without mid
-        rng = np.random.default_rng(9)
-        for shape in ((16,), (12, 8), (8, 10, 12), (258,), (258, 8)):
-            d = len(shape)
-            g = SpectralGrid(DomainSpec(d, (PI, 2.0, 1.5)[:d], shape))
-            x = rng.uniform(-1.0, 1.0, size=shape)
-            for name in ("to_coeffs", "to_values"):
-                fresh = getattr(g, name)(x)
-                for mid in (None, np.full(shape, np.nan)):
-                    out = np.full(shape, np.nan)
-                    assert getattr(g, name)(x, out, mid) is out
-                    assert np.array_equal(out, fresh), (shape, name)
-
     def test_parseval(self):
         rng = np.random.default_rng(2)
         for g in (grid_1d(64), grid_2d()):
