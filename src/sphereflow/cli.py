@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, energy, mild
-from .integrators import SCHEMES, StepperConfig, default_step, divides, integrate
+from .integrators import (STEPPER_RULES, StepperConfig, check_stepper_field, default_step,
+                          divides, integrate)
 from .model import ModelParams, _fine_grid, random_unit_field, renormalize
 from .spectral import (
     DomainSpec,
@@ -52,18 +53,20 @@ _REQUIRED = object()
 # key -> (RunConfig field, type, default as config text).  A 1-tuple type is
 # a comma-separated array of that type.  A key left at a default of None, or
 # set to "none" where that is its default, leaves its field None; an unset
-# init.mode is mode 1 on every axis.
+# stepper.h is default_step, an unset init.mode is mode 1 on every axis.  The
+# other model.* and stepper.* defaults are ModelParams' and StepperConfig's,
+# as config text: str in lower case, so that None is none and True is true.
 KEYS = {
     "domain.dim": ("dim", int, _REQUIRED),
     "domain.L": ("lengths", (float,), _REQUIRED),
     "domain.N": ("resolution", (int,), _REQUIRED),
-    "model.n": ("n", int, "1"),
-    "model.dealias": ("dealias", int, "none"),
-    "stepper.scheme": ("scheme", str, "etd1"),
+    "model.n": ("n", int, str(ModelParams.n).lower()),
+    "model.dealias": ("dealias", int, str(ModelParams.dealias).lower()),
+    "stepper.scheme": ("scheme", str, str(StepperConfig.scheme).lower()),
     "stepper.h": ("h", float, None),
-    "stepper.t_end": ("t_end", float, "1.0"),
-    "stepper.renormalize": ("renormalize", bool, "true"),
-    "stepper.record_every": ("record_every", int, "1"),
+    "stepper.t_end": ("t_end", float, str(StepperConfig.t_end).lower()),
+    "stepper.renormalize": ("renormalize", bool, str(StepperConfig.renormalize).lower()),
+    "stepper.record_every": ("record_every", int, str(StepperConfig.record_every).lower()),
     "init.kind": ("init_kind", str, "mode"),
     "init.seed": ("seed", int, "0"),
     "init.mode": ("mode", (int,), None),
@@ -142,22 +145,17 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         fields[field] = None if unset else _parse(key, raw, kind)
     cfg = RunConfig(**fields)
 
-    try:
-        DomainSpec(cfg.dim, cfg.lengths, cfg.resolution)
-    except ValueError as err:
-        raise ConfigError(f"domain.*: {err}") from None
-    try:
-        build_params(cfg)
-    except ValueError as err:
-        raise ConfigError(f"model.n/model.dealias: {err}") from None
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"stepper.scheme: unknown scheme {cfg.scheme!r}")
-    if cfg.h is not None and cfg.h <= 0:
-        raise ConfigError("stepper.h: step size must be positive")
-    if cfg.t_end < 0:
-        raise ConfigError("stepper.t_end: must be nonnegative")
-    if cfg.record_every < 1:
-        raise ConfigError("stepper.record_every: must be at least 1")
+    # each owner's rules; stepper.h must also divide t_end, which build_stepper checks
+    rules = [("domain.*", DomainSpec, (cfg.dim, cfg.lengths, cfg.resolution)),
+             ("model.n/model.dealias", build_params, (cfg,))]
+    rules += [(key, check_stepper_field, (field, getattr(cfg, field)))
+              for key, (field, _, _) in KEYS.items()
+              if field in STEPPER_RULES and getattr(cfg, field) is not None]
+    for key, check, args in rules:
+        try:
+            check(*args)
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}") from None
     if cfg.init_kind not in ("mode", "random", "file"):
         raise ConfigError(f"init.kind: unknown kind {cfg.init_kind!r}")
     if cfg.seed < 0:

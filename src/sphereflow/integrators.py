@@ -58,6 +58,22 @@ def divides(h: float, t_end: float) -> bool:
     return abs(round(t_end / h) * h - t_end) <= 1e-9 * t_end
 
 
+# the rule each StepperConfig field meets, as (test, what the field must be)
+STEPPER_RULES = {
+    "scheme": (lambda x: x in SCHEMES, f"one of {SCHEMES}"),
+    "h": (lambda x: 0 < x < math.inf, "finite and positive"),
+    "t_end": (lambda x: 0 <= x < math.inf, "finite and nonnegative"),
+    "record_every": (lambda x: x >= 1 and x % 1 == 0, "an integer >= 1"),
+}
+
+
+def check_stepper_field(name: str, value) -> None:
+    """Raise ValueError unless value meets the rule of StepperConfig field name."""
+    test, what = STEPPER_RULES[name]
+    if not test(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StepperConfig:
     scheme: str = "etd1"
@@ -68,21 +84,10 @@ class StepperConfig:
     keep_snapshots: bool = True
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        for name, x in (("h", self.h), ("t_end", self.t_end)):
-            if not math.isfinite(x):
-                raise ValueError(f"{name} must be finite, got {x!r}")
-        if self.h <= 0:
-            raise ValueError("step size must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        for name in STEPPER_RULES:
+            check_stepper_field(name, getattr(self, name))
         if not divides(self.h, self.t_end):
             raise ValueError(f"step h = {self.h!r} does not divide t_end = {self.t_end!r}")
-        if not (self.record_every >= 1 and self.record_every % 1 == 0):
-            raise ValueError(
-                f"record_every must be an integer >= 1, got {self.record_every!r}"
-            )
 
 
 @dataclass
@@ -103,10 +108,10 @@ def stability_limit(grid) -> float:
 
 
 def default_step(scheme: str, grid) -> float:
-    """Default step size: 1e-3 for exponential schemes, else stability-limited."""
+    """Default step: StepperConfig.h for exponential schemes, else stability-limited."""
     if scheme in EXPONENTIAL:
-        return 1e-3
-    return min(1e-3, stability_limit(grid) / 4)
+        return StepperConfig.h
+    return min(StepperConfig.h, stability_limit(grid) / 4)
 
 
 class _Kernel:
@@ -168,8 +173,7 @@ def _guard(grid, vn_sq: float, t: float, last: np.ndarray) -> None:
 
 
 def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    check_stepper_field("h", h)
     grid = u.grid
     kernel = _Kernel(scheme, grid, p, h)
     c = grid.to_coeffs(u.values)
@@ -234,7 +238,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         stage = kernel.stage(c)
         for i in range(n_steps + 1):
-            _, k, s = stage
+            k, s = stage[1:]
             ut_sq = float(_vdot(k, k))
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
@@ -247,6 +251,8 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             if i == n_steps:
                 break
             last, c = c, kernel.advance(c, stage)
+            # the old stage is dead: freed now, its memory serves the next one
+            del stage, k
             t = (i + 1) * h
             r_sq = float(_vdot(c, c))
             if not math.isfinite(r_sq):

@@ -184,7 +184,7 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
             # through the module, so that wrappers of model._F_values see the call
             a_sq = model._a_terms(grid, c)[1]
             fc[i] = model._F_values(grid, c, a_sq, p)[0]
-    fc *= theta.reshape((-1,) + (1,) * grid.lap_eigs.ndim)
+    fc *= theta.reshape((-1,) + (1,) * len(grid.shape))
     if free is None:
         free = SpaceTimeGrid.from_semigroup(u0, u.times)
     elif free.times is not u.times and not np.array_equal(free.times, u.times):

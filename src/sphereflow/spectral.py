@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,9 @@ class GridMismatch(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Box domain: per-axis length and mode count."""
+    """Box domain: per-axis length and mode count; ``mu_min`` and ``mu_max``
+    are the lowest and highest eigenvalues of A, ``weight`` the quadrature
+    weight of a collocation point."""
 
     dim: int
     lengths: tuple
@@ -63,6 +66,7 @@ class DomainSpec:
                 f"lengths {self.lengths} at resolution {self.resolution} put the "
                 "eigenvalues of A or the quadrature weight outside the float range"
             )
+        vars(self).update(mu_min=mu_min, mu_max=mu_max, weight=weight)
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -108,25 +112,20 @@ class SpectralGrid:
     ``lap_eigs`` holds the -Laplacian eigenvalue of each sine mode and
     ``A_eigs = lap_eigs**2 + 2*lap_eigs``, both shaped like the coefficient
     array; every A eigenvalue is positive and finite, as DomainSpec checks.
+    Each per-mode array is an outer sum of per-axis vectors, built on first
+    read, so a grid that only transforms (a dealiasing grid) holds none.
     """
 
     def __init__(self, spec: DomainSpec):
         self.spec = spec
-        d = spec.dim
-        self.shape = tuple(spec.resolution)
-        self.num_points = int(np.prod(self.shape))
+        self.shape = spec.resolution
+        self.num_points = math.prod(self.shape)
+        self.mu_min, self.mu_max, self.weight = spec.mu_min, spec.mu_max, spec.weight
 
         step = [L / (n + 1) for L, n in zip(spec.lengths, spec.resolution)]
         self.axis_points = [
             (np.arange(1, n + 1)) * h for n, h in zip(spec.resolution, step)
         ]
-        axis_lam = [
-            (np.arange(1, n + 1) * np.pi / L) ** 2
-            for n, L in zip(spec.resolution, spec.lengths)
-        ]
-        axis_mag = [np.arange(1, n + 1, dtype=float) for n in spec.resolution]
-
-        self.weight = float(np.prod(step))
         self._sqrt_weight = np.sqrt(self.weight)
         # dense matrices only when every axis is small; otherwise _dst1.
         # sqrt(weight), the product of the per-axis sqrt(step), is folded
@@ -143,18 +142,26 @@ class SpectralGrid:
             axes = [folded[key] for key in zip(spec.resolution, spec.lengths)]
             self._coeff_mats = [m for m, _ in axes]
             self._value_mats = [m for _, m in axes]
-        mesh = np.meshgrid(*axis_lam, indexing="ij")
-        self.lap_eigs = np.sum(mesh, axis=0) if d > 1 else np.asarray(axis_lam[0])
-        self.lap_eigs = self.lap_eigs.reshape(self.shape)
-        self.A_eigs = self.lap_eigs**2 + 2.0 * self.lap_eigs
-        # per-mode weight of the V-norm |u|^2 + 2|grad u|^2 + |lap u|^2
-        self.V_eigs = 1.0 + 2.0 * self.lap_eigs + self.lap_eigs**2
-        mag = np.meshgrid(*axis_mag, indexing="ij")
-        self.mode_magnitude = np.sqrt(np.sum([m**2 for m in mag], axis=0)).reshape(
-            self.shape
-        )
-        self.mu_min = float(self.A_eigs.min())
-        self.mu_max = float(self.A_eigs.max())
+
+    @cached_property
+    def lap_eigs(self) -> np.ndarray:
+        return reduce(np.add.outer, [(np.arange(1, n + 1) * np.pi / L) ** 2
+                                     for n, L in zip(self.shape, self.spec.lengths)])
+
+    @cached_property
+    def A_eigs(self) -> np.ndarray:
+        return self.lap_eigs**2 + 2.0 * self.lap_eigs
+
+    @cached_property
+    def V_eigs(self) -> np.ndarray:
+        """Per-mode weight of the V-norm |u|^2 + 2|grad u|^2 + |lap u|^2."""
+        return 1.0 + 2.0 * self.lap_eigs + self.lap_eigs**2
+
+    @cached_property
+    def mode_magnitude(self) -> np.ndarray:
+        """|k| of each mode's 1-based multi-index k."""
+        sq = reduce(np.add.outer, [np.arange(1, n + 1, dtype=float) ** 2 for n in self.shape])
+        return np.sqrt(sq, out=sq)
 
     # -- transforms -------------------------------------------------------
 

@@ -116,7 +116,7 @@ class TestXiLipschitzFormulaShape:
 def reference_growth_report(off, p):
     """The growth report as computed from an off-sphere state: the literal
     sqrt(1 + eps) u callers used to build, then two RK4 steps and the
-    Richardson-extrapolated rate."""
+    Richardson-extrapolated rate, with psi_k - psi_0 = <c_k - c_0, c_k + c_0>."""
     grid = off.grid
     c0 = grid.to_coeffs(off.values)
     psi0 = float(np.vdot(c0, c0)) - 1.0
@@ -124,8 +124,8 @@ def reference_growth_report(off, p):
     kernel = _Kernel("rk4", grid, p, h)
     c1 = kernel.advance(c0, kernel.stage(c0, off.values))
     c2 = kernel.advance(c1, kernel.stage(c1))
-    r1 = (np.log(abs(float(np.vdot(c1, c1)) - 1.0)) - np.log(abs(psi0))) / h
-    r2 = (np.log(abs(float(np.vdot(c2, c2)) - 1.0)) - np.log(abs(psi0))) / (2 * h)
+    r1 = np.log1p(float(np.vdot(c1 - c0, c1 + c0)) / psi0) / h
+    r2 = np.log1p(float(np.vdot(c2 - c0, c2 + c0)) / psi0) / (2 * h)
     measured = 2.0 * r1 - r2
     predicted = predicted_psi_rate(off, p)
     return InvarianceGrowthReport(

@@ -84,6 +84,16 @@ class TestParseConfig:
             key, raw = (part.strip() for part in line.split("="))
             assert raw != KEYS[key][2], key
 
+    def test_model_and_stepper_defaults_are_the_dataclass_defaults(self):
+        # an unset stepper.h is default_step, which is StepperConfig's h for etd1
+        cfg = parse_config(MINIMAL)
+        built = {"model": build_params(cfg), "stepper": build_stepper(cfg, build_grid(cfg))}
+        for key, (field, _, _) in KEYS.items():
+            obj = built.get(key.split(".")[0])
+            if obj is not None:
+                default = {f.name: f.default for f in dataclasses.fields(obj)}[field]
+                assert getattr(obj, field) == default, key
+
     def test_full_round_trip(self):
         cfg = parse_config(FULL)
         assert cfg.n == 2 and cfg.dealias == 2
@@ -121,6 +131,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, raw", [
         ("stepper.t_end", "inf"), ("stepper.t_end", "nan"),
         ("stepper.h", "-inf"), ("domain.L", "nan"),
+        ("stepper.scheme", "leapfrog"), ("stepper.h", "0"), ("stepper.t_end", "-1"),
+        ("stepper.record_every", "0"),
     ])
     def test_nonfinite_or_out_of_range_float_named(self, key, raw):
         with pytest.raises(ConfigError, match=key):

@@ -140,9 +140,11 @@ class TestStepConsistency:
     def test_step_rejects_nonpositive_h(self):
         g = grid_1d()
         u = basis_mode(g, 1)
+        # a nan step, which passes h <= 0, is refused by the same rule
         for step in (step_etd1, step_projected_euler, step_rk4):
-            with pytest.raises(ValueError):
-                step(u, ModelParams(n=1), 0.0)
+            for h in (0.0, math.nan):
+                with pytest.raises(ValueError, match="h must be finite and positive"):
+                    step(u, ModelParams(n=1), h)
 
 
 class TestRenormalize:
@@ -396,6 +398,13 @@ class TestKernel:
                     # and then each step's stages
                     want = 2 + (1 + 10 * stages[scheme]) * cost
                     assert transform_count[0] == want, (n, dealias, scheme)
+
+    def test_dealiasing_grid_builds_no_per_mode_array(self):
+        g = SpectralGrid(DomainSpec(2, (2.75, PI), (12, 8)))  # padded by no other test
+        integrate(basis_mode(g, (1, 2)), ModelParams(n=2, dealias=2),
+                  StepperConfig(h=1e-3, t_end=0.01))
+        fine = _fine_grid(g.spec, 2)
+        assert not {"lap_eigs", "A_eigs", "V_eigs", "mode_magnitude"} & fine.__dict__.keys()
 
     def test_records_match_make_report_from_the_state(self):
         g = grid_1d(16)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,6 +102,47 @@ class TestEigenstructure:
 
     def test_A_strictly_positive_on_sine_basis(self):
         assert grid_2d().A_eigs.min() > 0
+
+    @pytest.mark.parametrize("lengths, resolution", [
+        ((2.5,), (12,)), ((PI, 2.0), (12, 8)), ((1.5, PI, 2.0), (10, 8, 12)),
+    ])
+    def test_per_mode_arrays_equal_the_meshgrid_construction(self, lengths, resolution):
+        g = SpectralGrid(DomainSpec(len(lengths), lengths, resolution))
+        lam = np.sum(np.meshgrid(*[(np.arange(1, n + 1) * np.pi / L) ** 2
+                                   for n, L in zip(resolution, lengths)], indexing="ij"),
+                     axis=0)
+        mag = np.meshgrid(*[np.arange(1, n + 1, dtype=float) for n in resolution],
+                          indexing="ij")
+        want = {"lap_eigs": lam, "A_eigs": lam**2 + 2.0 * lam,
+                "V_eigs": 1.0 + 2.0 * lam + lam**2,
+                "mode_magnitude": np.sqrt(np.sum([m**2 for m in mag], axis=0))}
+        for name, array in want.items():
+            assert np.array_equal(getattr(g, name), array), name
+
+    def test_spectrum_bounds_and_weight_are_the_grids(self):
+        rng = np.random.default_rng(21)
+        for _ in range(120):
+            dim = int(rng.integers(1, 4))
+            spec = DomainSpec(dim, tuple(10.0 ** rng.uniform(-2, 2, dim)),
+                              tuple(2 * rng.integers(4, 13, dim)))
+            eigs = SpectralGrid(spec).A_eigs
+            assert (spec.mu_min, spec.mu_max) == (eigs.min(), eigs.max()), spec
+            steps = [L / (n + 1) for L, n in zip(spec.lengths, spec.resolution)]
+            assert spec.weight == float(np.prod(steps)), spec
+
+    def test_building_the_arrays_holds_little_beyond_them(self):
+        # each array is an outer sum of per-axis vectors; stacking d meshgrid
+        # copies used to peak at four times the bytes the arrays hold
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            g = SpectralGrid(DomainSpec(3, (PI,) * 3, (32, 32, 32)))
+            arrays = [g.lap_eigs, g.A_eigs, g.V_eigs, g.mode_magnitude]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(a.nbytes for a in arrays) + 2 * arrays[0].nbytes
 
 
 class TestTransforms:
