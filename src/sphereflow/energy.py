@@ -20,6 +20,7 @@ automatic on the unit sphere since |u| = 1 contributes 1 to ||u||_V^2.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -61,18 +62,10 @@ def make_report(u: Field | None, p: ModelParams, t: float, ut_l2_sq: float,
     vsq = l2sq + 2.0 * h1sq + h2sq
     if l2n is None:
         l2n = l2n_power(u, p.n, p.dealias)
-    return EnergyReport(
-        t=float(t),
-        l2_norm=float(np.sqrt(l2sq)),
-        h1_seminorm_sq=h1sq,
-        h2_seminorm_sq=h2sq,
-        v_norm_sq=vsq,
-        l2n_pow=l2n,
-        Y=0.5 * vsq + l2n / (2.0 * p.n),
-        ut_l2_sq=float(ut_l2_sq),
-        dissipation_integral=float(dissipation_integral),
-        norm_drift=abs(l2sq - 1.0),
-    )
+    # in field order; math.sqrt is correctly rounded, so it gives np.sqrt's bits
+    return EnergyReport(float(t), math.sqrt(l2sq), h1sq, h2sq, vsq, l2n,
+                        0.5 * vsq + l2n / (2.0 * p.n), float(ut_l2_sq),
+                        float(dissipation_integral), abs(l2sq - 1.0))
 
 
 def energy_residual(ledger) -> np.ndarray:

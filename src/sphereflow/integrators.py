@@ -42,6 +42,10 @@ SCHEMES = tuple(TABLEAUS)
 # the schemes whose b names phi_weights columns
 EXPONENTIAL = tuple(name for name, (_, b) in TABLEAUS.items() if isinstance(b[0], str))
 V_NORM_LIMIT = 1e8  # the blow-up guard trips above this V-norm
+# The guard passes a squared V-norm vn_sq exactly when
+# -inf < vn_sq <= _VN_SQ_MAX: finite, NaN failing both comparisons, and at
+# most V_NORM_LIMIT**2.  Its callers test this inline and call _blow_up.
+_VN_SQ_MAX = V_NORM_LIMIT**2
 
 
 class BlowUpError(RuntimeError):
@@ -124,19 +128,21 @@ class _Kernel:
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
         self.grid, self.p = grid, p
-        # the nonzero (j, h a_ij) of each stage row
-        self.ha = [[(j, h * x) for j, x in enumerate(row) if x] for row in a]
+        self.A_eigs = grid.A_eigs  # read once, not on every stage
+        # the nonzero (j, h a_ij) of each stage row.  h a_ij and h b_j are
+        # float64 0-d arrays: times an array they give the bits of the
+        # Python float, which numpy would convert again on every product
+        self.ha = [[(j, np.array(h * x)) for j, x in enumerate(row) if x] for row in a]
         if scheme in EXPONENTIAL:
-            weights = phi_weights(grid, h)
-            self.decay, self.hb = weights.decay, [getattr(weights, x) for x in b]
+            self.decay, *self.hb = phi_weights(grid, h, "decay", *b)
         else:
-            self.decay, self.hb = None, [h * x for x in b]
+            self.decay, self.hb = None, [np.array(h * x) for x in b]
 
     def stage(self, c: np.ndarray, values: np.ndarray | None = None,
               a_terms: tuple | None = None) -> tuple:
         """The stage at c; a caller that holds u at c (``values``) or
-        ``_a_terms(grid, c)`` passes them."""
-        ac, a_sq = _a_terms(self.grid, c) if a_terms is None else a_terms
+        ``_a_terms(A_eigs, c)`` passes them."""
+        ac, a_sq = _a_terms(self.A_eigs, c) if a_terms is None else a_terms
         n, s = _F_values(self.grid, c, a_sq, self.p, values)
         return n, n - ac, s
 
@@ -160,16 +166,14 @@ class _Kernel:
         return out
 
 
-def _guard(grid, vn_sq: float, t: float, last: np.ndarray) -> None:
-    """Raise BlowUpError if the squared V-norm ``vn_sq`` of the state reached
-    at time t is not finite or exceeds V_NORM_LIMIT**2; ``last`` holds the
-    coefficients of the state before it."""
-    if not math.isfinite(vn_sq) or vn_sq > V_NORM_LIMIT**2:
-        raise BlowUpError(
-            f"blow-up at t = {t:.6g}: V-norm {math.sqrt(max(vn_sq, 0.0))!r} "
-            f"exceeded {V_NORM_LIMIT:g}",
-            t=t, last_state=Field._wrap(grid, grid.to_values(last)),
-        )
+def _blow_up(grid, vn_sq: float, t: float, last: np.ndarray) -> None:
+    """Raise the BlowUpError of a squared V-norm ``vn_sq`` that failed the
+    guard at time t; ``last`` holds the coefficients of the state before."""
+    raise BlowUpError(
+        f"blow-up at t = {t:.6g}: V-norm {math.sqrt(max(vn_sq, 0.0))!r} "
+        f"exceeded {V_NORM_LIMIT:g}",
+        t=t, last_state=Field._wrap(grid, grid.to_values(last)),
+    )
 
 
 def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
@@ -179,7 +183,9 @@ def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
     c = grid.to_coeffs(u.values)
     with np.errstate(over="ignore"):
         out = kernel.advance(c, kernel.stage(c, u.values))
-        _guard(grid, float(_vdot(grid.V_eigs * out, out)), h, c)
+        vn_sq = float(_vdot(grid.V_eigs * out, out))
+        if not -math.inf < vn_sq <= _VN_SQ_MAX:
+            _blow_up(grid, vn_sq, h, c)
     return Field._wrap(grid, grid.to_values(out))
 
 
@@ -232,8 +238,10 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
 
     rows = []
     # steps 0, record_every, 2 record_every, ... and the last step
-    n_records = math.ceil(n_steps / cfg.record_every) + 1
+    record_every, renormalize = cfg.record_every, cfg.renormalize
+    n_records = math.ceil(n_steps / record_every) + 1
     coeffs = np.empty((n_records,) + grid.shape) if cfg.keep_snapshots else None
+    A_eigs = kernel.A_eigs
     dissipation = 0.0
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         stage = kernel.stage(c)
@@ -243,7 +251,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
             prev_ut_sq = ut_sq
-            if i % cfg.record_every == 0 or i == n_steps:
+            if i % record_every == 0 or i == n_steps:
                 sums = coeff_norms_sq(grid, c)
                 if coeffs is not None:
                     coeffs[len(rows)] = c
@@ -256,14 +264,15 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             t = (i + 1) * h
             r_sq = float(_vdot(c, c))
             if not math.isfinite(r_sq):
-                _guard(grid, r_sq, t, last)
-            if cfg.renormalize:
+                _blow_up(grid, r_sq, t, last)
+            if renormalize:
                 c /= math.sqrt(r_sq)  # c is advance's new array
-            a_terms = _a_terms(grid, c)
+            a_terms = _a_terms(A_eigs, c)
             a_sq = a_terms[1]
             # |c|_V^2 of the state advance reached, before it is retracted
-            _guard(grid, r_sq * (1.0 + a_sq) if cfg.renormalize else r_sq + a_sq,
-                   t, last)
+            vn_sq = r_sq * (1.0 + a_sq) if renormalize else r_sq + a_sq
+            if not -math.inf < vn_sq <= _VN_SQ_MAX:
+                _blow_up(grid, vn_sq, t, last)
             stage = kernel.stage(c, a_terms=a_terms)
 
     ledger = energy.EnergyReport(*map(np.array, zip(*rows)))

@@ -152,7 +152,7 @@ def convolve_semigroup(f: SpaceTimeGrid, out=None) -> SpaceTimeGrid:
 
     written into ``out`` (shaped like ``f.coeffs``, not aliasing it) when given.
     """
-    decay, _, w_left, w_right = phi_weights(f.grid, f.dt)
+    decay, w_left, w_right = phi_weights(f.grid, f.dt, "decay", "h_phi1_phi2", "h_phi2")
     fc = f.coeffs
     out = np.empty_like(fc) if out is None else out
     out[0] = 0.0
@@ -179,10 +179,11 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
     fc = np.empty_like(u.coeffs) if scratch is None else scratch
     # fc holds the squared coefficients until the loop below overwrites it
     theta = theta_eval(th, np.sqrt(_running_xt_sq(u, scratch=fc)))
+    A_eigs = grid.A_eigs
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         for i, c in enumerate(u.coeffs):
             # through the module, so that wrappers of model._F_values see the call
-            a_sq = model._a_terms(grid, c)[1]
+            a_sq = model._a_terms(A_eigs, c)[1]
             fc[i] = model._F_values(grid, c, a_sq, p)[0]
     fc *= theta.reshape((-1,) + (1,) * len(grid.shape))
     if free is None:

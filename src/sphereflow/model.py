@@ -88,19 +88,6 @@ def _fine_grid(spec: DomainSpec, factor: int) -> SpectralGrid:
     ))
 
 
-def _odd_power(values: np.ndarray, n: int) -> np.ndarray:
-    """u^(2n-1) for an integer n >= 2, as u * (u^2)^(n-1), in a new array.
-
-    Multiplication costs the same for either sign of u (pow is far slower on
-    negative bases), and the chain is exactly odd: (-u)^(2n-1) = -(u^(2n-1)).
-    """
-    sq = w = values * values
-    for _ in range(n - 2):
-        w = w * sq
-    w *= values
-    return w
-
-
 def _raise_overflow(values: np.ndarray):
     i = tuple(int(x) for x in np.unravel_index(np.argmax(np.abs(values)), values.shape))
     raise OverflowError(
@@ -118,7 +105,10 @@ def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
     set both results are taken on the zero-padded grid, padded once from the
     coefficients (transformed here when not given), and the power is
     returned there.  For n = 1 on the native grid the power is u's values
-    themselves, which callers only read; otherwise it is a new array.
+    themselves, which callers only read; otherwise it is the new array
+    u * (u^2)^(n-1): multiplication costs the same for either sign of u
+    (pow is far slower on negative bases), and the chain is exactly odd,
+    (-u)^(2n-1) = -(u^(2n-1)).
 
     The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
     w makes it non-finite and the overflow test looks at that one number;
@@ -134,7 +124,12 @@ def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
         v = fine.to_values(padded)
     elif v is None:
         v = grid.to_values(coeffs)
-    w = v if p.n == 1 else _odd_power(v, p.n)
+    w = v
+    if p.n > 1:
+        sq = w = v * v
+        for _ in range(p.n - 2):
+            w = w * sq
+        w *= v
     s = fine.weight * float(_vdot(w, v))
     if not math.isfinite(s):
         _raise_overflow(v)
@@ -166,10 +161,11 @@ def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
         return _power(u.grid, u.values, ModelParams(n=n, dealias=dealias))[1]
 
 
-def _a_terms(grid: SpectralGrid, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    """(A c, <A c, c>) for u's coefficients c: the linear term of the vector
-    field and |u|_H2^2 + 2|u|_H1^2 as the single Parseval sum of A_k c_k^2."""
-    ac = grid.A_eigs * coeffs
+def _a_terms(A_eigs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(A c, <A c, c>) for u's coefficients c, given the grid's ``A_eigs``:
+    the linear term of the vector field and |u|_H2^2 + 2|u|_H1^2 as the
+    single Parseval sum of A_k c_k^2."""
+    ac = A_eigs * coeffs
     return ac, float(_vdot(ac, coeffs))
 
 
@@ -177,7 +173,7 @@ def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParam
               values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(N, s): the coefficients N = (a_sq + s) c - P of F(u), for u's
     coefficients c, and the integral s of u^(2n), given
-    ``a_sq = _a_terms(grid, c)[1]``, which the caller shares with the
+    ``a_sq = _a_terms(grid.A_eigs, c)[1]``, which the caller shares with the
     blow-up guard.  P holds the coefficients of u^(2n-1).
 
     Every term of F but the power is a number times u, so only P needs
@@ -192,6 +188,9 @@ def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParam
         if not math.isfinite(s):
             _raise_overflow(grid.to_values(coeffs))
         return (a_sq + s) * coeffs - coeffs, s
+    # P is made here, after _power frees u's values and before w is freed:
+    # a 256^2 stage that frees both inside _power takes ~3x the page faults
+    # (glibc trims the freed top of the heap and faults it back in)
     w, s = _power(grid, values, p, coeffs)
     P = _power_coeffs(grid, w, p)
     # subtracting in place saves a grid-sized temporary, whose page faults
@@ -213,7 +212,7 @@ def nonlinearity_F(u: Field, p: ModelParams) -> Field:
         w, s = _power(grid, u.values, p, c)
     if p.dealias is not None:
         w = grid.to_values(_power_coeffs(grid, w, p))
-    return Field._wrap(grid, (_a_terms(grid, c)[1] + s) * u.values - w)
+    return Field._wrap(grid, (_a_terms(grid.A_eigs, c)[1] + s) * u.values - w)
 
 
 def project_tangent(u: Field, h: Field) -> Field:

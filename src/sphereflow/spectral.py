@@ -12,7 +12,6 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,9 +94,8 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 
 
 def _contract_axes(mats, x: np.ndarray) -> np.ndarray:
-    """Apply mats[k] along axis k of x with one matrix product per axis."""
-    if x.ndim == 1:
-        return mats[0] @ x
+    """Apply mats[k] along axis k of an x of two or three axes with one
+    matrix product per axis."""
     if x.ndim == 2:
         return mats[0] @ x @ mats[1].T
     a, b, c = x.shape
@@ -165,15 +163,25 @@ class SpectralGrid:
 
     # -- transforms -------------------------------------------------------
 
+    # A 1D dense transform is one matrix-vector product: ndarray.dot gives
+    # the bits of @ and skips the matmul gufunc's dispatch, which costs as
+    # much as the product on the N = 8-12 grids of the check suite.
+
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        if self._coeff_mats is None:
+        mats = self._coeff_mats
+        if mats is None:
             return self._sqrt_weight * _dst1(values)
-        return _contract_axes(self._coeff_mats, values)
+        if values.ndim == 1:
+            return mats[0].dot(values)
+        return _contract_axes(mats, values)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        if self._value_mats is None:
+        mats = self._value_mats
+        if mats is None:
             return _dst1(coeffs) / self._sqrt_weight
-        return _contract_axes(self._value_mats, coeffs)
+        if coeffs.ndim == 1:
+            return mats[0].dot(coeffs)
+        return _contract_axes(mats, coeffs)
 
     def compatible(self, other: "SpectralGrid") -> bool:
         return self is other or self.spec == other.spec
@@ -342,11 +350,12 @@ def sobolev_norms_sq(u: Field):
 
 def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray):
     """sobolev_norms_sq from coefficients already at hand: Parseval sums."""
+    lam = grid.lap_eigs
     c2 = coeffs * coeffs
-    lam_c2 = grid.lap_eigs * c2
+    lam_c2 = lam * c2
     # np.add.reduce over every axis is what .sum() calls, without its wrappers
     return (float(np.add.reduce(c2, axis=None)), float(np.add.reduce(lam_c2, axis=None)),
-            float(_vdot(lam_c2, grid.lap_eigs)))
+            float(_vdot(lam_c2, lam)))
 
 
 # -- exponential integrator weights -----------------------------------------
@@ -378,34 +387,41 @@ def _phi2(z):
     return np.where(small, series, (zs - 1.0 + np.exp(-zs)) / zs**2)
 
 
-class PhiWeights(NamedTuple):
-    """Weights of an exponential step h, at z = h mu per eigenvalue mu of A."""
-
-    decay: np.ndarray        # exp(-z)
-    h_phi1: np.ndarray       # h phi1(z)
-    h_phi1_phi2: np.ndarray  # h (phi1 - phi2)(z)
-    h_phi2: np.ndarray       # h phi2(z)
-
-
 _phi_weights_cache: dict = {}
 
 
-def phi_weights(grid: SpectralGrid, h: float) -> PhiWeights:
-    """The read-only PhiWeights of step h on grid, which ETD1 and the mild
-    convolution read.  Only the last (grid.spec, h) is kept: every repeated
-    use (runs on one grid, the one-step wrappers, the maps of a Picard
-    solve) asks for it again, and one entry bounds the memory held."""
+def _phi_columns(grid: SpectralGrid, h: float, name: str) -> dict:
+    """Column ``name`` of the phi-weight table, with the column built in the
+    same pass: the convolution pair shares phi1 and phi2."""
+    if name == "decay":
+        return {"decay": semigroup_factors(grid, h)}
+    z = h * grid.A_eigs
+    if name == "h_phi1":
+        return {"h_phi1": h * phi1(z)}
+    p1, p2 = phi1(z), _phi2(z)
+    return {"h_phi1_phi2": h * (p1 - p2), "h_phi2": h * p2}
+
+
+def phi_weights(grid: SpectralGrid, h: float, *names: str) -> tuple:
+    """The read-only columns ``names`` of the weights of an exponential step
+    h, at z = h mu per eigenvalue mu of A: "decay" exp(-z), "h_phi1"
+    h phi1(z), and the convolution pair "h_phi1_phi2" h (phi1 - phi2)(z)
+    and "h_phi2" h phi2(z).  ETD1 reads the first two, the mild
+    convolution the other three; a column is built when a caller first
+    names it.  Only the last (grid.spec, h) is kept: every repeated use
+    (runs on one grid, the one-step wrappers, the maps of a Picard solve)
+    asks for it again, and one entry bounds the memory held."""
     key = (grid.spec, h)
-    weights = _phi_weights_cache.get(key)
-    if weights is None:
+    table = _phi_weights_cache.get(key)
+    if table is None:
         _phi_weights_cache.clear()
-        z = h * grid.A_eigs
-        p1, p2 = phi1(z), _phi2(z)
-        weights = PhiWeights(semigroup_factors(grid, h), h * p1, h * (p1 - p2), h * p2)
-        for w in weights:
-            w.flags.writeable = False
-        _phi_weights_cache[key] = weights
-    return weights
+        table = _phi_weights_cache[key] = {}
+    for name in names:
+        if name not in table:
+            for column, w in _phi_columns(grid, h, name).items():
+                w.flags.writeable = False
+                table[column] = w
+    return tuple(table[name] for name in names)
 
 
 # -- snapshot files ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,3 +46,28 @@ def test_cmd_check_writes_report_and_exit_code(tmp_path, monkeypatch, capsys):
     assert cmd_check(SimpleNamespace(seed=0, out_dir=str(tmp_path))) == 0
     lines = (tmp_path / "check_report.csv").read_text().splitlines()
     assert lines[1:] == ['pass row,1,0.10000000000000001,"<= 1"']
+
+
+def _pid(tab, seed):
+    tab.add("process id", os.getpid(), "", True)
+
+
+def test_parallel_run_merges_rows_and_seconds_in_suite_order(monkeypatch):
+    suite = (checks.check_spectral_core, _pid, checks.check_psi_rate, _pass, _fail)
+    monkeypatch.setattr(checks, "ALL_CHECKS", suite)
+    serial, parallel = checks.run_all(3), checks.run_all(3, workers=2)
+    names = [fn.__name__ for fn in suite]
+    assert list(serial.seconds) == list(parallel.seconds) == names
+    pid = [r for r in parallel.rows if r["name"] == "process id"]
+    assert pid[0]["measured"] != os.getpid()
+    assert [r for r in parallel.rows if r["name"] != "process id"] == [
+        r for r in serial.rows if r["name"] != "process id"]
+    assert [r["name"] for r in parallel.rows] == [r["name"] for r in serial.rows]
+
+
+def test_cmd_check_is_serial_on_one_cpu(tmp_path, monkeypatch):
+    monkeypatch.setattr(checks, "ALL_CHECKS", (_pid,))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cmd_check(SimpleNamespace(seed=0, out_dir=str(tmp_path))) == 0
+    lines = (tmp_path / "check_report.csv").read_text().splitlines()
+    assert lines[1] == f'process id,1,{os.getpid()},""'

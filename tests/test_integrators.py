@@ -9,8 +9,10 @@ from sphereflow import (
     DomainSpec,
     Field,
     ModelParams,
+    SpaceTimeGrid,
     SpectralGrid,
     StepperConfig,
+    TruncationTheta,
     basis_mode,
     convergence_order_probe,
     default_step,
@@ -18,6 +20,7 @@ from sphereflow import (
     make_report,
     nonlinearity_F,
     norm_l2,
+    phi_map,
     power_term,
     projected_rhs,
     random_unit_field,
@@ -370,6 +373,35 @@ class TestBlowUpGuard:
         assert err.value.t == 3 * 1e-3
         assert np.all(np.isfinite(err.value.last_state.values))
 
+    @pytest.mark.parametrize("vn_sq, shown", (
+        (math.nan, "nan"), (math.inf, "inf"),
+        (np.nextafter(V_NORM_LIMIT**2, math.inf), "100000000.00000001")))
+    def test_guard_trips_on_the_same_values(self, monkeypatch, vn_sq, shown):
+        # advance reaches a zero state at step 3 whose <A c, c> is set to
+        # vn_sq; unretracted, the guard then reads |c|^2 + <A c, c> = vn_sq
+        advance, a_terms = _Kernel.advance, integrators._a_terms
+        steps = []
+
+        def zero_at_3(self, c, first):
+            steps.append(None)
+            return np.zeros_like(c) if len(steps) == 3 else advance(self, c, first)
+
+        def set_a_sq(A_eigs, c):
+            ac, a_sq = a_terms(A_eigs, c)
+            return ac, (a_sq if c.any() else vn_sq)
+
+        monkeypatch.setattr(_Kernel, "advance", zero_at_3)
+        monkeypatch.setattr(integrators, "_a_terms", set_a_sq)
+        u0 = random_unit_field(grid_1d(16), np.random.default_rng(6))
+        cfg = StepperConfig(h=1e-3, t_end=0.01, renormalize=False, keep_snapshots=False)
+        with pytest.raises(BlowUpError) as err:
+            integrate(u0, ModelParams(n=2), cfg)
+        assert str(err.value) == f"blow-up at t = 0.003: V-norm {shown} exceeded 1e+08"
+        assert err.value.t == 3e-3
+        # at the limit itself the run goes on
+        vn_sq, steps[:] = V_NORM_LIMIT**2, []
+        integrate(u0, ModelParams(n=2), cfg)
+
     def test_n1_nonlinearity_does_not_alias_u(self):
         # F reads u as its own power u^(2n-1) for n = 1; results are still new arrays
         u = random_unit_field(grid_1d(16), np.random.default_rng(15))
@@ -444,11 +476,30 @@ class TestKernel:
         step_etd1(step_etd1(u, p, h), p, h)
         integrate(u, p, StepperConfig(h=h, t_end=5 * h))
         kernel = _Kernel("etd1", g, p, h)
-        assert len(builds) == 1
-        weights = spectral.phi_weights(g, h)
-        assert kernel.decay is weights.decay
-        assert len(kernel.hb) == 1 and kernel.hb[0] is weights.h_phi1
+        # ETD1 builds exp(-hA) and h phi1 once, and no convolution column
+        assert not builds
+        (table,) = spectral._phi_weights_cache.values()
+        assert table.keys() == {"decay", "h_phi1"}
+        decay, h_phi1 = spectral.phi_weights(g, h, "decay", "h_phi1")
+        assert kernel.decay is decay
+        assert len(kernel.hb) == 1 and kernel.hb[0] is h_phi1
         assert not (kernel.decay.flags.writeable or kernel.hb[0].flags.writeable)
+        # a Picard map on the same grid and step adds the convolution pair
+        # to the same table, with one phi2 pass, bitwise equal to the
+        # weights written out
+        times = np.linspace(0.0, 4 * h, 5)
+        orbit = SpaceTimeGrid.from_semigroup(u, times)
+        phi_map(orbit, u, TruncationTheta(1e6), p, free=orbit)
+        assert len(builds) == 1
+        assert table.keys() == {"decay", "h_phi1", "h_phi1_phi2", "h_phi2"}
+        z = h * g.A_eigs
+        p1, p2 = spectral.phi1(z), phi2(z)
+        for name, want in (("decay", spectral.semigroup_factors(g, h)),
+                           ("h_phi1", h * p1), ("h_phi1_phi2", h * (p1 - p2)),
+                           ("h_phi2", h * p2)):
+            assert np.array_equal(table[name].view(np.int64), want.view(np.int64)), name
+            assert not table[name].flags.writeable
+        assert table["decay"] is decay and table["h_phi1"] is h_phi1
 
     @staticmethod
     def reference_integrate(u0, p, cfg):
@@ -519,7 +570,10 @@ class TestKernel:
         g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
         u0 = random_unit_field(g, np.random.default_rng(14))
         h = default_step(scheme, g)
-        cfg = StepperConfig(scheme=scheme, h=h, t_end=6 * h, record_every=2)
+        # a few steps at every n, and 50 steps recorded on each
+        cfgs = {n: [StepperConfig(scheme=scheme, h=h, t_end=6 * h, record_every=2)]
+                for n in (1, 2, 3)}
+        cfgs[2].append(StepperConfig(scheme=scheme, h=h, t_end=50 * h, record_every=1))
 
         def bits(array):
             return np.asarray(array).view(np.int64)
@@ -527,13 +581,15 @@ class TestKernel:
         for n in (1, 2, 3):
             for dealias in (None, n):
                 p = ModelParams(n=n, dealias=dealias)
-                traj = integrate(u0, p, cfg)
-                values, reports, rows = self.reference_integrate(u0, p, cfg)
-                assert np.array_equal(traj.final_state.values.view(np.int64),
-                                      values.view(np.int64)), (n, dealias)
-                # the ledger's columns are the reference's rows, stacked
-                assert np.array_equal(bits(traj.ledger), bits(reports).T), (n, dealias)
-                assert np.array_equal(bits(traj.coeffs), bits(rows)), (n, dealias)
+                for cfg in cfgs[n]:
+                    case = (n, dealias, cfg.t_end / h)
+                    traj = integrate(u0, p, cfg)
+                    values, reports, rows = self.reference_integrate(u0, p, cfg)
+                    assert np.array_equal(traj.final_state.values.view(np.int64),
+                                          values.view(np.int64)), case
+                    # the ledger's columns are the reference's rows, stacked
+                    assert np.array_equal(bits(traj.ledger), bits(reports).T), case
+                    assert np.array_equal(bits(traj.coeffs), bits(rows)), case
 
 
 class TestOrders:

@@ -129,7 +129,7 @@ class TestSpaceTimeGrid:
         assert np.array_equal(apply_semigroup(u, times[-1]).values, plain)
         # the phi-weight table's exp(-hA) for the grid's step h
         h = float(times[1] - times[0])
-        decay = spectral.phi_weights(g, h).decay
+        decay, = spectral.phi_weights(g, h, "decay")
         assert np.count_nonzero(h * g.A_eigs > 745) > 0.3 * decay.size
         assert np.array_equal(decay, np.exp(-h * g.A_eigs))
 
@@ -186,7 +186,10 @@ class TestConvolution:
             out = tmp_path / f"p{k}"
             assert main(["--config", str(cfg), "--out", str(out), "picard"]) == 0
         assert len(spectral._phi_weights_cache) == 1
-        for w in next(iter(spectral._phi_weights_cache.values())):
+        # the table holds the convolution's three columns and no other
+        table = next(iter(spectral._phi_weights_cache.values()))
+        assert table.keys() == {"decay", "h_phi1_phi2", "h_phi2"}
+        for w in table.values():
             assert not w.flags.writeable
 
     def test_constant_source_closed_form(self):

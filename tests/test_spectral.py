@@ -187,6 +187,18 @@ class TestTransforms:
             # the orthonormal DST-I is its own inverse
             assert np.max(np.abs(g.to_values(fwd) * r - x)) <= 1e-13
 
+    @pytest.mark.parametrize("n", (8, 12, 64, 256))
+    def test_1d_transforms_are_the_matrix_product_to_the_bit(self, n):
+        # a 1D dense transform takes ndarray.dot, which must give the bits
+        # of the matmul of the folded matrix
+        g = grid_1d(n, L=2.75)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+            for got, mat in ((g.to_coeffs(x), g._coeff_mats[0]),
+                             (g.to_values(x), g._value_mats[0])):
+                assert np.array_equal(got.view(np.int64), (mat @ x).view(np.int64))
+
     def test_scipy_and_dense_paths_agree(self):
         # N=512 exceeds the dense-matrix limit and exercises the FFT path
         rng = np.random.default_rng(1)
