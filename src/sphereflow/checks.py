@@ -483,4 +483,9 @@ def cmd_check(cfg) -> int:
             name = r["name"].replace(",", ";")
             fh.write(f"{name},{int(r['passed'])},{r['measured']:.17g},"
                      f"\"{r['threshold']}\"\n")
+    # the wall seconds of each check function, in a file of their own so
+    # that check_report.csv keeps the same bytes from run to run
+    with open(os.path.join(cfg.out_dir, "check_seconds.csv"), "w", newline="") as fh:
+        fh.write("check,seconds\n")
+        fh.writelines(f"{name},{seconds:.6f}\n" for name, seconds in tab.seconds.items())
     return 0 if n_pass == len(tab.rows) else 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy
-from .model import ModelParams, _a_terms, _F_values
+from .model import ModelParams, _a_terms, _F_values, _Work
 from .spectral import Field, _vdot, coeff_norms_sq, norm_l2, phi_weights
 
 
@@ -120,10 +120,15 @@ def default_step(scheme: str, grid) -> float:
 
 class _Kernel:
     """One scheme for one grid, model and step size, with the h-dependent
-    weights made once.  A stage is the tuple (N, k, s): N, k = N - A c and
-    the integral s of u^(2n) as F took it; both arrays are new, since RK4
-    holds its k's across stages, and so is the c ``advance`` returns.
-    Callers hold ``np.errstate(over="ignore")`` around their steps."""
+    weights and every grid-sized array of a step made once, so that a step
+    allocates none.  A stage is the tuple (N, k, s): N, k = N - A c and the
+    integral s of u^(2n) as F took it.  N is F's ``work.N`` and k is
+    written over A c in ``ks[i]``, the array of stage i, so a stage's arrays
+    live until the next stage of the same index.  ``advance`` writes the
+    next c into the array of ``pair`` that c is not (the first when c is
+    neither), so it never overwrites the c it reads, and the c it returns
+    holds until the advance after next.  Callers hold
+    ``np.errstate(over="ignore")`` around their steps."""
 
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
@@ -133,36 +138,62 @@ class _Kernel:
         # float64 0-d arrays: times an array they give the bits of the
         # Python float, which numpy would convert again on every product
         self.ha = [[(j, np.array(h * x)) for j, x in enumerate(row) if x] for row in a]
+        self.work = _Work(grid, p)
+        self.ks = [np.empty(grid.shape) for _ in b]
+        pair = self.pair = (np.empty(grid.shape), np.empty(grid.shape))
+        boxes = (None, None)
         if scheme in EXPONENTIAL:
             self.decay, *self.hb = phi_weights(grid, h, "decay", *b)
+            # exp(-z) is exactly 0 past z = 746 (semigroup_factors), where
+            # decay * c adds a zero, which leaves h phi1 N as it is (the full
+            # sum would differ only on a -0 where c > 0, which needs
+            # |N| < 1e-308 mu): the update runs on the leading box of the
+            # nonzero decays, through views of decay, of each array of the
+            # pair and of a product array made once
+            box = tuple(slice(0, int(i.max(initial=-1)) + 1) for i in np.nonzero(self.decay))
+            self.box, self.decay_box = box, self.decay[box]
+            self.box_product = np.empty(self.decay_box.shape)
+            boxes = tuple(x[box] for x in pair)
         else:
             self.decay, self.hb = None, [np.array(h * x) for x in b]
+            # the state of stages 1, 2, ...; the final sum's products go there too
+            self.ci = np.empty(grid.shape) if len(b) > 1 else None
+        # advance's (next c, its decay box, c, c's decay box), indexed by
+        # whether c is pair[0]
+        self.slots = ((pair[0], boxes[0], pair[1], boxes[1]),
+                      (pair[1], boxes[1], pair[0], boxes[0]))
 
     def stage(self, c: np.ndarray, values: np.ndarray | None = None,
-              a_terms: tuple | None = None) -> tuple:
-        """The stage at c; a caller that holds u at c (``values``) or
-        ``_a_terms(A_eigs, c)`` passes them."""
-        ac, a_sq = _a_terms(self.A_eigs, c) if a_terms is None else a_terms
-        n, s = _F_values(self.grid, c, a_sq, self.p, values)
-        return n, n - ac, s
+              a_terms: tuple | None = None, i: int = 0) -> tuple:
+        """Stage i at c; a caller that holds u at c (``values``) or
+        ``_a_terms(A_eigs, c, ks[i])`` passes them."""
+        ac, a_sq = _a_terms(self.A_eigs, c, self.ks[i]) if a_terms is None else a_terms
+        n, s = _F_values(self.grid, c, a_sq, self.p, values, self.work)
+        return n, np.subtract(n, ac, ac), s
 
     def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:
         """The next coefficients, given ``first = stage(c)``.  Sums run left
         to right from c: c + h x_0 k_0 + h x_1 k_1 + ..."""
+        out, out_box, prev, c_box = self.slots[c is self.pair[0]]
+        mul = np.multiply  # looked up once: a small grid's step is call overhead
         if self.decay is not None:
             # IEEE addition commutes, so this is decay * c + hb * N to the bit
-            out = self.hb[0] * first[0]
-            out += self.decay * c
+            mul(self.hb[0], first[0], out)
+            if c is not prev:  # a c the kernel did not make
+                c_box = c[self.box]
+            out_box += mul(self.decay_box, c_box, self.box_product)
             return out
+        add, ci_out, stage = np.add, self.ci, self.stage
         ks = [first[1]]
-        for row in self.ha:
+        for i, row in enumerate(self.ha, 1):
+            # out holds each h a_ij k_j until the final sum
             ci = c
             for j, x in row:
-                ci = ci + x * ks[j]
-            ks.append(self.stage(ci)[1])
-        out = c
-        for x, k in zip(self.hb, ks):
-            out = out + x * k
+                ci = add(ci, mul(x, ks[j], out), ci_out)
+            ks.append(stage(ci, None, None, i)[1])
+        add(c, mul(self.hb[0], ks[0], out), out)
+        for x, k in zip(self.hb[1:], ks[1:]):
+            out += mul(x, k, ci_out)
         return out
 
 
@@ -230,23 +261,26 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     n_steps = int(round(cfg.t_end / h))
     kernel = _Kernel(cfg.scheme, grid, p, h)
 
-    c = grid.to_coeffs(u0.values)
+    # the state starts in the pair, and ks[0] is the transforms' middle
+    # product until the first stage and after the last one
+    A_eigs, ac = kernel.A_eigs, kernel.ks[0]
+    c = grid.to_coeffs(u0.values, kernel.pair[1], ac)
     r = math.sqrt(_vdot(c, c))
     if r == 0.0:
         raise ValueError("cannot renormalize the zero field")
-    c = c / r
+    c /= r
 
     rows = []
     # steps 0, record_every, 2 record_every, ... and the last step
     record_every, renormalize = cfg.record_every, cfg.renormalize
     n_records = math.ceil(n_steps / record_every) + 1
     coeffs = np.empty((n_records,) + grid.shape) if cfg.keep_snapshots else None
-    A_eigs = kernel.A_eigs
     dissipation = 0.0
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
-        stage = kernel.stage(c)
+        advance, stage_at = kernel.advance, kernel.stage
+        stage = stage_at(c)
         for i in range(n_steps + 1):
-            k, s = stage[1:]
+            _, k, s = stage
             ut_sq = float(_vdot(k, k))
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
@@ -258,26 +292,23 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
                 rows.append(energy.make_report(None, p, i * h, ut_sq, dissipation, sums, s))
             if i == n_steps:
                 break
-            last, c = c, kernel.advance(c, stage)
-            # the old stage is dead: freed now, its memory serves the next one
-            del stage, k
-            t = (i + 1) * h
+            last, c = c, advance(c, stage)
             r_sq = float(_vdot(c, c))
             if not math.isfinite(r_sq):
-                _blow_up(grid, r_sq, t, last)
+                _blow_up(grid, r_sq, (i + 1) * h, last)
             if renormalize:
-                c /= math.sqrt(r_sq)  # c is advance's new array
-            a_terms = _a_terms(A_eigs, c)
+                c /= math.sqrt(r_sq)  # c is the kernel's array, not last
+            a_terms = _a_terms(A_eigs, c, ac)
             a_sq = a_terms[1]
             # |c|_V^2 of the state advance reached, before it is retracted
             vn_sq = r_sq * (1.0 + a_sq) if renormalize else r_sq + a_sq
             if not -math.inf < vn_sq <= _VN_SQ_MAX:
-                _blow_up(grid, vn_sq, t, last)
-            stage = kernel.stage(c, a_terms=a_terms)
+                _blow_up(grid, vn_sq, (i + 1) * h, last)
+            stage = stage_at(c, None, a_terms)
 
     ledger = energy.EnergyReport(*map(np.array, zip(*rows)))
     return TrajectoryRecord(ledger=ledger, coeffs=coeffs,
-                            final_state=Field._wrap(grid, grid.to_values(c)))
+                            final_state=Field._wrap(grid, grid.to_values(c, None, ac)))
 
 
 @dataclass(frozen=True)

@@ -179,12 +179,14 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
     fc = np.empty_like(u.coeffs) if scratch is None else scratch
     # fc holds the squared coefficients until the loop below overwrites it
     theta = theta_eval(th, np.sqrt(_running_xt_sq(u, scratch=fc)))
-    A_eigs = grid.A_eigs
+    # one workspace of F serves every slot of the map
+    A_eigs, work = grid.A_eigs, model._Work(grid, p)
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         for i, c in enumerate(u.coeffs):
-            # through the module, so that wrappers of model._F_values see the call
-            a_sq = model._a_terms(A_eigs, c)[1]
-            fc[i] = model._F_values(grid, c, a_sq, p)[0]
+            # A c goes to the slot's row of fc, which then takes F; both calls
+            # go through the module, so that wrappers of model._F_values see them
+            a_sq = model._a_terms(A_eigs, c, fc[i])[1]
+            fc[i] = model._F_values(grid, c, a_sq, p, None, work)[0]
     fc *= theta.reshape((-1,) + (1,) * len(grid.shape))
     if free is None:
         free = SpaceTimeGrid.from_semigroup(u0, u.times)

@@ -95,8 +95,40 @@ def _raise_overflow(values: np.ndarray):
     )
 
 
+class _Work:
+    """The arrays F writes on (grid, p), made once and rewritten by every
+    stage, so that a caller that takes F many times on one grid allocates
+    no grid-sized array in it.  ``fine`` is the grid the power is taken on
+    (zero-padded with dealiasing).  For n >= 2 there are u's values, the
+    power u^(2n-1), u^2 for n > 2, and in 2D and 3D the middle product of
+    each transform, all on ``fine``.  With dealiasing there are ``padded``
+    on ``fine``, whose modes past grid's stay zero, and ``truncated``, the
+    power's coefficients on grid's modes, copied out of the padded ones (a
+    ufunc that read them through the strided view would buffer a copy of
+    its own); an n = 1 stage takes no transform and leaves both as made.
+    ``N`` is where F's coefficients go: the power's array without
+    dealiasing (the power is dead by then), else an array of its own."""
+
+    def __init__(self, grid: SpectralGrid, p: ModelParams):
+        self.fine = grid if p.dealias is None else _fine_grid(grid.spec, p.dealias)
+        shape = self.fine.shape
+        self.values = self.power = self.square = self.mid = None
+        self.padded = self.truncated = None
+        self.modes = tuple(map(slice, grid.shape))  # grid's modes among fine's
+        if p.n > 1:
+            self.values, self.power = np.empty(shape), np.empty(shape)
+            # u^2 is the power itself for n = 2, which multiplies it by u in place
+            self.square = self.power if p.n == 2 else np.empty(shape)
+            if len(shape) > 1:
+                self.mid = np.empty(shape)
+        if p.dealias is not None:
+            self.padded, self.truncated = np.zeros(shape), np.empty(grid.shape)
+        self.N = self.power if p.n > 1 and p.dealias is None else np.empty(grid.shape)
+
+
 def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
-           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+           coeffs: np.ndarray | None = None, work: _Work | None = None
+           ) -> tuple[np.ndarray, float]:
     """(u^(2n-1) values, integral of u^(2n)): the one place both are
     computed from u's values, so <F(u), u> and the energy share the integral
     by construction.
@@ -105,30 +137,29 @@ def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
     set both results are taken on the zero-padded grid, padded once from the
     coefficients (transformed here when not given), and the power is
     returned there.  For n = 1 on the native grid the power is u's values
-    themselves, which callers only read; otherwise it is the new array
-    u * (u^2)^(n-1): multiplication costs the same for either sign of u
-    (pow is far slower on negative bases), and the chain is exactly odd,
-    (-u)^(2n-1) = -(u^(2n-1)).
+    themselves, which callers only read; otherwise it is u * (u^2)^(n-1),
+    multiplied into ``work.power``: multiplication costs the same for either
+    sign of u (pow is far slower on negative bases), and the chain is
+    exactly odd, (-u)^(2n-1) = -(u^(2n-1)).  ``work`` is a new
+    ``_Work(grid, p)`` when not given.
 
     The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
     w makes it non-finite and the overflow test looks at that one number;
     the caller holds ``np.errstate(over="ignore")`` so that the power
     overflows quietly and this test raises.
     """
-    fine, v = grid, values
+    work = _Work(grid, p) if work is None else work
+    fine, v = work.fine, values
     if p.dealias is not None:
-        fine = _fine_grid(grid.spec, p.dealias)
-        padded = np.zeros(fine.shape)
-        padded[tuple(map(slice, grid.shape))] = (
-            grid.to_coeffs(values) if coeffs is None else coeffs)
-        v = fine.to_values(padded)
+        work.padded[work.modes] = grid.to_coeffs(values) if coeffs is None else coeffs
+        v = fine.to_values(work.padded, work.values, work.mid)
     elif v is None:
-        v = grid.to_values(coeffs)
+        v = grid.to_values(coeffs, work.values, work.mid)
     w = v
     if p.n > 1:
-        sq = w = v * v
+        sq = w = np.multiply(v, v, work.square)
         for _ in range(p.n - 2):
-            w = w * sq
+            w = np.multiply(w, sq, work.power)
         w *= v
     s = fine.weight * float(_vdot(w, v))
     if not math.isfinite(s):
@@ -136,22 +167,27 @@ def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
     return w, s
 
 
-def _power_coeffs(grid: SpectralGrid, w: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Coefficients on grid of the power w that ``_power`` returned: with
-    dealiasing, w's padded coefficients truncated to grid's modes."""
+def _power_coeffs(grid: SpectralGrid, w: np.ndarray, p: ModelParams,
+                  work: _Work) -> np.ndarray:
+    """Coefficients on grid of the power w that ``_power`` returned, in
+    ``work.values`` (u's values are dead by then): with dealiasing, w's
+    padded coefficients truncated to grid's modes, in ``work.truncated``."""
+    P = work.fine.to_coeffs(w, work.values, work.mid)
     if p.dealias is None:
-        return grid.to_coeffs(w)
-    return _fine_grid(grid.spec, p.dealias).to_coeffs(w)[tuple(map(slice, grid.shape))]
+        return P
+    work.truncated[...] = P[work.modes]
+    return work.truncated
 
 
 def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
     """Pointwise odd power u^(2n-1), optionally dealiased by zero padding;
     n and dealias are checked as ModelParams checks them."""
     p = ModelParams(n=n, dealias=dealias)
+    work = _Work(u.grid, p)
     with np.errstate(over="ignore"):
-        w, _ = _power(u.grid, u.values, p)
+        w, _ = _power(u.grid, u.values, p, None, work)
     if p.dealias is not None:
-        w = u.grid.to_values(_power_coeffs(u.grid, w, p))
+        w = u.grid.to_values(_power_coeffs(u.grid, w, p, work))
     return Field._wrap(u.grid, w.copy() if w is u.values else w)
 
 
@@ -161,16 +197,19 @@ def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
         return _power(u.grid, u.values, ModelParams(n=n, dealias=dealias))[1]
 
 
-def _a_terms(A_eigs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+def _a_terms(A_eigs: np.ndarray, coeffs: np.ndarray,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(A c, <A c, c>) for u's coefficients c, given the grid's ``A_eigs``:
-    the linear term of the vector field and |u|_H2^2 + 2|u|_H1^2 as the
-    single Parseval sum of A_k c_k^2."""
-    ac = A_eigs * coeffs
+    the linear term of the vector field, written into ``out`` (a new array
+    when None), and |u|_H2^2 + 2|u|_H1^2 as the single Parseval sum of
+    A_k c_k^2."""
+    ac = np.multiply(A_eigs, coeffs, out)
     return ac, float(_vdot(ac, coeffs))
 
 
 def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParams,
-              values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+              values: np.ndarray | None = None, work: _Work | None = None
+              ) -> tuple[np.ndarray, float]:
     """(N, s): the coefficients N = (a_sq + s) c - P of F(u), for u's
     coefficients c, and the integral s of u^(2n), given
     ``a_sq = _a_terms(grid.A_eigs, c)[1]``, which the caller shares with the
@@ -179,23 +218,23 @@ def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParam
     Every term of F but the power is a number times u, so only P needs
     transforms: for n = 1 P is c and s is |c|^2 by Parseval, and F takes
     none; for n >= 2 F takes two, u's values (none when the caller holds
-    them as ``values``) and P, on the padded grid with dealiasing.  N is a
-    new array.  The integral is returned so that energy records reuse it.
-    The caller holds ``np.errstate(over="ignore")``.
+    them as ``values``) and P, on the padded grid with dealiasing.  N is
+    ``work.N``, which the next call with the same ``work`` overwrites (a
+    new ``_Work(grid, p)`` when not given).  The integral is returned so
+    that energy records reuse it.  The caller holds
+    ``np.errstate(over="ignore")``.
     """
+    work = _Work(grid, p) if work is None else work
     if p.n == 1:
         s = float(_vdot(coeffs, coeffs))
         if not math.isfinite(s):
             _raise_overflow(grid.to_values(coeffs))
-        return (a_sq + s) * coeffs - coeffs, s
-    # P is made here, after _power frees u's values and before w is freed:
-    # a 256^2 stage that frees both inside _power takes ~3x the page faults
-    # (glibc trims the freed top of the heap and faults it back in)
-    w, s = _power(grid, values, p, coeffs)
-    P = _power_coeffs(grid, w, p)
-    # subtracting in place saves a grid-sized temporary, whose page faults
-    # cost ~10 % of a 256^2 n = 2 ETD1 step when it is a new array
-    N = (a_sq + s) * coeffs
+        N = np.multiply(a_sq + s, coeffs, work.N)
+        N -= coeffs
+        return N, s
+    w, s = _power(grid, values, p, coeffs, work)
+    P = _power_coeffs(grid, w, p, work)
+    N = np.multiply(a_sq + s, coeffs, work.N)
     N -= P
     return N, s
 
@@ -208,10 +247,11 @@ def nonlinearity_F(u: Field, p: ModelParams) -> Field:
     same F on coefficients."""
     grid = u.grid
     c = grid.to_coeffs(u.values)
+    work = _Work(grid, p)
     with np.errstate(over="ignore"):
-        w, s = _power(grid, u.values, p, c)
+        w, s = _power(grid, u.values, p, c, work)
     if p.dealias is not None:
-        w = grid.to_values(_power_coeffs(grid, w, p))
+        w = grid.to_values(_power_coeffs(grid, w, p, work))
     return Field._wrap(grid, (_a_terms(grid.A_eigs, c)[1] + s) * u.values - w)
 
 

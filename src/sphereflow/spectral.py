@@ -93,15 +93,19 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _contract_axes(mats, x: np.ndarray) -> np.ndarray:
+def _contract_axes(mats, x: np.ndarray, out: np.ndarray | None,
+                   mid: np.ndarray | None) -> np.ndarray:
     """Apply mats[k] along axis k of an x of two or three axes with one
-    matrix product per axis."""
+    matrix product per axis, into ``out``; the product between two axes
+    goes to ``mid``.  Each is a new array when None."""
     if x.ndim == 2:
-        return mats[0] @ x @ mats[1].T
+        return np.matmul(np.matmul(mats[0], x, mid), mats[1].T, out)
     a, b, c = x.shape
-    y = x.reshape(a * b, c) @ mats[2].T
-    y = mats[1] @ y.reshape(a, b, c)  # batched over the first axis
-    return (mats[0] @ y.reshape(a, b * c)).reshape(a, b, c)
+    out = np.empty(x.shape) if out is None else out
+    y = np.matmul(x.reshape(a * b, c), mats[2].T, out.reshape(a * b, c))
+    y = np.matmul(mats[1], y.reshape(a, b, c), mid)  # batched over the first axis
+    np.matmul(mats[0], y.reshape(a, b * c), out.reshape(a, b * c))
+    return out
 
 
 class SpectralGrid:
@@ -163,25 +167,33 @@ class SpectralGrid:
 
     # -- transforms -------------------------------------------------------
 
+    # Each transform writes its result into ``out`` and, on the dense path in
+    # 2D and 3D, the product between two axes into ``mid``: C-contiguous
+    # arrays of the grid's shape that alias neither the input nor each other,
+    # or None for a new array.  A caller that gives both allocates nothing on
+    # the dense path (the FFT path still makes its own arrays).  Both are
+    # positional: at N = 8-12 a keyword out= costs more than a new array.
     # A 1D dense transform is one matrix-vector product: ndarray.dot gives
     # the bits of @ and skips the matmul gufunc's dispatch, which costs as
     # much as the product on the N = 8-12 grids of the check suite.
 
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+    def to_coeffs(self, values: np.ndarray, out: np.ndarray | None = None,
+                  mid: np.ndarray | None = None) -> np.ndarray:
         mats = self._coeff_mats
         if mats is None:
-            return self._sqrt_weight * _dst1(values)
+            return np.multiply(self._sqrt_weight, _dst1(values), out)
         if values.ndim == 1:
-            return mats[0].dot(values)
-        return _contract_axes(mats, values)
+            return mats[0].dot(values, out)
+        return _contract_axes(mats, values, out, mid)
 
-    def to_values(self, coeffs: np.ndarray) -> np.ndarray:
+    def to_values(self, coeffs: np.ndarray, out: np.ndarray | None = None,
+                  mid: np.ndarray | None = None) -> np.ndarray:
         mats = self._value_mats
         if mats is None:
-            return _dst1(coeffs) / self._sqrt_weight
+            return np.divide(_dst1(coeffs), self._sqrt_weight, out)
         if coeffs.ndim == 1:
-            return mats[0].dot(coeffs)
-        return _contract_axes(mats, coeffs)
+            return mats[0].dot(coeffs, out)
+        return _contract_axes(mats, coeffs, out, mid)
 
     def compatible(self, other: "SpectralGrid") -> bool:
         return self is other or self.spec == other.spec
@@ -352,10 +364,10 @@ def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray):
     """sobolev_norms_sq from coefficients already at hand: Parseval sums."""
     lam = grid.lap_eigs
     c2 = coeffs * coeffs
-    lam_c2 = lam * c2
     # np.add.reduce over every axis is what .sum() calls, without its wrappers
-    return (float(np.add.reduce(c2, axis=None)), float(np.add.reduce(lam_c2, axis=None)),
-            float(_vdot(lam_c2, lam)))
+    l2sq = float(np.add.reduce(c2, axis=None))
+    lam_c2 = np.multiply(lam, c2, c2)  # one temporary: c2 is dead
+    return l2sq, float(np.add.reduce(lam_c2, axis=None)), float(_vdot(lam_c2, lam))
 
 
 # -- exponential integrator weights -----------------------------------------

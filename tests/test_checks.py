@@ -71,3 +71,25 @@ def test_cmd_check_is_serial_on_one_cpu(tmp_path, monkeypatch):
     assert cmd_check(SimpleNamespace(seed=0, out_dir=str(tmp_path))) == 0
     lines = (tmp_path / "check_report.csv").read_text().splitlines()
     assert lines[1] == f'process id,1,{os.getpid()},""'
+
+
+def test_cmd_check_writes_each_check_seconds_apart(tmp_path, monkeypatch):
+    # every suite function stands in as one passing row, run serially here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    reports = []
+    for seconds in (0.25, 0.5):
+        def one_row(fn, seed, seconds=seconds):
+            tab = Table()
+            tab.add_le(fn.__name__, 0.0, 1.0)
+            return tab.rows, seconds
+
+        monkeypatch.setattr(checks, "_run_check", one_row)
+        assert cmd_check(SimpleNamespace(seed=0, out_dir=str(tmp_path))) == 0
+        lines = (tmp_path / "check_seconds.csv").read_text().splitlines()
+        assert lines[0] == "check,seconds"
+        # each check function once, in suite order, with its seconds
+        assert [line.split(",") for line in lines[1:]] == [
+            [fn.__name__, f"{seconds:.6f}"] for fn in checks.ALL_CHECKS]
+        reports.append((tmp_path / "check_report.csv").read_bytes())
+    # the timings do not reach check_report.csv
+    assert reports[0] == reports[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,8 +387,8 @@ class TestBlowUpGuard:
             steps.append(None)
             return np.zeros_like(c) if len(steps) == 3 else advance(self, c, first)
 
-        def set_a_sq(A_eigs, c):
-            ac, a_sq = a_terms(A_eigs, c)
+        def set_a_sq(A_eigs, c, out=None):
+            ac, a_sq = a_terms(A_eigs, c, out)
             return ac, (a_sq if c.any() else vn_sq)
 
         monkeypatch.setattr(_Kernel, "advance", zero_at_3)
@@ -590,6 +591,75 @@ class TestKernel:
                     # the ledger's columns are the reference's rows, stacked
                     assert np.array_equal(bits(traj.ledger), bits(reports).T), case
                     assert np.array_equal(bits(traj.coeffs), bits(rows)), case
+
+    @pytest.mark.parametrize("n, dealias", ((1, None), (2, None), (2, 2)))
+    @pytest.mark.parametrize("resolution", ((64,), (64, 48), (40, 8, 10)))
+    def test_bitwise_equal_where_the_decay_underflows(self, resolution, n, dealias):
+        # at h = 1e-3, exp(-hA) is exactly 0 on the top modes of these grids,
+        # so ETD1 adds decay * c on a leading box only; the literal reference
+        # adds it everywhere, and the int64 views see a flipped sign of zero
+        dim = len(resolution)
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
+        u0 = random_unit_field(g, np.random.default_rng(18))
+        p, cfg = ModelParams(n=n, dealias=dealias), StepperConfig(h=1e-3, t_end=0.02,
+                                                                 record_every=4)
+        kernel = _Kernel("etd1", g, p, cfg.h)
+        inside = np.zeros(g.shape, dtype=bool)
+        inside[kernel.box] = True
+        assert 0 < inside.sum() < g.num_points
+        assert not kernel.decay[~inside].any()
+        traj = integrate(u0, p, cfg)
+        values, reports, rows = self.reference_integrate(u0, p, cfg)
+        assert np.array_equal(traj.final_state.values.view(np.int64), values.view(np.int64))
+        assert np.array_equal(np.asarray(traj.ledger).view(np.int64),
+                              np.asarray(reports).T.view(np.int64))
+        assert np.array_equal(traj.coeffs.view(np.int64), np.asarray(rows).view(np.int64))
+
+
+class TestWorkspace:
+    """A run allocates its grid-sized arrays once: its memory does not grow
+    with the step count, and after the first step a step allocates none."""
+
+    @staticmethod
+    def traced(u0, p, cfg, monkeypatch):
+        """The tracemalloc peak of integrate above the memory traced before
+        it, and the largest rise of the peak over the memory traced at the
+        second step, read at each later step."""
+        integrate(u0, p, cfg)  # the grid's per-mode arrays and the weights, made once
+        advance, marks = _Kernel.advance, []
+
+        def marked(self, c, first):
+            marks.append(tracemalloc.get_traced_memory())
+            if len(marks) == 2:
+                tracemalloc.reset_peak()
+            return advance(self, c, first)
+
+        monkeypatch.setattr(_Kernel, "advance", marked)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            integrate(u0, p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        steady = max(m[1] for m in marks[2:]) - marks[1][0]
+        return peak - before, steady
+
+    @pytest.mark.parametrize("scheme, dealias", (("etd1", None), ("rk4", None), ("etd1", 2)))
+    def test_memory_does_not_grow_with_steps(self, monkeypatch, scheme, dealias):
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (64, 64)))
+        u0 = random_unit_field(g, np.random.default_rng(19))
+        p, h = ModelParams(n=2, dealias=dealias), default_step(scheme, g)
+        array = 8 * g.num_points
+        (peak_20, steady_20), (peak_200, steady_200) = (
+            self.traced(u0, p, StepperConfig(scheme=scheme, h=h, t_end=steps * h,
+                                             record_every=10**9, keep_snapshots=False),
+                        monkeypatch)
+            for steps in (20, 200))
+        assert abs(peak_200 - peak_20) <= array
+        # from the second step on, no step allocates a grid-sized array
+        assert max(steady_20, steady_200) < array
 
 
 class TestOrders:
