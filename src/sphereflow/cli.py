@@ -32,7 +32,7 @@ import numpy as np
 from . import analysis, energy, mild
 from .integrators import (STEPPER_RULES, StepperConfig, check_stepper_field, default_step,
                           divides, integrate)
-from .model import ModelParams, _fine_grid, random_unit_field, renormalize
+from .model import ModelParams, random_unit_field, renormalize
 from .spectral import (
     DomainSpec,
     Field,
@@ -272,8 +272,10 @@ def cmd_picard(cfg: RunConfig, m: float) -> int:
 
 
 def _probe_lipschitz(cfg, grid, params, samples):
+    # the grid and its refinement with twice the points on every axis
+    fine = SpectralGrid(DomainSpec(cfg.dim, cfg.lengths, tuple(2 * n for n in cfg.resolution)))
     reps = [analysis.lipschitz_probe(g, params, samples=samples, seed=cfg.seed)
-            for g in (grid, _fine_grid(grid.spec, 2))]
+            for g in (grid, fine)]
     return (("resolution", "samples", "ball_radius", "max_ratio"),
             [(r.resolution, r.samples, r.ball_radius, r.max_ratio) for r in reps],
             f"lipschitz: ratios {[f'{r.max_ratio:.4f}' for r in reps]}")

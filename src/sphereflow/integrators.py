@@ -214,7 +214,8 @@ def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
     c = grid.to_coeffs(u.values)
     with np.errstate(over="ignore"):
         out = kernel.advance(c, kernel.stage(c, u.values))
-        vn_sq = float(_vdot(grid.V_eigs * out, out))
+        # |c|_V^2 = |c|^2 + <A c, c> as integrate reads it; stage 0's k is dead
+        vn_sq = float(_vdot(out, out)) + _a_terms(kernel.A_eigs, out, kernel.ks[0])[1]
         if not -math.inf < vn_sq <= _VN_SQ_MAX:
             _blow_up(grid, vn_sq, h, c)
     return Field._wrap(grid, grid.to_values(out))

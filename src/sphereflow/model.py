@@ -81,7 +81,9 @@ def renormalize(u: Field) -> Field:
     return Field(u.grid, u.values / r)
 
 
-@functools.cache
+# one kernel, Picard map or one-shot call uses one padded grid, so only the
+# last is kept: a process that visits many grids holds one set of matrices
+@functools.lru_cache(maxsize=1)
 def _fine_grid(spec: DomainSpec, factor: int) -> SpectralGrid:
     return SpectralGrid(DomainSpec(
         spec.dim, spec.lengths, tuple(factor * n for n in spec.resolution)
@@ -179,15 +181,24 @@ def _power_coeffs(grid: SpectralGrid, w: np.ndarray, p: ModelParams,
     return work.truncated
 
 
+def _one_shot_power(u: Field, p: ModelParams, coeffs: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, float]:
+    """``_power`` of u for a single call, in a workspace of its own: the
+    power's values on u's grid (brought back from the padded grid through
+    its truncated coefficients with dealiasing) and the integral of
+    u^(2n).  For n = 1 without dealiasing the power is u.values itself."""
+    work = _Work(u.grid, p)
+    with np.errstate(over="ignore"):
+        w, s = _power(u.grid, u.values, p, coeffs, work)
+    if p.dealias is not None:
+        w = u.grid.to_values(_power_coeffs(u.grid, w, p, work))
+    return w, s
+
+
 def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
     """Pointwise odd power u^(2n-1), optionally dealiased by zero padding;
     n and dealias are checked as ModelParams checks them."""
-    p = ModelParams(n=n, dealias=dealias)
-    work = _Work(u.grid, p)
-    with np.errstate(over="ignore"):
-        w, _ = _power(u.grid, u.values, p, None, work)
-    if p.dealias is not None:
-        w = u.grid.to_values(_power_coeffs(u.grid, w, p, work))
+    w, _ = _one_shot_power(u, ModelParams(n=n, dealias=dealias))
     return Field._wrap(u.grid, w.copy() if w is u.values else w)
 
 
@@ -226,14 +237,12 @@ def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParam
     """
     work = _Work(grid, p) if work is None else work
     if p.n == 1:
-        s = float(_vdot(coeffs, coeffs))
+        P, s = coeffs, float(_vdot(coeffs, coeffs))
         if not math.isfinite(s):
             _raise_overflow(grid.to_values(coeffs))
-        N = np.multiply(a_sq + s, coeffs, work.N)
-        N -= coeffs
-        return N, s
-    w, s = _power(grid, values, p, coeffs, work)
-    P = _power_coeffs(grid, w, p, work)
+    else:
+        w, s = _power(grid, values, p, coeffs, work)
+        P = _power_coeffs(grid, w, p, work)
     N = np.multiply(a_sq + s, coeffs, work.N)
     N -= P
     return N, s
@@ -247,11 +256,7 @@ def nonlinearity_F(u: Field, p: ModelParams) -> Field:
     same F on coefficients."""
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    work = _Work(grid, p)
-    with np.errstate(over="ignore"):
-        w, s = _power(grid, u.values, p, c, work)
-    if p.dealias is not None:
-        w = grid.to_values(_power_coeffs(grid, w, p, work))
+    w, s = _one_shot_power(u, p, c)
     return Field._wrap(grid, (_a_terms(grid.A_eigs, c)[1] + s) * u.values - w)
 
 

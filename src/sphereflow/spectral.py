@@ -40,6 +40,9 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
+        # inf % 1 and nan % 1 are nan, so both fail the integer test
+        if not all(n % 1 == 0 for n in self.resolution):
+            raise ValueError(f"axis resolutions must be integers, got {tuple(self.resolution)}")
         object.__setattr__(self, "resolution", tuple(int(x) for x in self.resolution))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
@@ -208,22 +211,27 @@ def _check_same_grid(a, b):
         raise GridMismatch(f"grids differ: {a.grid!r} vs {b.grid!r}")
 
 
+def _grid_array(grid: SpectralGrid, data, what: str) -> np.ndarray:
+    """``data`` as a float copy of grid's shape, for Field and SpectralField:
+    it must be shaped like the grid or flat with one entry per point, and
+    finite.  A same-sized array of another shape (a transposed one, say) is
+    refused, not reshaped into a scrambled field."""
+    array = np.array(data, dtype=float)
+    if array.shape not in (grid.shape, (grid.num_points,)):
+        raise GridMismatch(f"expected {what} shaped {grid.shape} or flat with "
+                           f"{grid.num_points} entries, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"field {what} must be finite")
+    return array.reshape(grid.shape)
+
+
 class Field:
     """Real-space state on the collocation points of a grid."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: SpectralGrid, values):
-        values = np.array(values, dtype=float)
-        if values.size != grid.num_points:
-            raise GridMismatch(
-                f"expected {grid.num_points} values, got {values.size}"
-            )
-        values = values.reshape(grid.shape)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        self.grid = grid
-        self.values = values
+        self.grid, self.values = grid, _grid_array(grid, values, "values")
 
     @classmethod
     def _wrap(cls, grid, values):
@@ -259,20 +267,22 @@ class SpectralField:
     __slots__ = ("grid", "coeffs")
 
     def __init__(self, grid: SpectralGrid, coeffs):
-        coeffs = np.array(coeffs, dtype=float)
-        if coeffs.size != grid.num_points:
-            raise GridMismatch(
-                f"expected {grid.num_points} coefficients, got {coeffs.size}"
-            )
-        self.grid = grid
-        self.coeffs = coeffs.reshape(grid.shape)
+        self.grid, self.coeffs = grid, _grid_array(grid, coeffs, "coefficients")
+
+    @classmethod
+    def _wrap(cls, grid, coeffs):
+        # fast path for freshly computed arrays; skips copy and validation
+        obj = object.__new__(cls)
+        obj.grid = grid
+        obj.coeffs = coeffs
+        return obj
 
     def __repr__(self):
         return f"SpectralField(shape={self.coeffs.shape})"
 
 
 def transform_forward(f: Field) -> SpectralField:
-    return SpectralField(f.grid, f.grid.to_coeffs(f.values))
+    return SpectralField._wrap(f.grid, f.grid.to_coeffs(f.values))
 
 
 def transform_inverse(c: SpectralField) -> Field:
@@ -290,14 +300,14 @@ def basis_mode(grid: SpectralGrid, k) -> Field:
         raise ValueError(f"mode index {k} out of range for {grid.shape}")
     coeffs = np.zeros(grid.shape)
     coeffs[idx] = 1.0
-    return transform_inverse(SpectralField(grid, coeffs))
+    return Field._wrap(grid, grid.to_values(coeffs))
 
 
 def random_coeff_field(grid: SpectralGrid, rng: np.random.Generator, decay: float = 3.0) -> Field:
     """Random field with uniform(-1,1) coefficients damped by |k|^-decay."""
     coeffs = rng.uniform(-1.0, 1.0, size=grid.shape)
     coeffs *= grid.mode_magnitude ** (-decay)
-    return transform_inverse(SpectralField(grid, coeffs))
+    return Field._wrap(grid, grid.to_values(coeffs))
 
 
 # -- diagonal operators ----------------------------------------------------
@@ -454,7 +464,8 @@ def write_snapshot(path, f: Field) -> None:
 
 
 def read_snapshot(path, grid: SpectralGrid | None = None) -> Field:
-    """Read an MSHF snapshot; validates against ``grid`` when one is supplied.
+    """Read an MSHF snapshot; with ``grid`` given, its header must describe
+    ``grid.spec`` exactly, or GridMismatch names both domains.
 
     The file length must match its header exactly, so a truncated file or
     one with trailing bytes raises ValueError naming the path, as does a
@@ -485,13 +496,12 @@ def read_snapshot(path, grid: SpectralGrid | None = None) -> Field:
             f"{expected} for shape {tuple(res)})"
         )
     values = np.frombuffer(blob, dtype="<f8", count=count, offset=header)
-    try:  # a mismatch, a header that is no domain, or non-finite values
+    try:  # a header that is no domain, another grid's domain, or non-finite values
+        spec = DomainSpec(dim, lengths, res)
         if grid is None:
-            grid = SpectralGrid(DomainSpec(dim, tuple(lengths), tuple(res)))
-        elif (grid.spec.dim, grid.spec.resolution) != (dim, tuple(res)) or not np.allclose(
-            grid.spec.lengths, lengths
-        ):
-            raise GridMismatch("snapshot domain does not match grid")
+            grid = SpectralGrid(spec)
+        elif spec != grid.spec:  # the test of SpectralGrid.compatible
+            raise GridMismatch(f"snapshot domain {spec} is not the grid's {grid.spec}")
         return Field(grid, values)
     except ValueError as err:  # GridMismatch stays a GridMismatch
         raise type(err)(f"{path}: {err}") from None

@@ -285,6 +285,22 @@ class TestMainEntry:
         assert (out / "snapshots" / f"t_{rows - 1}.mshf").read_bytes() == (
             tmp_path / "final.mshf").read_bytes()
 
+    def test_run_from_a_snapshot_needs_its_exact_domain(self, tmp_path, capsys):
+        # a run's own snapshot starts a run on its domain; on a grid with
+        # L = 3.14159 it exits 1, and stderr names both domains
+        out = tmp_path / "out"
+        cfg = self.write_cfg(tmp_path, "output.snapshots = true\n")
+        assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+        start = ["--config", str(cfg), "--set", "init.kind=file",
+                 "--set", f"init.path={out / 'snapshots' / 't_0.mshf'}"]
+        assert main([*start, "--out", str(tmp_path / "again"), "run"]) == 0
+        capsys.readouterr()
+        assert main([*start, "--set", "domain.L=3.14159",
+                     "--out", str(tmp_path / "off"), "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: GridMismatch: ")
+        assert "lengths=(3.141592653589793,)" in err and "lengths=(3.14159,)" in err
+
     def test_run_deterministic_byte_identical(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -403,6 +403,33 @@ class TestBlowUpGuard:
         vn_sq, steps[:] = V_NORM_LIMIT**2, []
         integrate(u0, ModelParams(n=2), cfg)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_step_guard_reads_what_integrate_reads(self, monkeypatch, scheme):
+        # advance reaches the zero state, whose <A c, c> is set to vn_sq:
+        # the step wrapper's guard reads |c|^2 + <A c, c> = vn_sq, as an
+        # unretracted integrate does
+        advance, a_terms = _Kernel.advance, integrators._a_terms
+        steps = {"etd1": step_etd1, "projected_euler": step_projected_euler,
+                 "rk4": step_rk4}
+        vn_sq = V_NORM_LIMIT**2
+
+        def set_a_sq(A_eigs, c, out=None):
+            ac, a_sq = a_terms(A_eigs, c, out)
+            return ac, (a_sq if c.any() else vn_sq)
+
+        monkeypatch.setattr(_Kernel, "advance",
+                            lambda self, c, first: 0.0 * advance(self, c, first))
+        monkeypatch.setattr(integrators, "_a_terms", set_a_sq)
+        u = random_unit_field(grid_1d(16), np.random.default_rng(21))
+        p, h = ModelParams(n=2), 1e-6
+        for vn_sq in (np.nextafter(V_NORM_LIMIT**2, 0.0), V_NORM_LIMIT**2):
+            assert not steps[scheme](u, p, h).values.any()
+        vn_sq = np.nextafter(V_NORM_LIMIT**2, math.inf)
+        with pytest.raises(BlowUpError) as err:
+            steps[scheme](u, p, h)
+        assert str(err.value) == "blow-up at t = 1e-06: V-norm 100000000.00000001 exceeded 1e+08"
+        assert err.value.t == h
+
     def test_n1_nonlinearity_does_not_alias_u(self):
         # F reads u as its own power u^(2n-1) for n = 1; results are still new arrays
         u = random_unit_field(grid_1d(16), np.random.default_rng(15))
@@ -438,6 +465,17 @@ class TestKernel:
                   StepperConfig(h=1e-3, t_end=0.01))
         fine = _fine_grid(g.spec, 2)
         assert not {"lap_eigs", "A_eigs", "V_eigs", "mode_magnitude"} & fine.__dict__.keys()
+
+    def test_one_padded_grid_is_cached(self):
+        # each dealiased run uses one padded grid: the cache keeps the last
+        p, cfg = ModelParams(n=2, dealias=2), StepperConfig(h=1e-3, t_end=0.002)
+        for shape in ((12, 8), (8, 10)):
+            g = SpectralGrid(DomainSpec(2, (PI, PI), shape))
+            integrate(basis_mode(g, (1, 1)), p, cfg)
+        info = _fine_grid.cache_info()
+        assert info.currsize == 1
+        _fine_grid(g.spec, 2)  # the one kept is the last run's
+        assert _fine_grid.cache_info().hits == info.hits + 1
 
     def test_records_match_make_report_from_the_state(self):
         g = grid_1d(16)

@@ -81,6 +81,36 @@ class TestPowerTerm:
             w_oracle = power_term(u, n, dealias=2 * n + 2)
             assert np.max(np.abs(w.values - w_oracle.values)) < 1e-13
 
+    @pytest.mark.parametrize("n, dealias", ((1, 2), (2, 2), (3, 3)))
+    @pytest.mark.parametrize("resolution", ((16,), (12, 8)))
+    def test_dealiased_one_shot_calls_are_the_literal_arithmetic(self, resolution, n, dealias):
+        # power_term and nonlinearity_F, bitwise: pad u's coefficients,
+        # take the multiplication chain on the padded grid, truncate its
+        # coefficients and bring them back to u's grid
+        dim = len(resolution)
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
+        fine = SpectralGrid(DomainSpec(dim, (PI,) * dim, tuple(dealias * m for m in resolution)))
+        modes = tuple(map(slice, resolution))
+        u = random_unit_field(g, np.random.default_rng(22))
+        c = g.to_coeffs(u.values)
+        padded = np.zeros(fine.shape)
+        padded[modes] = c
+        v = fine.to_values(padded)
+        sq = w = v * v
+        for _ in range(n - 2):
+            w = w * sq
+        w = w * v if n > 1 else v
+        s = fine.weight * float(np.vdot(w, v))
+        power = g.to_values(np.ascontiguousarray(fine.to_coeffs(w)[modes]))
+        F = (float(np.vdot(g.A_eigs * c, c)) + s) * u.values - power
+
+        def bits(f):
+            return f.values.view(np.int64)
+
+        p = ModelParams(n=n, dealias=dealias)
+        assert np.array_equal(bits(power_term(u, n, dealias)), power.view(np.int64))
+        assert np.array_equal(bits(nonlinearity_F(u, p)), F.view(np.int64))
+
     @pytest.mark.parametrize("n, dealias", [(0, None), (2.5, None), (-1, None),
                                             (2, 1.5), (3, 2), (2, 0),
                                             (math.inf, None), (math.nan, None),

@@ -68,6 +68,13 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec(2, (1.0,), (8, 8))
 
+    def test_rejects_non_integral_resolution_by_name(self):
+        # ModelParams' rule: a whole float is taken, a fraction is not cut
+        assert DomainSpec(1, (PI,), (64.0,)).resolution == (64,)
+        for bad in (64.7, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"resolutions must be integers, got \("):
+                DomainSpec(2, (PI, PI), (16, bad))
+
     @pytest.mark.parametrize("L", [1e-300, 1e-160, 5e-324, 1e300])
     def test_rejects_lengths_outside_float_range(self, tmp_path, L):
         # tiny lengths overflow A's top eigenvalue (5e-324 also makes the
@@ -277,6 +284,30 @@ class TestTransforms:
         bad[3] = np.inf
         with pytest.raises(ValueError):
             Field(g, bad)
+
+    @pytest.mark.parametrize("cls", (Field, SpectralField))
+    def test_data_is_grid_shaped_or_flat(self, cls):
+        # a same-sized array of another shape is refused, not reshaped into
+        # a scrambled field; the grid's shape and the flat layout are taken
+        g = grid_2d(16, 8)
+        data = np.random.default_rng(19).standard_normal(g.shape)
+        for ok in (data, data.ravel(), data.tolist()):
+            got = cls(g, ok)
+            array = got.values if cls is Field else got.coeffs
+            assert array.shape == g.shape and np.array_equal(array, data)
+            assert not np.shares_memory(array, data)
+        for bad in (data.T, data.reshape(8, 16), data.reshape(1, 128), data[None]):
+            with pytest.raises(GridMismatch, match=r"shaped \(16, 8\) or flat with 128 entries"):
+                cls(g, bad)
+
+    @pytest.mark.parametrize("cls, what", ((Field, "values"), (SpectralField, "coefficients")))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_nonfinite_data_rejected_by_both(self, cls, what, bad):
+        g = grid_2d()
+        data = np.ones(g.shape)
+        data[2, 3] = bad
+        with pytest.raises(ValueError, match=f"field {what} must be finite"):
+            cls(g, data)
 
 
 @st.composite
@@ -528,6 +559,22 @@ class TestSnapshots:
         write_snapshot(path, basis_mode(g, 1))
         with pytest.raises(GridMismatch):
             read_snapshot(path, grid_1d(16))
+
+    def test_reader_requires_the_grids_exact_domain(self, tmp_path):
+        # a snapshot belongs to a grid iff its header's DomainSpec is
+        # grid.spec, as SpectralGrid.compatible tests: one ulp off in L is
+        # another domain, and the error names both
+        g = grid_2d()
+        f = Field(g, np.random.default_rng(20).standard_normal(g.shape))
+        path = tmp_path / "state.mshf"
+        write_snapshot(path, f)
+        assert np.array_equal(read_snapshot(path, grid_2d()).values, f.values)
+        off = grid_2d(Ly=np.nextafter(2.0, 3.0))
+        with pytest.raises(GridMismatch) as err:
+            read_snapshot(path, off)
+        message = str(err.value)
+        assert message.startswith(f"{path}: snapshot domain {g.spec!r}")
+        assert message.endswith(f"is not the grid's {off.spec!r}")
 
     def test_reader_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mshf"
