@@ -20,6 +20,7 @@ check_report.csv, which has quoted text columns, has its own writer.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -332,7 +333,10 @@ def cmd_probe(cfg: RunConfig, which: str, samples: int) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+# built once: a parser holds reference cycles, so one per call would be
+# left as garbage for the cyclic collector
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphereflow",
         description="Spectral solver for the sphere-constrained modified "
@@ -354,8 +358,11 @@ def main(argv=None) -> int:
     probe = sub.add_parser("probe", help="run a quantitative probe")
     probe.add_argument("which", choices=PROBES)
     probe.add_argument("--samples", type=int, default=500)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         text = DEFAULT_CONFIG
         if args.config is not None:

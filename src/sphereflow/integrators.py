@@ -132,7 +132,6 @@ class _Kernel:
 
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
-        self.grid, self.p = grid, p
         self.A_eigs = grid.A_eigs  # read once, not on every stage
         # the nonzero (j, h a_ij) of each stage row.  h a_ij and h b_j are
         # float64 0-d arrays: times an array they give the bits of the
@@ -168,7 +167,7 @@ class _Kernel:
         """Stage i at c; a caller that holds u at c (``values``) or
         ``_a_terms(A_eigs, c, ks[i])`` passes them."""
         ac, a_sq = _a_terms(self.A_eigs, c, self.ks[i]) if a_terms is None else a_terms
-        n, s = _F_values(self.grid, c, a_sq, self.p, values, self.work)
+        n, s = _F_values(self.work, c, a_sq, values)
         return n, np.subtract(n, ac, ac), s
 
     def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:

@@ -23,10 +23,12 @@ import numpy as np
 
 from . import model
 from .model import ModelParams, check_on_manifold
-from .spectral import Field, SpectralGrid, phi_weights, random_coeff_field, semigroup_factors
+from .spectral import (Field, SpectralGrid, _grid_array, phi_weights, random_coeff_field,
+                       semigroup_factors)
 
 
 PICARD_POINTS = 40  # uniform times on [0, T] of a Picard iterate
+PICARD_MAX_ITER = 100  # Picard iterations before picard_solve stops unconverged
 
 
 class NonContractionError(RuntimeError):
@@ -65,7 +67,11 @@ def theta_eval(th: TruncationTheta, x):
 
 @dataclass
 class SpaceTimeGrid:
-    """A trajectory candidate: uniform times with per-time coefficient slots."""
+    """A trajectory candidate: uniform times with per-time coefficient slots.
+
+    The coefficients are taken as Field and SpectralField take theirs: a
+    float copy, shaped like the grid (or flat) in each time slot, finite.
+    """
 
     grid: SpectralGrid
     times: np.ndarray
@@ -78,8 +84,7 @@ class SpaceTimeGrid:
         dt = np.diff(self.times)
         if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0) or dt[0] <= 0:
             raise ValueError("time grid must be uniform and increasing")
-        if self.coeffs.shape != (self.times.size,) + self.grid.shape:
-            raise ValueError("coefficient array does not match times and grid")
+        self.coeffs = _grid_array(self.grid, self.coeffs, "coefficients", self.times.size)
 
     @classmethod
     def _wrap(cls, grid, times, coeffs):
@@ -166,15 +171,18 @@ def convolve_semigroup(f: SpaceTimeGrid, out=None) -> SpaceTimeGrid:
     return SpaceTimeGrid._wrap(f.grid, f.times, out)
 
 
-def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
-            free: SpaceTimeGrid | None = None, out=None, scratch=None) -> SpaceTimeGrid:
+def phi_map(u: SpaceTimeGrid, free: SpaceTimeGrid, th: TruncationTheta, p: ModelParams,
+            *, out=None, scratch=None) -> SpaceTimeGrid:
     """One application of the truncated fixed-point map Phi.
 
-    ``free`` is the free evolution S(t) u0 on ``u.times``; a caller that
-    applies Phi repeatedly builds it once and passes it in, and may pass
-    arrays shaped like ``u.coeffs`` for the result (``out``) and for the
-    transformed nonlinearity (``scratch``), neither aliasing ``u.coeffs``.
+    ``free`` is the free evolution S(t) u0 on ``u.times``
+    (``SpaceTimeGrid.from_semigroup(u0, u.times)``), which a caller that
+    applies Phi repeatedly builds once.  A caller may pass arrays shaped
+    like ``u.coeffs`` for the result (``out``) and for the transformed
+    nonlinearity (``scratch``), neither aliasing ``u.coeffs``.
     """
+    if free.times is not u.times and not np.array_equal(free.times, u.times):
+        raise ValueError("free evolution is sampled on a different time grid")
     grid = u.grid
     fc = np.empty_like(u.coeffs) if scratch is None else scratch
     # fc holds the squared coefficients until the loop below overwrites it
@@ -186,12 +194,8 @@ def phi_map(u: SpaceTimeGrid, u0: Field, th: TruncationTheta, p: ModelParams, *,
             # A c goes to the slot's row of fc, which then takes F; both calls
             # go through the module, so that wrappers of model._F_values see them
             a_sq = model._a_terms(A_eigs, c, fc[i])[1]
-            fc[i] = model._F_values(grid, c, a_sq, p, None, work)[0]
+            fc[i] = model._F_values(work, c, a_sq)[0]
     fc *= theta.reshape((-1,) + (1,) * len(grid.shape))
-    if free is None:
-        free = SpaceTimeGrid.from_semigroup(u0, u.times)
-    elif free.times is not u.times and not np.array_equal(free.times, u.times):
-        raise ValueError("free evolution is sampled on a different time grid")
     out = convolve_semigroup(SpaceTimeGrid._wrap(grid, u.times, fc), out).coeffs
     out += free.coeffs
     return SpaceTimeGrid._wrap(grid, u.times, out)
@@ -232,8 +236,7 @@ def contraction_factor_probe(u0: Field, th: TruncationTheta, p: ModelParams,
         d = xt_distance(u1, u2)
         if d == 0.0:
             continue
-        d_img = xt_distance(phi_map(u1, u0, th, p, free=base),
-                            phi_map(u2, u0, th, p, free=base))
+        d_img = xt_distance(phi_map(u1, base, th, p), phi_map(u2, base, th, p))
         worst = max(worst, d_img / d)
     return worst
 
@@ -250,13 +253,15 @@ class PicardResult:
 
 
 def picard_solve(u0: Field, th: TruncationTheta, p: ModelParams, T: float,
-                 tol: float = 1e-10, max_iter: int = 100,
-                 num_points: int = PICARD_POINTS) -> PicardResult:
+                 tol: float = 1e-10, num_points: int = PICARD_POINTS) -> PicardResult:
     """Iterate u_{j+1} = Phi(u_j) from the free evolution u_0 = S(.) u0.
 
-    Stops when the successive sup-V distance drops below ``tol``.  Two
-    consecutive increases of the distance (or runaway growth) raise
-    NonContractionError, which advises a smaller horizon T.
+    Stops when the successive sup-V distance drops below ``tol``, or
+    unconverged after PICARD_MAX_ITER iterations.  Two consecutive
+    increases of the distance raise NonContractionError, which advises a
+    smaller horizon T, and so does a diverged iterate: F overflows on it,
+    or its distance from the finite iterate before it is not finite, as it
+    is whenever it holds a NaN or inf entry.
     """
     _check_horizon(T)
     check_on_manifold(u0)
@@ -266,15 +271,14 @@ def picard_solve(u0: Field, th: TruncationTheta, p: ModelParams, T: float,
     # loop allocates no trajectory-sized array after its second iteration
     current, spare, scratch = free, None, np.empty_like(free.coeffs)
     distances = []
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         try:
-            nxt = phi_map(current, u0, th, p, free=free, out=spare, scratch=scratch)
-            finite = np.all(np.isfinite(nxt.coeffs))
+            nxt = phi_map(current, free, th, p, out=spare, scratch=scratch)
+            d = sup_v_distance(nxt, current, scratch)
         except OverflowError:
-            finite = False
-        if not finite:
+            d = np.inf
+        if not np.isfinite(d):
             raise NonContractionError(f"Picard iterate diverged on [0, {T}]; use a smaller T")
-        d = sup_v_distance(nxt, current, scratch)
         distances.append(d)
         current, spare = nxt, (None if current is free else current.coeffs)
         if d < tol:

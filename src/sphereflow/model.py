@@ -98,13 +98,14 @@ def _raise_overflow(values: np.ndarray):
 
 
 class _Work:
-    """The arrays F writes on (grid, p), made once and rewritten by every
-    stage, so that a caller that takes F many times on one grid allocates
-    no grid-sized array in it.  ``fine`` is the grid the power is taken on
-    (zero-padded with dealiasing).  For n >= 2 there are u's values, the
-    power u^(2n-1), u^2 for n > 2, and in 2D and 3D the middle product of
-    each transform, all on ``fine``.  With dealiasing there are ``padded``
-    on ``fine``, whose modes past grid's stay zero, and ``truncated``, the
+    """F's handle: the ``grid`` and model ``p`` it is taken for, and the
+    arrays it writes on, made once and rewritten by every stage, so that a
+    caller that takes F many times on one grid allocates no grid-sized
+    array in it.  ``fine`` is the grid the power is taken on (zero-padded
+    with dealiasing).  For n >= 2 there are u's values, the power
+    u^(2n-1), u^2 for n > 2, and in 2D and 3D the middle product of each
+    transform, all on ``fine``.  With dealiasing there are ``padded`` on
+    ``fine``, whose modes past grid's stay zero, and ``truncated``, the
     power's coefficients on grid's modes, copied out of the padded ones (a
     ufunc that read them through the strided view would buffer a copy of
     its own); an n = 1 stage takes no transform and leaves both as made.
@@ -112,6 +113,7 @@ class _Work:
     dealiasing (the power is dead by then), else an array of its own."""
 
     def __init__(self, grid: SpectralGrid, p: ModelParams):
+        self.grid, self.p = grid, p
         self.fine = grid if p.dealias is None else _fine_grid(grid.spec, p.dealias)
         shape = self.fine.shape
         self.values = self.power = self.square = self.mid = None
@@ -128,30 +130,27 @@ class _Work:
         self.N = self.power if p.n > 1 and p.dealias is None else np.empty(grid.shape)
 
 
-def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
-           coeffs: np.ndarray | None = None, work: _Work | None = None
-           ) -> tuple[np.ndarray, float]:
-    """(u^(2n-1) values, integral of u^(2n)): the one place both are
-    computed from u's values, so <F(u), u> and the energy share the integral
-    by construction.
+def _power(work: _Work, values: np.ndarray | None,
+           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """(u^(2n-1) values, integral of u^(2n)) on ``work``'s grid and model:
+    the one place both are computed from u's values, so <F(u), u> and the
+    energy share the integral by construction.
 
-    u is given by its ``values``, its ``coeffs`` or both.  With ``p.dealias``
-    set both results are taken on the zero-padded grid, padded once from the
+    u is given by its ``values``, its ``coeffs`` or both.  With dealiasing
+    both results are taken on the zero-padded grid, padded once from the
     coefficients (transformed here when not given), and the power is
     returned there.  For n = 1 on the native grid the power is u's values
     themselves, which callers only read; otherwise it is u * (u^2)^(n-1),
     multiplied into ``work.power``: multiplication costs the same for either
     sign of u (pow is far slower on negative bases), and the chain is
-    exactly odd, (-u)^(2n-1) = -(u^(2n-1)).  ``work`` is a new
-    ``_Work(grid, p)`` when not given.
+    exactly odd, (-u)^(2n-1) = -(u^(2n-1)).
 
     The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
     w makes it non-finite and the overflow test looks at that one number;
     the caller holds ``np.errstate(over="ignore")`` so that the power
     overflows quietly and this test raises.
     """
-    work = _Work(grid, p) if work is None else work
-    fine, v = work.fine, values
+    grid, p, fine, v = work.grid, work.p, work.fine, values
     if p.dealias is not None:
         work.padded[work.modes] = grid.to_coeffs(values) if coeffs is None else coeffs
         v = fine.to_values(work.padded, work.values, work.mid)
@@ -169,13 +168,13 @@ def _power(grid: SpectralGrid, values: np.ndarray | None, p: ModelParams,
     return w, s
 
 
-def _power_coeffs(grid: SpectralGrid, w: np.ndarray, p: ModelParams,
-                  work: _Work) -> np.ndarray:
-    """Coefficients on grid of the power w that ``_power`` returned, in
-    ``work.values`` (u's values are dead by then): with dealiasing, w's
-    padded coefficients truncated to grid's modes, in ``work.truncated``."""
+def _power_coeffs(work: _Work, w: np.ndarray) -> np.ndarray:
+    """Coefficients on ``work``'s grid of the power w that ``_power``
+    returned, in ``work.values`` (u's values are dead by then): with
+    dealiasing, w's padded coefficients truncated to the grid's modes, in
+    ``work.truncated``."""
     P = work.fine.to_coeffs(w, work.values, work.mid)
-    if p.dealias is None:
+    if work.p.dealias is None:
         return P
     work.truncated[...] = P[work.modes]
     return work.truncated
@@ -189,9 +188,9 @@ def _one_shot_power(u: Field, p: ModelParams, coeffs: np.ndarray | None = None
     u^(2n).  For n = 1 without dealiasing the power is u.values itself."""
     work = _Work(u.grid, p)
     with np.errstate(over="ignore"):
-        w, s = _power(u.grid, u.values, p, coeffs, work)
+        w, s = _power(work, u.values, coeffs)
     if p.dealias is not None:
-        w = u.grid.to_values(_power_coeffs(u.grid, w, p, work))
+        w = u.grid.to_values(_power_coeffs(work, w))
     return w, s
 
 
@@ -205,7 +204,7 @@ def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
 def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
     """The integral of u^{2n}, on the padded grid when dealiasing is active."""
     with np.errstate(over="ignore"):
-        return _power(u.grid, u.values, ModelParams(n=n, dealias=dealias))[1]
+        return _power(_Work(u.grid, ModelParams(n=n, dealias=dealias)), u.values)[1]
 
 
 def _a_terms(A_eigs: np.ndarray, coeffs: np.ndarray,
@@ -218,31 +217,29 @@ def _a_terms(A_eigs: np.ndarray, coeffs: np.ndarray,
     return ac, float(_vdot(ac, coeffs))
 
 
-def _F_values(grid: SpectralGrid, coeffs: np.ndarray, a_sq: float, p: ModelParams,
-              values: np.ndarray | None = None, work: _Work | None = None
-              ) -> tuple[np.ndarray, float]:
-    """(N, s): the coefficients N = (a_sq + s) c - P of F(u), for u's
-    coefficients c, and the integral s of u^(2n), given
-    ``a_sq = _a_terms(grid.A_eigs, c)[1]``, which the caller shares with the
-    blow-up guard.  P holds the coefficients of u^(2n-1).
+def _F_values(work: _Work, coeffs: np.ndarray, a_sq: float,
+              values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """(N, s) on ``work``'s grid and model: the coefficients
+    N = (a_sq + s) c - P of F(u), for u's coefficients c, and the integral
+    s of u^(2n), given ``a_sq = _a_terms(grid.A_eigs, c)[1]``, which the
+    caller shares with the blow-up guard.  P holds the coefficients of
+    u^(2n-1).
 
     Every term of F but the power is a number times u, so only P needs
     transforms: for n = 1 P is c and s is |c|^2 by Parseval, and F takes
     none; for n >= 2 F takes two, u's values (none when the caller holds
     them as ``values``) and P, on the padded grid with dealiasing.  N is
-    ``work.N``, which the next call with the same ``work`` overwrites (a
-    new ``_Work(grid, p)`` when not given).  The integral is returned so
-    that energy records reuse it.  The caller holds
+    ``work.N``, which the next call with the same ``work`` overwrites.  The
+    integral is returned so that energy records reuse it.  The caller holds
     ``np.errstate(over="ignore")``.
     """
-    work = _Work(grid, p) if work is None else work
-    if p.n == 1:
+    if work.p.n == 1:
         P, s = coeffs, float(_vdot(coeffs, coeffs))
         if not math.isfinite(s):
-            _raise_overflow(grid.to_values(coeffs))
+            _raise_overflow(work.grid.to_values(coeffs))
     else:
-        w, s = _power(grid, values, p, coeffs, work)
-        P = _power_coeffs(grid, w, p, work)
+        w, s = _power(work, values, coeffs)
+        P = _power_coeffs(work, w)
     N = np.multiply(a_sq + s, coeffs, work.N)
     N -= P
     return N, s

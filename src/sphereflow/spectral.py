@@ -211,18 +211,21 @@ def _check_same_grid(a, b):
         raise GridMismatch(f"grids differ: {a.grid!r} vs {b.grid!r}")
 
 
-def _grid_array(grid: SpectralGrid, data, what: str) -> np.ndarray:
-    """``data`` as a float copy of grid's shape, for Field and SpectralField:
-    it must be shaped like the grid or flat with one entry per point, and
+def _grid_array(grid: SpectralGrid, data, what: str, slots: int | None = None) -> np.ndarray:
+    """``data`` as a float copy of grid's shape, for Field and SpectralField,
+    or with ``slots`` one such array per time slot, for SpaceTimeGrid: each
+    must be shaped like the grid or flat with one entry per point, and
     finite.  A same-sized array of another shape (a transposed one, say) is
     refused, not reshaped into a scrambled field."""
+    lead = () if slots is None else (slots,)
     array = np.array(data, dtype=float)
-    if array.shape not in (grid.shape, (grid.num_points,)):
+    if array.shape not in (lead + grid.shape, lead + (grid.num_points,)):
+        each = "" if slots is None else f" in each of {slots} time slots"
         raise GridMismatch(f"expected {what} shaped {grid.shape} or flat with "
-                           f"{grid.num_points} entries, got shape {array.shape}")
+                           f"{grid.num_points} entries{each}, got shape {array.shape}")
     if not np.isfinite(array).all():
         raise ValueError(f"field {what} must be finite")
-    return array.reshape(grid.shape)
+    return array.reshape(lead + grid.shape)
 
 
 class Field:

@@ -489,6 +489,24 @@ class TestMainEntry:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_warm_call_leaves_no_cyclic_garbage(self, tmp_path):
+        # the parser is built once, so a call leaves nothing for the cyclic
+        # collector (a parser made per call left 158 objects)
+        cfg = self.write_cfg(tmp_path)
+        argv = ["--config", str(cfg), "--set", "stepper.t_end=0.05",
+                "--out", str(tmp_path / "p"), "picard"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0
+
     def test_probe_lipschitz_rejects_zero_samples(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         code = main(["--config", str(cfg), "--out", str(tmp_path / "q"),

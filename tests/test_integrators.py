@@ -32,7 +32,7 @@ from sphereflow import (
 )
 from sphereflow import integrators, spectral
 from sphereflow.integrators import EXPONENTIAL, SCHEMES, TABLEAUS, V_NORM_LIMIT, _Kernel
-from sphereflow.model import _fine_grid, _power
+from sphereflow.model import _fine_grid, _power, _Work
 
 PI = np.pi
 
@@ -361,9 +361,9 @@ class TestBlowUpGuard:
                 out[2] = bad
             return out
 
-        def finite_F(grid, c, *args):
+        def finite_F(work, c, *args):
             assert np.all(np.isfinite(c)), "F ran on a non-finite state"
-            return F(grid, c, *args)
+            return F(work, c, *args)
 
         monkeypatch.setattr(_Kernel, "advance", spoiled)
         monkeypatch.setattr(integrators, "_F_values", finite_F)
@@ -528,7 +528,7 @@ class TestKernel:
         # weights written out
         times = np.linspace(0.0, 4 * h, 5)
         orbit = SpaceTimeGrid.from_semigroup(u, times)
-        phi_map(orbit, u, TruncationTheta(1e6), p, free=orbit)
+        phi_map(orbit, orbit, TruncationTheta(1e6), p)
         assert len(builds) == 1
         assert table.keys() == {"decay", "h_phi1", "h_phi1_phi2", "h_phi2"}
         z = h * g.A_eigs
@@ -561,10 +561,10 @@ class TestKernel:
             if p.n == 1:
                 P, s = c, float(np.vdot(c, c))
             elif p.dealias is None:
-                w, s = _power(grid, grid.to_values(c), p)
+                w, s = _power(_Work(grid, p), grid.to_values(c))
                 P = grid.to_coeffs(w)
             else:
-                w, s = _power(grid, None, p, c)
+                w, s = _power(_Work(grid, p), None, c)
                 P = _fine_grid(grid.spec, p.dealias).to_coeffs(w)[
                     tuple(map(slice, grid.shape))]
             n = (a_sq + s) * c - P

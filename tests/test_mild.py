@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sphereflow import (
     DomainSpec,
+    GridMismatch,
     ManifoldError,
     ModelParams,
     NonContractionError,
@@ -23,7 +25,7 @@ from sphereflow import (
     theta_eval,
     xt_norm,
 )
-from sphereflow import mild, spectral
+from sphereflow import mild, model, spectral
 from sphereflow.cli import main
 
 PI = np.pi
@@ -107,6 +109,32 @@ class TestSpaceTimeGrid:
             SpaceTimeGrid(g, np.array([0.0, 0.1, 0.3]), c)
         with pytest.raises(ValueError):
             SpaceTimeGrid(g, np.array([0.1, 0.2, 0.3]), c)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_refuses_nonfinite_coefficients(self, bad):
+        g = grid_1d(8)
+        c = np.zeros((3,) + g.shape)
+        c[1, 4] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SpaceTimeGrid(g, [0.0, 0.1, 0.2], c)
+
+    def test_refuses_wrong_shapes(self):
+        # a same-sized array of another shape is refused, not reshaped
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (8, 10)))
+        want = r"coefficients shaped \(8, 10\) or flat with 80 entries in each of 3 time slots"
+        for shape in ((2, 8, 10), (3, 10, 8), (3, 79), (240,), (3, 8, 10, 1)):
+            with pytest.raises(GridMismatch, match=want):
+                SpaceTimeGrid(g, [0.0, 0.1, 0.2], np.zeros(shape))
+
+    def test_takes_a_float_copy(self):
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (8, 10)))
+        c = np.arange(240).reshape(3, 80)  # int64, flat in each time slot
+        for data in (c, c.tolist()):
+            st = SpaceTimeGrid(g, [0.0, 0.1, 0.2], data)
+            assert st.coeffs.dtype == np.float64 and st.coeffs.shape == (3, 8, 10)
+            assert np.array_equal(st.coeffs.reshape(3, 80), c)
+        c[0, 0] = 99
+        assert st.coeffs[0, 0, 0] == 0.0
 
     def test_free_evolution_sampling(self):
         g = grid_1d(16)
@@ -246,21 +274,10 @@ class TestPhiMap:
         u0 = random_unit_field(g, np.random.default_rng(4))
         u = SpaceTimeGrid.from_semigroup(u0, np.linspace(0.0, 0.01, 40))
         transform_count[0] = 0
-        phi_map(u, u0, TruncationTheta(1e6), ModelParams(n=2))
+        phi_map(u, SpaceTimeGrid.from_semigroup(u0, u.times), TruncationTheta(1e6),
+                ModelParams(n=2))
         # one to_values and one to_coeffs per slot, plus u0's coefficients
         assert transform_count[0] == 2 * 40 + 1
-
-    def test_given_free_evolution_is_bitwise_equal(self):
-        g = SpectralGrid(DomainSpec(2, (PI, PI), (8, 8)))
-        u0 = random_unit_field(g, np.random.default_rng(5))
-        times = np.linspace(0.0, 0.01, 40)
-        u = SpaceTimeGrid.from_semigroup(u0, times)
-        rng = np.random.default_rng(6)
-        u.coeffs[1:] += 1e-3 * rng.standard_normal(u.coeffs[1:].shape)
-        th, p = TruncationTheta(3.0), ModelParams(n=2)
-        plain = phi_map(u, u0, th, p)
-        given = phi_map(u, u0, th, p, free=SpaceTimeGrid.from_semigroup(u0, u.times))
-        assert np.array_equal(plain.coeffs, given.coeffs)
 
     def test_free_evolution_on_other_times_is_rejected(self):
         g = grid_1d(16)
@@ -268,14 +285,15 @@ class TestPhiMap:
         u = SpaceTimeGrid.from_semigroup(u0, np.linspace(0.0, 0.01, 11))
         other = SpaceTimeGrid.from_semigroup(u0, np.linspace(0.0, 0.02, 11))
         with pytest.raises(ValueError):
-            phi_map(u, u0, TruncationTheta(1e6), ModelParams(n=2), free=other)
+            phi_map(u, other, TruncationTheta(1e6), ModelParams(n=2))
 
     def test_constant_equilibrium_is_fixed(self):
         # per-mode identity oracle: e^(-3t) + (1 - e^(-3t)) = 1
         g = grid_1d(32)
         u = basis_mode(g, 1)
         st = constant_grid(g, u, np.linspace(0, 0.05, 41))
-        out = phi_map(st, u, TruncationTheta(100.0), ModelParams(n=1))
+        out = phi_map(st, SpaceTimeGrid.from_semigroup(u, st.times), TruncationTheta(100.0),
+                      ModelParams(n=1))
         assert np.max(np.abs(out.coeffs - st.coeffs)) <= 1e-10
 
     def test_full_truncation_gives_free_decay(self):
@@ -283,7 +301,8 @@ class TestPhiMap:
         u = random_unit_field(g, np.random.default_rng(3))
         times = np.linspace(0, 0.05, 21)
         st = constant_grid(g, u, times)
-        out = phi_map(st, u, TruncationTheta(1e-9), ModelParams(n=2))
+        out = phi_map(st, SpaceTimeGrid.from_semigroup(u, times), TruncationTheta(1e-9),
+                      ModelParams(n=2))
         free = SpaceTimeGrid.from_semigroup(u, times)
         assert np.max(np.abs(out.coeffs - free.coeffs)) < 1e-14
 
@@ -372,7 +391,7 @@ class TestPicard:
         p = ModelParams(n=2)
         th = TruncationTheta(1e6)
         res = picard_solve(u0, th, p, T=0.01, tol=1e-12)
-        again = phi_map(res.solution, u0, th, p)
+        again = phi_map(res.solution, SpaceTimeGrid.from_semigroup(u0, res.solution.times), th, p)
         gap = np.max(np.abs(again.coeffs - res.solution.coeffs))
         assert gap <= 1e-11
 
@@ -405,7 +424,7 @@ class TestPicard:
         free = SpaceTimeGrid.from_semigroup(u0, res.solution.times)
         current, distances = free, []
         for _ in range(res.iterations):
-            nxt = phi_map(current, u0, th, p, free=free)
+            nxt = phi_map(current, free, th, p)
             distances.append(mild.sup_v_distance(nxt, current))
             current = nxt
         assert np.array_equal(res.solution.coeffs, current.coeffs)
@@ -419,6 +438,54 @@ class TestPicard:
                            num_points=40)
         # u0's coefficients once, then a to_values and a to_coeffs per slot
         assert transform_count[0] == 1 + 80 * res.iterations
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_nonfinite_iterate_is_divergence(self, monkeypatch, bad):
+        phi, calls = mild.phi_map, []
+
+        def spoiled(*args, **kwargs):
+            nxt = phi(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                nxt.coeffs[7, 2] = bad
+            return nxt
+
+        monkeypatch.setattr(mild, "phi_map", spoiled)
+        u0 = random_unit_field(grid_1d(16), np.random.default_rng(4))
+        with pytest.raises(NonContractionError, match="Picard iterate diverged"):
+            picard_solve(u0, TruncationTheta(1e6), ModelParams(n=2), T=0.01)
+        assert len(calls) == 3
+
+    def test_overflowing_F_is_divergence(self, monkeypatch):
+        def overflowing(*args):
+            raise OverflowError("u^(2n-1) overflowed")
+
+        monkeypatch.setattr(model, "_F_values", overflowing)
+        u0 = random_unit_field(grid_1d(16), np.random.default_rng(4))
+        with pytest.raises(NonContractionError, match="Picard iterate diverged"):
+            picard_solve(u0, TruncationTheta(1e6), ModelParams(n=2), T=0.01)
+
+    def test_peak_memory_does_not_grow_with_iterations(self):
+        # after its second iteration the loop writes each iterate into the
+        # buffer of the one before the last, so a tighter tol (more
+        # iterations) does not raise the peak by a trajectory-sized array
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (24, 24)))
+        u0 = random_unit_field(g, np.random.default_rng(3))
+        th, p = TruncationTheta(1e6), ModelParams(n=2)
+        picard_solve(u0, th, p, T=0.02, tol=1e-3)  # builds the cached tables
+
+        def peak(tol):
+            tracemalloc.start()
+            try:
+                res = picard_solve(u0, th, p, T=0.02, tol=tol)
+                return tracemalloc.get_traced_memory()[1], res.iterations
+            finally:
+                tracemalloc.stop()
+
+        loose, few = peak(1e-3)
+        tight, many = peak(1e-12)
+        assert 3 <= few < many
+        assert tight - loose < mild.PICARD_POINTS * g.num_points * 8
 
     def test_too_large_horizon_raises(self):
         g = grid_1d(16)

@@ -31,7 +31,7 @@ from sphereflow import (
     sobolev_norms_sq,
     step_rk4,
 )
-from sphereflow.model import _F_values, _power
+from sphereflow.model import _F_values, _power, _Work
 
 PI = np.pi
 
@@ -178,7 +178,7 @@ class TestNonlinearity:
         u = random_unit_field(g, np.random.default_rng(13))
         c = g.to_coeffs(u.values)
         transform_count[0] = 0
-        _F_values(g, c, float(np.vdot(g.A_eigs * c, c)), ModelParams(n=2, dealias=2))
+        _F_values(_Work(g, ModelParams(n=2, dealias=2)), c, float(np.vdot(g.A_eigs * c, c)))
         # padded inverse, fine forward of the power
         assert transform_count[0] == 2
 
@@ -196,7 +196,7 @@ class TestNonlinearity:
                 literal = ((h2sq + 2 * h1sq + l2n_power(u, n, dealias)) * u.values
                            - power_term(u, n, dealias).values)
                 ref = g.to_coeffs(literal)
-                N, s = _F_values(g, c, float(np.vdot(g.A_eigs * c, c)), p)
+                N, s = _F_values(_Work(g, p), c, float(np.vdot(g.A_eigs * c, c)))
                 assert np.max(np.abs(N - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, dealias)
                 assert abs(s - l2n_power(u, n, dealias)) <= 1e-13 * s, (n, dealias)
 
@@ -213,7 +213,7 @@ class TestNonlinearity:
         u = random_unit_field(g, np.random.default_rng(12))
         for n in (1, 2, 3):
             for v in (u, -1.0 * u):
-                _, s = _power(g, v.values, ModelParams(n=n))
+                _, s = _power(_Work(g, ModelParams(n=n)), v.values)
                 ref = g.weight * float(np.sum(v.values ** (2 * n)))
                 assert abs(s - ref) <= 1e-14 * ref
 
