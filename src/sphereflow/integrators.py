@@ -123,24 +123,26 @@ class _Kernel:
     weights and every grid-sized array of a step made once, so that a step
     allocates none.  A stage is the tuple (N, k, s): N, k = N - A c and the
     integral s of u^(2n) as F took it.  N is F's ``work.N`` and k is
-    written over A c in ``ks[i]``, the array of stage i, so a stage's arrays
-    live until the next stage of the same index.  ``advance`` writes the
-    next c into the array of ``pair`` that c is not (the first when c is
-    neither), so it never overwrites the c it reads, and the c it returns
-    holds until the advance after next.  Callers hold
+    written over A c in ``ks[i]``, row i of one array of the stages, so a
+    stage's arrays live until the next stage of the same index.
+    ``advance`` writes the next c into the array of ``pair`` that c is not
+    (the first when c is neither), so it never overwrites the c it reads,
+    and the c it returns holds until the advance after next.  Callers hold
     ``np.errstate(over="ignore")`` around their steps."""
 
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
         self.A_eigs = grid.A_eigs  # read once, not on every stage
-        # the nonzero (j, h a_ij) of each stage row.  h a_ij and h b_j are
-        # float64 0-d arrays: times an array they give the bits of the
-        # Python float, which numpy would convert again on every product
+        # the nonzero (j, h a_ij) of each stage row.  h a_ij and a one-term
+        # step's h b_0 are float64 0-d arrays: times an array they give the
+        # bits of the Python float, which numpy would convert again on
+        # every product
         self.ha = [[(j, np.array(h * x)) for j, x in enumerate(row) if x] for row in a]
         self.work = _Work(grid, p)
-        self.ks = [np.empty(grid.shape) for _ in b]
+        block = np.empty((len(b),) + grid.shape)
+        self.ks = list(block)  # views of its rows
         pair = self.pair = (np.empty(grid.shape), np.empty(grid.shape))
-        boxes = (None, None)
+        views, self.k_rows = (None, None), None
         if scheme in EXPONENTIAL:
             self.decay, *self.hb = phi_weights(grid, h, "decay", *b)
             # exp(-z) is exactly 0 past z = 746 (semigroup_factors), where
@@ -152,15 +154,20 @@ class _Kernel:
             box = tuple(slice(0, int(i.max(initial=-1)) + 1) for i in np.nonzero(self.decay))
             self.box, self.decay_box = box, self.decay[box]
             self.box_product = np.empty(self.decay_box.shape)
-            boxes = tuple(x[box] for x in pair)
+            views = tuple(x[box] for x in pair)
+        elif len(b) == 1:
+            self.decay, self.hb = None, [np.array(h * b[0])]
         else:
-            self.decay, self.hb = None, [np.array(h * x) for x in b]
-            # the state of stages 1, 2, ...; the final sum's products go there too
-            self.ci = np.empty(grid.shape) if len(b) > 1 else None
-        # advance's (next c, its decay box, c, c's decay box), indexed by
-        # whether c is pair[0]
-        self.slots = ((pair[0], boxes[0], pair[1], boxes[1]),
-                      (pair[1], boxes[1], pair[0], boxes[0]))
+            # sum_j h b_j k_j as one matrix-vector product of the row hb and
+            # the rows of ks, written through a flat view of each array of
+            # the pair; ci holds the state of stages 1, 2, ...
+            self.decay, self.hb = None, np.array([h * x for x in b])
+            self.k_rows, self.ci = block.reshape(len(b), -1), np.empty(grid.shape)
+            views = tuple(x.reshape(-1) for x in pair)
+        # advance's (next c, its view, c, c's view), indexed by whether c is
+        # pair[0]: each view is the decay box for ETD1, flat for RK4
+        self.slots = ((pair[0], views[0], pair[1], views[1]),
+                      (pair[1], views[1], pair[0], views[0]))
 
     def stage(self, c: np.ndarray, values: np.ndarray | None = None,
               a_terms: tuple | None = None, i: int = 0) -> tuple:
@@ -171,29 +178,31 @@ class _Kernel:
         return n, np.subtract(n, ac, ac), s
 
     def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:
-        """The next coefficients, given ``first = stage(c)``.  Sums run left
-        to right from c: c + h x_0 k_0 + h x_1 k_1 + ..."""
-        out, out_box, prev, c_box = self.slots[c is self.pair[0]]
+        """The next coefficients, given ``first = stage(c)``, stage 0, whose
+        k is ``ks[0]``.  ETD1 takes decay * c + h phi1 N_0; projected Euler
+        c + h k_0; RK4 forms each stage state c + h a_ij k_j and then the
+        sum of h b_j k_j as one matrix-vector product over the rows of
+        ``ks``, to which it adds c."""
+        out, out_view, prev, c_view = self.slots[c is self.pair[0]]
         mul = np.multiply  # looked up once: a small grid's step is call overhead
         if self.decay is not None:
             # IEEE addition commutes, so this is decay * c + hb * N to the bit
             mul(self.hb[0], first[0], out)
             if c is not prev:  # a c the kernel did not make
-                c_box = c[self.box]
-            out_box += mul(self.decay_box, c_box, self.box_product)
+                c_view = c[self.box]
+            out_view += mul(self.decay_box, c_view, self.box_product)
             return out
-        add, ci_out, stage = np.add, self.ci, self.stage
-        ks = [first[1]]
+        if self.k_rows is None:
+            return np.add(c, mul(self.hb[0], first[1], out), out)
+        add, ci, stage, ks = np.add, self.ci, self.stage, self.ks
         for i, row in enumerate(self.ha, 1):
             # out holds each h a_ij k_j until the final sum
-            ci = c
-            for j, x in row:
-                ci = add(ci, mul(x, ks[j], out), ci_out)
-            ks.append(stage(ci, None, None, i)[1])
-        add(c, mul(self.hb[0], ks[0], out), out)
-        for x, k in zip(self.hb[1:], ks[1:]):
-            out += mul(x, k, ci_out)
-        return out
+            x = c
+            for j, w in row:
+                x = add(x, mul(w, ks[j], out), ci)
+            stage(x, None, None, i)
+        self.hb.dot(self.k_rows, out_view)
+        return add(c, out, out)
 
 
 def _blow_up(grid, vn_sq: float, t: float, last: np.ndarray) -> None:

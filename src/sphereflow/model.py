@@ -12,6 +12,15 @@ equivalent form -A u + F(u) with
 in which the linear coefficient a has cancelled, so the solver has no a.
 ``projected_rhs_direct`` evaluates the literal projection for any a, so
 the agreement of both forms can be checked numerically.
+
+Every term of F but the last is a number times u, so F is formed in one
+pass over u's values as
+
+    F(u) = u ((a_sq + s) - u^(2n-2)),   a_sq = |u|_{H2}^2 + 2 |u|_{H1}^2,
+                                        s = |u|_{L2n}^{2n} = <u^(2n-2), u^2>,
+
+and then takes one transform to coefficients; for n = 1 it is the number
+(a_sq + s) - 1 times u and takes none.
 """
 
 from __future__ import annotations
@@ -101,103 +110,114 @@ class _Work:
     """F's handle: the ``grid`` and model ``p`` it is taken for, and the
     arrays it writes on, made once and rewritten by every stage, so that a
     caller that takes F many times on one grid allocates no grid-sized
-    array in it.  ``fine`` is the grid the power is taken on (zero-padded
-    with dealiasing).  For n >= 2 there are u's values, the power
-    u^(2n-1), u^2 for n > 2, and in 2D and 3D the middle product of each
-    transform, all on ``fine``.  With dealiasing there are ``padded`` on
-    ``fine``, whose modes past grid's stay zero, and ``truncated``, the
-    power's coefficients on grid's modes, copied out of the padded ones (a
-    ufunc that read them through the strided view would buffer a copy of
-    its own); an n = 1 stage takes no transform and leaves both as made.
-    ``N`` is where F's coefficients go: the power's array without
-    dealiasing (the power is dead by then), else an array of its own."""
+    array in it.  ``fine`` is the grid F's values are formed on (zero-padded
+    with dealiasing).  For n >= 2 there are u's values, u^2, the power
+    u^(2n-2) for n > 2 (u^2 itself for n = 2), which a stage turns into F's
+    values in place, and in 2D and 3D the middle product of each transform,
+    all on ``fine``.  With dealiasing there is ``padded`` on ``fine``, whose
+    modes past grid's stay zero; an n = 1 stage takes no transform and
+    leaves it as made.  ``N`` is where F's coefficients go: u's values
+    without dealiasing (they are dead by then), else an array of its own,
+    into which the fine coefficients on grid's modes are copied (a ufunc
+    that read them through the strided view would buffer a copy of its
+    own).  ``factor`` is a float64 0-d array for F's factor (a_sq + s) or
+    (a_sq + s) - 1: a ufunc takes it for the same bits as the Python float
+    and without converting a scalar, which on a small grid costs about as
+    much as the arithmetic."""
 
     def __init__(self, grid: SpectralGrid, p: ModelParams):
-        self.grid, self.p = grid, p
+        self.grid, self.p, self.factor = grid, p, np.empty(())
         self.fine = grid if p.dealias is None else _fine_grid(grid.spec, p.dealias)
         shape = self.fine.shape
-        self.values = self.power = self.square = self.mid = None
-        self.padded = self.truncated = None
+        self.values = self.power = self.square = self.mid = self.padded = None
         self.modes = tuple(map(slice, grid.shape))  # grid's modes among fine's
         if p.n > 1:
-            self.values, self.power = np.empty(shape), np.empty(shape)
-            # u^2 is the power itself for n = 2, which multiplies it by u in place
-            self.square = self.power if p.n == 2 else np.empty(shape)
+            self.values, self.square = np.empty(shape), np.empty(shape)
+            self.power = self.square if p.n == 2 else np.empty(shape)
             if len(shape) > 1:
                 self.mid = np.empty(shape)
         if p.dealias is not None:
-            self.padded, self.truncated = np.zeros(shape), np.empty(grid.shape)
-        self.N = self.power if p.n > 1 and p.dealias is None else np.empty(grid.shape)
+            self.padded = np.zeros(shape)
+        self.N = self.values if p.n > 1 and p.dealias is None else np.empty(grid.shape)
 
 
-def _power(work: _Work, values: np.ndarray | None,
-           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(u^(2n-1) values, integral of u^(2n)) on ``work``'s grid and model:
-    the one place both are computed from u's values, so <F(u), u> and the
-    energy share the integral by construction.
+def _power(work: _Work, values: np.ndarray | None, coeffs: np.ndarray | None = None,
+           a_sq: float | None = None) -> tuple[np.ndarray, float]:
+    """(w, s) on ``work``'s grid and model, for s the integral of u^(2n)
+    and w the power u^(2n-1), or given ``a_sq`` F's values
+    u ((a_sq + s) - u^(2n-2)): the one place the power and the integral
+    are computed from u's values, so <F(u), u> and the energy share the
+    integral by construction.
 
     u is given by its ``values``, its ``coeffs`` or both.  With dealiasing
     both results are taken on the zero-padded grid, padded once from the
-    coefficients (transformed here when not given), and the power is
-    returned there.  For n = 1 on the native grid the power is u's values
-    themselves, which callers only read; otherwise it is u * (u^2)^(n-1),
-    multiplied into ``work.power``: multiplication costs the same for either
-    sign of u (pow is far slower on negative bases), and the chain is
-    exactly odd, (-u)^(2n-1) = -(u^(2n-1)).
+    coefficients (transformed here when not given), and w is returned
+    there.  For n = 1 the power is u's values themselves, which callers
+    only read, and F's values a new array; otherwise q = u^(2n-2) =
+    (u^2)^(n-1) is a multiplication chain in ``work.power``, and w is
+    q u, or u ((a_sq + s) - q), written over q: multiplication costs the
+    same for either sign of u (pow is far slower on negative bases), and
+    both are exactly odd in u.
 
-    The integral is the quadrature of w * u for w = u^(2n-1), so a non-finite
-    w makes it non-finite and the overflow test looks at that one number;
-    the caller holds ``np.errstate(over="ignore")`` so that the power
+    The integral is the quadrature of q u^2, so a non-finite power makes
+    it non-finite and the overflow test looks at that one number; the
+    caller holds ``np.errstate(over="ignore")`` so that the power
     overflows quietly and this test raises.
     """
-    grid, p, fine, v = work.grid, work.p, work.fine, values
+    p, v = work.p, values
     if p.dealias is not None:
-        work.padded[work.modes] = grid.to_coeffs(values) if coeffs is None else coeffs
-        v = fine.to_values(work.padded, work.values, work.mid)
+        work.padded[work.modes] = work.grid.to_coeffs(values) if coeffs is None else coeffs
+        v = work.fine.to_values(work.padded, work.values, work.mid)
     elif v is None:
-        v = grid.to_values(coeffs, work.values, work.mid)
-    w = v
-    if p.n > 1:
-        sq = w = np.multiply(v, v, work.square)
-        for _ in range(p.n - 2):
-            w = np.multiply(w, sq, work.power)
-        w *= v
-    s = fine.weight * float(_vdot(w, v))
+        v = work.grid.to_values(coeffs, work.values, work.mid)
+    n = p.n
+    if n == 1:
+        s = work.fine.weight * float(_vdot(v, v))
+    else:
+        sq = q = np.multiply(v, v, work.square)
+        for _ in range(n - 2):
+            q = np.multiply(q, sq, work.power)
+        s = work.fine.weight * float(_vdot(q, sq))
     if not math.isfinite(s):
         _raise_overflow(v)
-    return w, s
+    if n == 1:
+        return (v if a_sq is None else np.multiply((a_sq + s) - 1.0, v)), s
+    if a_sq is not None:
+        work.factor[()] = a_sq + s
+        q = np.subtract(work.factor, q, q)
+    return np.multiply(v, q, q), s
 
 
-def _power_coeffs(work: _Work, w: np.ndarray) -> np.ndarray:
-    """Coefficients on ``work``'s grid of the power w that ``_power``
-    returned, in ``work.values`` (u's values are dead by then): with
-    dealiasing, w's padded coefficients truncated to the grid's modes, in
-    ``work.truncated``."""
-    P = work.fine.to_coeffs(w, work.values, work.mid)
+def _grid_coeffs(work: _Work, x: np.ndarray) -> np.ndarray:
+    """Coefficients on ``work``'s grid of x, values on ``work.fine`` that
+    ``_power`` returned: in ``work.values`` (u's values are dead by then),
+    or with dealiasing x's padded coefficients on the grid's modes, in
+    ``work.N``."""
+    P = work.fine.to_coeffs(x, work.values, work.mid)
     if work.p.dealias is None:
         return P
-    work.truncated[...] = P[work.modes]
-    return work.truncated
+    work.N[...] = P[work.modes]
+    return work.N
 
 
-def _one_shot_power(u: Field, p: ModelParams, coeffs: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, float]:
-    """``_power`` of u for a single call, in a workspace of its own: the
-    power's values on u's grid (brought back from the padded grid through
-    its truncated coefficients with dealiasing) and the integral of
-    u^(2n).  For n = 1 without dealiasing the power is u.values itself."""
+def _one_shot(u: Field, p: ModelParams, coeffs: np.ndarray | None = None,
+              a_sq: float | None = None) -> np.ndarray:
+    """``_power``'s w of u for a single call, in a workspace of its own, on
+    u's grid: brought back from the padded grid through its truncated
+    coefficients with dealiasing.  For n = 1 without dealiasing the power
+    is u.values itself."""
     work = _Work(u.grid, p)
     with np.errstate(over="ignore"):
-        w, s = _power(work, u.values, coeffs)
+        w, _ = _power(work, u.values, coeffs, a_sq)
     if p.dealias is not None:
-        w = u.grid.to_values(_power_coeffs(work, w))
-    return w, s
+        w = u.grid.to_values(_grid_coeffs(work, w))
+    return w
 
 
 def power_term(u: Field, n: int, dealias: int | None = None) -> Field:
     """Pointwise odd power u^(2n-1), optionally dealiased by zero padding;
     n and dealias are checked as ModelParams checks them."""
-    w, _ = _one_shot_power(u, ModelParams(n=n, dealias=dealias))
+    w = _one_shot(u, ModelParams(n=n, dealias=dealias))
     return Field._wrap(u.grid, w.copy() if w is u.values else w)
 
 
@@ -219,42 +239,38 @@ def _a_terms(A_eigs: np.ndarray, coeffs: np.ndarray,
 
 def _F_values(work: _Work, coeffs: np.ndarray, a_sq: float,
               values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(N, s) on ``work``'s grid and model: the coefficients
-    N = (a_sq + s) c - P of F(u), for u's coefficients c, and the integral
-    s of u^(2n), given ``a_sq = _a_terms(grid.A_eigs, c)[1]``, which the
-    caller shares with the blow-up guard.  P holds the coefficients of
-    u^(2n-1).
+    """(N, s) on ``work``'s grid and model: the coefficients N of
+    F(u) = u ((a_sq + s) - u^(2n-2)), for u's coefficients c, and the
+    integral s of u^(2n), given ``a_sq = _a_terms(grid.A_eigs, c)[1]``,
+    which the caller shares with the blow-up guard.
 
-    Every term of F but the power is a number times u, so only P needs
-    transforms: for n = 1 P is c and s is |c|^2 by Parseval, and F takes
-    none; for n >= 2 F takes two, u's values (none when the caller holds
-    them as ``values``) and P, on the padded grid with dealiasing.  N is
-    ``work.N``, which the next call with the same ``work`` overwrites.  The
-    integral is returned so that energy records reuse it.  The caller holds
-    ``np.errstate(over="ignore")``.
+    For n = 1 F is the number (a_sq + s) - 1 times u, so N is that number
+    times c, s is |c|^2 by Parseval, and F takes no transform.  For n >= 2
+    ``_power`` forms F's values, on the padded grid with dealiasing, and F
+    takes two transforms: u's values (none when the caller holds them as
+    ``values``) and F's coefficients.  N is ``work.N``, which the next call
+    with the same ``work`` overwrites.  The integral is returned so that
+    energy records reuse it.  The caller holds ``np.errstate(over="ignore")``.
     """
     if work.p.n == 1:
-        P, s = coeffs, float(_vdot(coeffs, coeffs))
+        s = float(_vdot(coeffs, coeffs))
         if not math.isfinite(s):
             _raise_overflow(work.grid.to_values(coeffs))
-    else:
-        w, s = _power(work, values, coeffs)
-        P = _power_coeffs(work, w)
-    N = np.multiply(a_sq + s, coeffs, work.N)
-    N -= P
-    return N, s
+        work.factor[()] = (a_sq + s) - 1.0
+        return np.multiply(work.factor, coeffs, work.N), s
+    w, s = _power(work, values, coeffs, a_sq)
+    return _grid_coeffs(work, w), s
 
 
 def nonlinearity_F(u: Field, p: ModelParams) -> Field:
-    """The four-term nonlinearity F(u) = (a_sq + s) u - u^(2n-1), taken on
-    u's values, so it costs one transform and no more without dealiasing;
-    every norm factor is quadrature-consistent with power_term so the
-    discrete flow keeps the exact gradient structure.  ``_F_values`` is the
-    same F on coefficients."""
+    """The four-term nonlinearity F(u) = u ((a_sq + s) - u^(2n-2)), taken
+    on u's values by ``_power``, so it costs one transform and no more
+    without dealiasing; every norm factor is quadrature-consistent with
+    power_term so the discrete flow keeps the exact gradient structure.
+    ``_F_values`` is the same F on coefficients."""
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    w, s = _one_shot_power(u, p, c)
-    return Field._wrap(grid, (_a_terms(grid.A_eigs, c)[1] + s) * u.values - w)
+    return Field._wrap(grid, _one_shot(u, p, c, _a_terms(grid.A_eigs, c)[1]))
 
 
 def project_tangent(u: Field, h: Field) -> Field:

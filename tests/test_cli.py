@@ -595,6 +595,48 @@ class TestMainEntry:
                 [0.01, 0.015, 0.02], rel=1e-12)
 
 
+class TestSignSymmetry:
+    """F is odd and every step is odd or even in the sign, so -u0 evolves as
+    exactly -u(t): the benchmark's four configurations (grid, n, scheme and
+    record cadence, the runs cut to 20 steps, picard_2d at full size) write
+    the same timeseries.csv and picard.csv bytes from u0 and from -u0, and
+    snapshots that are exact negations, bit for bit."""
+
+    CASES = {  # command, dim, N, n, scheme, h, steps, record_every
+        "ground_1d": (["run"], 1, 64, 1, "etd1", 1e-3, 20, 100),
+        "pattern_2d": (["run"], 2, 256, 2, "etd1", 1e-3, 20, 20),
+        "stiff_rk4": (["run"], 1, 12, 2, "rk4", 1e-5, 20, 1),
+        "picard_2d": (["picard", "--m", "1e6"], 2, 64, 2, "etd1", 1e-3, 20, 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_minus_u0_writes_the_same_bytes(self, tmp_path, case):
+        command, dim, N, n, scheme, h, steps, every = self.CASES[case]
+        grid = SpectralGrid(DomainSpec(dim, (math.pi,) * dim, (N,) * dim))
+        u0 = random_coeff_field(grid, np.random.default_rng(7))
+        csv = "timeseries.csv" if command[0] == "run" else "picard.csv"
+        out = {}
+        for tag, v in (("plus", u0.values), ("minus", -u0.values)):
+            write_snapshot(tmp_path / f"{tag}.mshf", Field(grid, v))
+            out[tag] = tmp_path / tag
+            sets = [f"domain.dim={dim}", "domain.L=" + ",".join([repr(math.pi)] * dim),
+                    "domain.N=" + ",".join([str(N)] * dim), f"model.n={n}",
+                    f"stepper.scheme={scheme}", f"stepper.h={h!r}",
+                    f"stepper.t_end={steps * h!r}", f"stepper.record_every={every}",
+                    "init.kind=file", f"init.path={tmp_path / f'{tag}.mshf'}",
+                    "output.snapshots=true"]
+            args = [x for kv in sets for x in ("--set", kv)]
+            assert main(args + ["--out", str(out[tag])] + command) == 0
+        assert (out["plus"] / csv).read_bytes() == (out["minus"] / csv).read_bytes()
+        if command[0] == "run":
+            names = sorted(os.listdir(out["plus"] / "snapshots"))
+            assert names and names == sorted(os.listdir(out["minus"] / "snapshots"))
+            for name in names:
+                plus, minus = (read_snapshot(out[tag] / "snapshots" / name).values
+                               for tag in ("plus", "minus"))
+                assert np.array_equal(minus.view(np.int64), np.negative(plus).view(np.int64))
+
+
 def test_readme_names_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     assert [key for key in KEYS if f"`{key}`" not in readme] == []

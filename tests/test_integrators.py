@@ -542,11 +542,14 @@ class TestKernel:
 
     @staticmethod
     def reference_integrate(u0, p, cfg):
-        """integrate with the kernel written literally: N = (a_sq + s) c - P
-        with P = c and s = |c|^2 for n = 1 and P the coefficients of _power's
-        u^(2n-1) otherwise, fresh arrays throughout, generator sums for the
-        stages and the step, and .sum() Parseval sums.  Returns the final
-        values, the reports and a copy of c at each record."""
+        """integrate with the kernel written literally: N = ((a_sq + s) - 1) c
+        with s = |c|^2 for n = 1, and otherwise the coefficients of F's
+        values u ((a_sq + s) - q), q = (u^2)^(n-1) and s the quadrature of
+        q u^2, on the padded grid and truncated with dealiasing; fresh
+        arrays throughout, generator sums for the stage states, the sum of
+        h b_j k_j as one np.dot over the stacked k's for RK4, and
+        np.vdot Parseval sums.  Returns the final values, the reports and a
+        copy of c at each record."""
         grid, h = u0.grid, cfg.h
         a, b = TABLEAUS[cfg.scheme]
         ha = [[h * x for x in row] for row in a]
@@ -555,19 +558,23 @@ class TestKernel:
             decay, hb = np.exp(-z), [h * spectral.phi1(z)]
         else:
             decay, hb = None, [h * x for x in b]
+        fine = grid if p.dealias is None else _fine_grid(grid.spec, p.dealias)
+        modes = tuple(map(slice, grid.shape))
 
         def stage(c):
             a_sq = float(np.vdot(grid.A_eigs * c, c))
             if p.n == 1:
-                P, s = c, float(np.vdot(c, c))
-            elif p.dealias is None:
-                w, s = _power(_Work(grid, p), grid.to_values(c))
-                P = grid.to_coeffs(w)
+                s = float(np.vdot(c, c))
+                n = ((a_sq + s) - 1.0) * c
             else:
-                w, s = _power(_Work(grid, p), None, c)
-                P = _fine_grid(grid.spec, p.dealias).to_coeffs(w)[
-                    tuple(map(slice, grid.shape))]
-            n = (a_sq + s) * c - P
+                padded = np.zeros(fine.shape)
+                padded[modes] = c
+                v = fine.to_values(padded)
+                sq = q = v * v
+                for _ in range(p.n - 2):
+                    q = q * sq
+                s = fine.weight * float(np.vdot(q, sq))
+                n = np.ascontiguousarray(fine.to_coeffs(v * ((a_sq + s) - q))[modes])
             return n, n - grid.A_eigs * c, s
 
         def advance(c, first):
@@ -576,7 +583,9 @@ class TestKernel:
             ks = [first[1]]
             for row in ha:
                 ks.append(stage(sum((x * k for x, k in zip(row, ks) if x), c))[1])
-            return sum((x * k for x, k in zip(hb, ks)), c)
+            if len(ks) == 1:
+                return c + hb[0] * ks[0]
+            return c + np.dot(np.array(hb), np.stack(ks).reshape(len(ks), -1)).reshape(c.shape)
 
         c = grid.to_coeffs(u0.values)
         c = c / math.sqrt(np.vdot(c, c))
@@ -590,10 +599,9 @@ class TestKernel:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
             prev_ut_sq = ut_sq
             if i % cfg.record_every == 0 or i == n_steps:
-                c2 = c * c
-                lam_c2 = grid.lap_eigs * c2
-                sums = (float(c2.sum()), float(lam_c2.sum()),
-                        float(np.vdot(lam_c2, grid.lap_eigs)))
+                lam_c = grid.lap_eigs * c
+                sums = (float(np.vdot(c, c)), float(np.vdot(lam_c, c)),
+                        float(np.vdot(lam_c, lam_c)))
                 reports.append(make_report(None, p, i * h, ut_sq, dissipation, sums, s))
                 rows.append(c.copy())
             if i == n_steps:

@@ -85,7 +85,8 @@ class TestPowerTerm:
     @pytest.mark.parametrize("resolution", ((16,), (12, 8)))
     def test_dealiased_one_shot_calls_are_the_literal_arithmetic(self, resolution, n, dealias):
         # power_term and nonlinearity_F, bitwise: pad u's coefficients,
-        # take the multiplication chain on the padded grid, truncate its
+        # take the multiplication chain q = (u^2)^(n-1) on the padded grid,
+        # form the power q u or F's values u ((a_sq + s) - q), truncate its
         # coefficients and bring them back to u's grid
         dim = len(resolution)
         g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
@@ -96,13 +97,16 @@ class TestPowerTerm:
         padded = np.zeros(fine.shape)
         padded[modes] = c
         v = fine.to_values(padded)
-        sq = w = v * v
+        sq = q = v * v
         for _ in range(n - 2):
-            w = w * sq
-        w = w * v if n > 1 else v
-        s = fine.weight * float(np.vdot(w, v))
-        power = g.to_values(np.ascontiguousarray(fine.to_coeffs(w)[modes]))
-        F = (float(np.vdot(g.A_eigs * c, c)) + s) * u.values - power
+            q = q * sq
+        if n == 1:
+            s = fine.weight * float(np.vdot(v, v))
+            w, f = v, ((float(np.vdot(g.A_eigs * c, c)) + s) - 1.0) * v
+        else:
+            s = fine.weight * float(np.vdot(q, sq))
+            w, f = v * q, v * ((float(np.vdot(g.A_eigs * c, c)) + s) - q)
+        power, F = (g.to_values(np.ascontiguousarray(fine.to_coeffs(x)[modes])) for x in (w, f))
 
         def bits(f):
             return f.values.view(np.int64)

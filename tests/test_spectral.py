@@ -151,6 +151,16 @@ class TestEigenstructure:
             tracemalloc.stop()
         assert peak <= sum(a.nbytes for a in arrays) + 2 * arrays[0].nbytes
 
+    def test_per_mode_arrays_are_built_once_and_kept_on_the_grid(self):
+        # each is built on its first read and set as a plain attribute of the
+        # grid, which every later read returns (a new build is a new array)
+        g = SpectralGrid(DomainSpec(2, (PI, 2.0), (12, 8)))
+        names = ("lap_eigs", "A_eigs", "V_eigs", "mode_magnitude")
+        first = {name: getattr(g, name) for name in names}
+        for name in names:
+            assert getattr(g, name) is first[name]
+            assert name in g.__dict__ and name in vars(SpectralGrid)
+
 
 class TestTransforms:
     def test_single_mode_maps_to_unit_coefficient(self):
@@ -491,14 +501,18 @@ class TestPhi2:
         import decimal
 
         ctx = decimal.Context(prec=50)
-        for z in (0.0, 1e-6, 5e-5, 1.0, 10.0, 100.0):
+        # log-spaced through the window where the closed form cancels (it
+        # read 1.5e-8 relative just above 1e-4), the switch at z = 1 and
+        # its two neighbours, and the ends
+        zs = np.concatenate([np.logspace(-8, np.log10(50.0), 241),
+                             [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 100.0]])
+        got = _phi2(zs)
+        for z, g in zip(zs, got):
             d = decimal.Decimal(z)  # the float's exact value
-            if z == 0.0:
-                exact = 0.5
-            else:
-                exact = float(ctx.divide(ctx.add(ctx.subtract(d, 1), ctx.exp(-d)),
-                                         ctx.multiply(d, d)))
-            assert abs(_phi2(z) - exact) <= 1e-15 * exact, z
+            exact = float(ctx.divide(ctx.add(ctx.subtract(d, 1), ctx.exp(-d)),
+                                     ctx.multiply(d, d)))
+            assert abs(g - exact) <= 1e-15 * exact, z
+        assert _phi2(0.0) == 0.5
 
 
 @st.composite
