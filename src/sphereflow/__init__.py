@@ -32,7 +32,6 @@ from .integrators import (
     default_step,
     integrate,
     step_etd1,
-    step_projected_euler,
     step_rk4,
 )
 from .mild import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import v_norm
-from .integrators import _Kernel, integrate
+from .integrators import StepperConfig, integrate
 from .model import ModelParams, check_on_manifold, l2n_power, nonlinearity_F
 from .spectral import (
     Field,
@@ -141,27 +141,22 @@ def invariance_growth_test(u: Field, p: ModelParams,
     started off the sphere at sqrt(1 + eps) u for u on it, so psi(0) = eps.
 
     Integrates the literally projected field (projection taken at the raw,
-    off-sphere state) with two RK4 steps of the stepping kernel, without
-    retraction, and extrapolates d/dt log|psi| at t = 0.  That field,
-    pi_u(-A u - u^(2n-1)), expands to the kernel's -A u + F(u) at any base
-    point, and the rate is exactly 2 (|u|_{H2}^2 + 2 |u|_{H1}^2 +
-    |u|_{L2n}^{2n}).  The step min(1e-5, 0.2 / mu_max) resolves the
-    stiffest retained mode.
+    off-sphere state) with two unretracted RK4 steps of ``integrate`` and
+    extrapolates d/dt log|psi| at t = 0.  That field, pi_u(-A u - u^(2n-1)),
+    expands to the kernel's -A u + F(u) at any base point, and the rate is
+    exactly 2 (|u|_{H2}^2 + 2 |u|_{H1}^2 + |u|_{L2n}^{2n}).  The step
+    min(1e-5, 0.2 / mu_max) resolves the stiffest retained mode.
     """
     if not eps > -1.0:
         raise ValueError(f"eps must be greater than -1, got {eps!r}")
     check_on_manifold(u)
     u0_off = Field(u.grid, np.sqrt(1.0 + eps) * u.values)
-    grid = u.grid
-    c0 = grid.to_coeffs(u0_off.values)
+    h = min(1e-5, 0.2 / u.grid.mu_max)
+    cfg = StepperConfig("rk4", h, 2 * h, renormalize=False)
+    c0, c1, c2 = integrate(u0_off, p, cfg).coeffs
     psi0 = float(np.vdot(c0, c0)) - 1.0
     if abs(psi0) < 1e-13:
         raise ValueError("psi(0) = 0 is degenerate: the defect stays zero")
-    h = min(1e-5, 0.2 / grid.mu_max)
-    kernel = _Kernel("rk4", grid, p, h)
-    with np.errstate(over="ignore"):
-        c1 = kernel.advance(c0, kernel.stage(c0, u0_off.values))
-        c2 = kernel.advance(c1, kernel.stage(c1))
     # log(psi_k / psi_0) / (k h), taking psi_k - psi_0 as <c_k - c_0, c_k + c_0>,
     # which does not cancel as |c_k|^2 - 1 does
     r1, r2 = (np.log1p(float(np.vdot(c - c0, c + c0)) / psi0) / (k * h)

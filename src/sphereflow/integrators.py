@@ -1,8 +1,9 @@
 """Time integration of the projected flow with manifold retraction.
 
-Every scheme runs through one kernel that marches the coefficients c of u.
-A stage evaluates the vector field k = N - A c, N being the coefficients of
-F(u), and a scheme is only its stage coefficients (a, b) in ``TABLEAUS``:
+Every scheme runs through one kernel, stepped only by ``integrate``, that
+marches the coefficients c of u.  A stage evaluates the vector field
+k = N - A c, N being the coefficients of F(u), and a scheme is only its
+stage coefficients (a, b) in ``TABLEAUS``:
 
     c_i = c + h sum_j a[i-1][j] k_j    state of stage i >= 1 (stage 0 at c)
     c+  = c + h sum_j b[j] k_j         explicit: projected Euler, RK4
@@ -44,7 +45,7 @@ EXPONENTIAL = tuple(name for name, (_, b) in TABLEAUS.items() if isinstance(b[0]
 V_NORM_LIMIT = 1e8  # the blow-up guard trips above this V-norm
 # The guard passes a squared V-norm vn_sq exactly when
 # -inf < vn_sq <= _VN_SQ_MAX: finite, NaN failing both comparisons, and at
-# most V_NORM_LIMIT**2.  Its callers test this inline and call _blow_up.
+# most V_NORM_LIMIT**2.  integrate tests this inline and calls _blow_up.
 _VN_SQ_MAX = V_NORM_LIMIT**2
 
 
@@ -68,6 +69,8 @@ STEPPER_RULES = {
     "h": (lambda x: 0 < x < math.inf, "finite and positive"),
     "t_end": (lambda x: 0 <= x < math.inf, "finite and nonnegative"),
     "record_every": (lambda x: x >= 1 and x % 1 == 0, "an integer >= 1"),
+    "renormalize": (lambda x: isinstance(x, (bool, np.bool_)), "a boolean"),
+    "keep_snapshots": (lambda x: isinstance(x, (bool, np.bool_)), "a boolean"),
 }
 
 
@@ -215,37 +218,27 @@ def _blow_up(grid, vn_sq: float, t: float, last: np.ndarray) -> None:
     )
 
 
-def _one_step(scheme, u: Field, p: ModelParams, h: float) -> Field:
-    check_stepper_field("h", h)
-    grid = u.grid
-    kernel = _Kernel(scheme, grid, p, h)
-    c = grid.to_coeffs(u.values)
-    with np.errstate(over="ignore"):
-        out = kernel.advance(c, kernel.stage(c, u.values))
-        # |c|_V^2 = |c|^2 + <A c, c> as integrate reads it; stage 0's k is dead
-        vn_sq = float(_vdot(out, out)) + _a_terms(kernel.A_eigs, out, kernel.ks[0])[1]
-        if not -math.inf < vn_sq <= _VN_SQ_MAX:
-            _blow_up(grid, vn_sq, h, c)
-    return Field._wrap(grid, grid.to_values(out))
-
-
+# one unretracted integrate step each, kept for the benchmark's per-step time
 def step_etd1(u: Field, p: ModelParams, h: float) -> Field:
-    """One exponential Euler step, exact on the linear part."""
-    return _one_step("etd1", u, p, h)
-
-
-def step_projected_euler(u: Field, p: ModelParams, h: float) -> Field:
-    """One explicit Euler step of the projected vector field."""
-    return _one_step("projected_euler", u, p, h)
+    """One exponential Euler step from u, unretracted: integrate to t_end = h."""
+    cfg = StepperConfig("etd1", h, h, renormalize=False, keep_snapshots=False)
+    return integrate(u, p, cfg).final_state
 
 
 def step_rk4(u: Field, p: ModelParams, h: float) -> Field:
-    """One classical RK4 step of the projected vector field."""
-    return _one_step("rk4", u, p, h)
+    """One classical RK4 step from u, unretracted: integrate to t_end = h."""
+    cfg = StepperConfig("rk4", h, h, renormalize=False, keep_snapshots=False)
+    return integrate(u, p, cfg).final_state
 
 
 def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord:
-    """Advance the projected flow from renormalize(u0) to t_end.
+    """Advance the projected flow from u0 to t_end.
+
+    With ``cfg.renormalize`` the state is retracted onto the unit sphere,
+    c / |c|, at t = 0 and after every step.  Without it the state is never
+    retracted: the run starts from u0's coefficients as given, and its first
+    stage takes u0's values, so one step to t_end = h is one step of the
+    scheme from u0 itself.  This is the only code that steps the kernel.
 
     The state marches in coefficient space (so unexcited high modes decay
     to the dynamical floor instead of being pinned at transform roundoff).
@@ -274,20 +267,22 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     # product until the first stage and after the last one
     A_eigs, ac = kernel.A_eigs, kernel.ks[0]
     c = grid.to_coeffs(u0.values, kernel.pair[1], ac)
-    r = math.sqrt(_vdot(c, c))
-    if r == 0.0:
-        raise ValueError("cannot renormalize the zero field")
-    c /= r
+    record_every, renormalize = cfg.record_every, cfg.renormalize
+    if renormalize:
+        r = math.sqrt(_vdot(c, c))
+        if r == 0.0:
+            raise ValueError("cannot renormalize the zero field")
+        c /= r
 
     rows = []
     # steps 0, record_every, 2 record_every, ... and the last step
-    record_every, renormalize = cfg.record_every, cfg.renormalize
     n_records = math.ceil(n_steps / record_every) + 1
     coeffs = np.empty((n_records,) + grid.shape) if cfg.keep_snapshots else None
     dissipation = 0.0
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         advance, stage_at = kernel.advance, kernel.stage
-        stage = stage_at(c)
+        # unretracted, c is u0's and stage 0 takes u0's values as given
+        stage = stage_at(c, None if renormalize else u0.values)
         for i in range(n_steps + 1):
             _, k, s = stage
             ut_sq = float(_vdot(k, k))

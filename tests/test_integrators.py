@@ -27,11 +27,10 @@ from sphereflow import (
     random_unit_field,
     renormalize,
     step_etd1,
-    step_projected_euler,
-    step_rk4,
 )
 from sphereflow import integrators, spectral
-from sphereflow.integrators import EXPONENTIAL, SCHEMES, TABLEAUS, V_NORM_LIMIT, _Kernel
+from sphereflow.integrators import (EXPONENTIAL, SCHEMES, TABLEAUS, V_NORM_LIMIT, _Kernel,
+                                    stability_limit)
 from sphereflow.model import _fine_grid, _power, _Work
 
 PI = np.pi
@@ -39,6 +38,12 @@ PI = np.pi
 
 def grid_1d(n=16, L=PI):
     return SpectralGrid(DomainSpec(1, (L,), (n,)))
+
+
+def one_step(scheme, u, p, h):
+    """One step of the scheme from u itself: an unretracted integrate to t_end = h."""
+    cfg = StepperConfig(scheme, h, h, renormalize=False, keep_snapshots=False)
+    return integrate(u, p, cfg).final_state
 
 
 class TestStepperConfig:
@@ -64,6 +69,14 @@ class TestStepperConfig:
         # 2.5 used to record at steps 0, 5, 10, ... through i % 2.5 == 0
         with pytest.raises(ValueError, match="record_every must be an integer"):
             StepperConfig(record_every=value)
+
+    @pytest.mark.parametrize("field", ("renormalize", "keep_snapshots"))
+    @pytest.mark.parametrize("value", ("false", None, 2))
+    def test_flags_must_be_booleans(self, field, value):
+        # "false" is truthy, so it used to retract or keep snapshots quietly
+        with pytest.raises(ValueError, match=f"{field} must be a boolean, got {value!r}"):
+            StepperConfig(**{field: value})
+        StepperConfig(**{field: np.False_})  # numpy's booleans are accepted
 
     def test_step_must_divide_t_end(self):
         # rounding t_end / h used to stop these runs at t = 0.9 and t = 0.8
@@ -93,9 +106,9 @@ class TestEquilibrium:
         # scalar identity oracle: e^(-3h) + h*phi1(3h)*3 = 1 for every h
         h = 1e-3
         assert abs(np.exp(-3 * h) + h * (1 - np.exp(-3 * h)) / (3 * h) * 3 - 1) < 1e-16
-        assert norm_l2(step_etd1(u, p, 1e-3) - u) <= 1e-12
-        assert norm_l2(step_projected_euler(u, p, 1e-4) - u) <= 1e-12
-        assert norm_l2(step_rk4(u, p, 1e-4) - u) <= 1e-12
+        # each scheme at its default step: below the explicit stability limit
+        for scheme in SCHEMES:
+            assert norm_l2(one_step(scheme, u, p, default_step(scheme, g)) - u) <= 1e-12
 
     def test_equilibrium_trajectory(self):
         g = grid_1d(64)
@@ -145,10 +158,10 @@ class TestStepConsistency:
         g = grid_1d()
         u = basis_mode(g, 1)
         # a nan step, which passes h <= 0, is refused by the same rule
-        for step in (step_etd1, step_projected_euler, step_rk4):
+        for scheme in SCHEMES:
             for h in (0.0, math.nan):
                 with pytest.raises(ValueError, match="h must be finite and positive"):
-                    step(u, ModelParams(n=1), h)
+                    one_step(scheme, u, ModelParams(n=1), h)
 
 
 class TestRenormalize:
@@ -211,6 +224,22 @@ class TestIntegrate:
             )
             drifts[h] = traj.ledger.norm_drift.max()
         assert drifts[1e-3] / drifts[5e-4] == pytest.approx(2.0, rel=0.3)
+
+    def test_unretracted_run_starts_from_u0_as_given(self):
+        # renormalize=False never retracts, not even at t = 0: the run
+        # starts off the sphere, at |u0|^2 = 1.01
+        g = grid_1d(16)
+        u0 = math.sqrt(1.01) * random_unit_field(g, np.random.default_rng(22))
+        traj = integrate(u0, ModelParams(n=2), StepperConfig(h=1e-3, t_end=0.01,
+                                                             renormalize=False))
+        want = g.to_coeffs(u0.values)
+        assert np.array_equal(traj.coeffs[0].view(np.int64), want.view(np.int64))
+        assert traj.ledger.norm_drift[0] == pytest.approx(0.01, abs=1e-14)
+        # stage 0 takes u0's values, not the values of its coefficients (whose
+        # integral of u^4 differs here in the last bits): the first record
+        # holds that stage's integral
+        stage = _Kernel("etd1", g, ModelParams(n=2), 1e-3).stage
+        assert traj.ledger.l2n_pow[0] == stage(want, u0.values)[2] != stage(want)[2]
 
     def test_rk4_free_drift_vanishes_at_scheme_order(self):
         g = SpectralGrid(DomainSpec(1, (PI,), (8,)))
@@ -298,14 +327,18 @@ class TestBlowUpGuard:
     def two_pass_blow_up(u0, p, cfg):
         """Step the kernel by hand as integrate does, with the guard's
         two-pass rule <V c, c> > V_NORM_LIMIT^2 on each new state; returns
-        the time it first holds, the V-norm there and u before that step."""
+        the time it first holds, the V-norm there and u before that step.
+        Unretracted, the run starts from u0's coefficients as given and its
+        first stage takes u0's values."""
         grid, h = u0.grid, cfg.h
         kernel = _Kernel(cfg.scheme, grid, p, h)
         c = grid.to_coeffs(u0.values)
-        c = c / math.sqrt(np.vdot(c, c))
+        if cfg.renormalize:
+            c = c / math.sqrt(np.vdot(c, c))
         with np.errstate(over="ignore"):
             for i in range(int(round(cfg.t_end / h))):
-                last, c = c, kernel.advance(c, kernel.stage(c))
+                values = None if i or cfg.renormalize else u0.values
+                last, c = c, kernel.advance(c, kernel.stage(c, values))
                 vn_sq = float(np.vdot(grid.V_eigs * c, c))
                 if not vn_sq <= V_NORM_LIMIT**2:
                     return (i + 1) * h, math.sqrt(vn_sq), grid.to_values(last)
@@ -405,12 +438,10 @@ class TestBlowUpGuard:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_one_step_guard_reads_what_integrate_reads(self, monkeypatch, scheme):
-        # advance reaches the zero state, whose <A c, c> is set to vn_sq:
-        # the step wrapper's guard reads |c|^2 + <A c, c> = vn_sq, as an
-        # unretracted integrate does
+        # advance reaches the zero state, whose <A c, c> is set to vn_sq: on
+        # the first step of every scheme, the guard of an unretracted
+        # integrate reads |c|^2 + <A c, c> = vn_sq
         advance, a_terms = _Kernel.advance, integrators._a_terms
-        steps = {"etd1": step_etd1, "projected_euler": step_projected_euler,
-                 "rk4": step_rk4}
         vn_sq = V_NORM_LIMIT**2
 
         def set_a_sq(A_eigs, c, out=None):
@@ -423,10 +454,10 @@ class TestBlowUpGuard:
         u = random_unit_field(grid_1d(16), np.random.default_rng(21))
         p, h = ModelParams(n=2), 1e-6
         for vn_sq in (np.nextafter(V_NORM_LIMIT**2, 0.0), V_NORM_LIMIT**2):
-            assert not steps[scheme](u, p, h).values.any()
+            assert not one_step(scheme, u, p, h).values.any()
         vn_sq = np.nextafter(V_NORM_LIMIT**2, math.inf)
         with pytest.raises(BlowUpError) as err:
-            steps[scheme](u, p, h)
+            one_step(scheme, u, p, h)
         assert str(err.value) == "blow-up at t = 1e-06: V-norm 100000000.00000001 exceeded 1e+08"
         assert err.value.t == h
 
@@ -493,17 +524,6 @@ class TestKernel:
                                  "v_norm_sq", "l2n_pow", "Y"):
                         new, old = getattr(led, name)[i], getattr(ref, name)
                         assert abs(new - old) <= 1e-13 * abs(old), (scheme, name)
-
-    def test_step_wrappers_equal_one_step_integrate(self):
-        g = grid_1d(16)
-        u = random_unit_field(g, np.random.default_rng(13))
-        p = ModelParams(n=2)
-        steps = {"etd1": step_etd1, "projected_euler": step_projected_euler,
-                 "rk4": step_rk4}
-        for scheme, h in self.SCHEMES:
-            traj = integrate(u, p, StepperConfig(scheme=scheme, h=h, t_end=h,
-                                                 renormalize=False))
-            assert norm_l2(steps[scheme](u, p, h) - traj.final_state) <= 1e-14
 
     def test_etd1_reads_one_cached_weight_table(self, monkeypatch):
         g = SpectralGrid(DomainSpec(2, (PI, PI), (16, 12)))
@@ -764,3 +784,36 @@ class TestGroundStateFlow:
         assert abs(rayleigh_quotient(traj.final_state) - 3.0) <= 1e-6
         assert abs(traj.ledger.Y[-1] - 2.5) <= 1e-6
         assert np.sqrt(traj.ledger.v_norm_sq).max() <= 2 * traj.ledger.Y[0]
+
+
+class TestAxisSymmetry:
+    """The flow commutes with reversing the axis order, together with the
+    lengths and resolutions, and with the reflection x_0 -> L_0 - x_0, which
+    reverses axis 0 of the collocation grid.  The grids are not square and
+    their lengths differ, so a step that mixes two axes breaks a map."""
+
+    GRIDS = {"2d": ((2 * PI, 1.5 * PI), (32, 24)),
+             "3d": ((PI, PI, 1.2 * PI), (16, 8, 10))}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("scheme", ("etd1", "rk4"))
+    @pytest.mark.parametrize("n, dealias", ((1, None), (2, None), (3, None), (2, 2)))
+    def test_axis_reversal_and_reflection(self, grid, scheme, n, dealias):
+        lengths, resolution = self.GRIDS[grid]
+        g = SpectralGrid(DomainSpec(len(lengths), lengths, resolution))
+        reversed_g = SpectralGrid(DomainSpec(len(lengths), lengths[::-1], resolution[::-1]))
+        u0 = random_unit_field(g, np.random.default_rng(3))
+        p = ModelParams(n=n, dealias=dealias)
+        h = 1e-3 if scheme == "etd1" else 0.2 * stability_limit(g)
+        cfg = StepperConfig(scheme, h, 50 * h, record_every=10, keep_snapshots=False)
+
+        def run(grid, values):
+            traj = integrate(Field(grid, values), p, cfg)
+            return traj.final_state.values, traj.ledger.Y
+
+        u, Y = run(g, u0.values)
+        # (run, map of its final state back to g's axes) per symmetry
+        for (v, Y_map), back in ((run(reversed_g, u0.values.T), np.transpose),
+                                 (run(g, u0.values[::-1]), lambda x: x[::-1])):
+            assert np.abs(back(v) - u).max() <= 1e-14
+            assert np.abs(Y_map - Y).max() <= 1e-14 * np.abs(Y).max()
