@@ -23,6 +23,7 @@ for the last valid state when the guard trips.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ V_NORM_LIMIT = 1e8  # the blow-up guard trips above this V-norm
 # -inf < vn_sq <= _VN_SQ_MAX: finite, NaN failing both comparisons, and at
 # most V_NORM_LIMIT**2.  integrate tests this inline and calls _blow_up.
 _VN_SQ_MAX = V_NORM_LIMIT**2
+_PREFIX = __package__ + "."  # the modules of this package
 
 
 class BlowUpError(RuntimeError):
@@ -128,24 +130,22 @@ class _Kernel:
     integral s of u^(2n) as F took it.  N is F's ``work.N`` and k is
     written over A c in ``ks[i]``, row i of one array of the stages, so a
     stage's arrays live until the next stage of the same index.
-    ``advance`` writes the next c into the array of ``pair`` that c is not
-    (the first when c is neither), so it never overwrites the c it reads,
-    and the c it returns holds until the advance after next.  Callers hold
+    ``advance`` writes the next c into the array of ``pair`` that c is not,
+    so it never overwrites the c it reads, and the c it returns holds until
+    the advance after next; ETD1's c must be one of ``pair``.  Callers hold
     ``np.errstate(over="ignore")`` around their steps."""
 
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
         self.A_eigs = grid.A_eigs  # read once, not on every stage
-        # the nonzero (j, h a_ij) of each stage row.  h a_ij and a one-term
-        # step's h b_0 are float64 0-d arrays: times an array they give the
-        # bits of the Python float, which numpy would convert again on
-        # every product
+        # the nonzero (j, h a_ij) of each stage row.  h a_ij is a float64
+        # 0-d array: times an array it gives the bits of the Python float,
+        # which numpy would convert again on every product
         self.ha = [[(j, np.array(h * x)) for j, x in enumerate(row) if x] for row in a]
         self.work = _Work(grid, p)
         block = np.empty((len(b),) + grid.shape)
         self.ks = list(block)  # views of its rows
         pair = self.pair = (np.empty(grid.shape), np.empty(grid.shape))
-        views, self.k_rows = (None, None), None
         if scheme in EXPONENTIAL:
             self.decay, *self.hb = phi_weights(grid, h, "decay", *b)
             # exp(-z) is exactly 0 past z = 746 (semigroup_factors), where
@@ -158,19 +158,17 @@ class _Kernel:
             self.box, self.decay_box = box, self.decay[box]
             self.box_product = np.empty(self.decay_box.shape)
             views = tuple(x[box] for x in pair)
-        elif len(b) == 1:
-            self.decay, self.hb = None, [np.array(h * b[0])]
         else:
             # sum_j h b_j k_j as one matrix-vector product of the row hb and
             # the rows of ks, written through a flat view of each array of
-            # the pair; ci holds the state of stages 1, 2, ...
+            # the pair; ci holds the state of stages 1, 2, ... if any
             self.decay, self.hb = None, np.array([h * x for x in b])
-            self.k_rows, self.ci = block.reshape(len(b), -1), np.empty(grid.shape)
+            self.k_rows = block.reshape(len(b), -1)
+            self.ci = np.empty(grid.shape) if a else None
             views = tuple(x.reshape(-1) for x in pair)
-        # advance's (next c, its view, c, c's view), indexed by whether c is
-        # pair[0]: each view is the decay box for ETD1, flat for RK4
-        self.slots = ((pair[0], views[0], pair[1], views[1]),
-                      (pair[1], views[1], pair[0], views[0]))
+        # advance's (next c, its view, c's view), indexed by whether c is
+        # pair[0]: each view is the decay box for ETD1, flat otherwise
+        self.slots = ((pair[0], views[0], views[1]), (pair[1], views[1], views[0]))
 
     def stage(self, c: np.ndarray, values: np.ndarray | None = None,
               a_terms: tuple | None = None, i: int = 0) -> tuple:
@@ -182,21 +180,17 @@ class _Kernel:
 
     def advance(self, c: np.ndarray, first: tuple) -> np.ndarray:
         """The next coefficients, given ``first = stage(c)``, stage 0, whose
-        k is ``ks[0]``.  ETD1 takes decay * c + h phi1 N_0; projected Euler
-        c + h k_0; RK4 forms each stage state c + h a_ij k_j and then the
-        sum of h b_j k_j as one matrix-vector product over the rows of
-        ``ks``, to which it adds c."""
-        out, out_view, prev, c_view = self.slots[c is self.pair[0]]
+        k is ``ks[0]``.  ETD1 takes decay * c + h phi1 N_0, for a c of
+        ``pair``.  An explicit scheme forms each stage state c + h a_ij k_j
+        and then the sum of h b_j k_j as one matrix-vector product over the
+        rows of ``ks``, to which it adds c."""
+        out, out_view, c_view = self.slots[c is self.pair[0]]
         mul = np.multiply  # looked up once: a small grid's step is call overhead
         if self.decay is not None:
             # IEEE addition commutes, so this is decay * c + hb * N to the bit
             mul(self.hb[0], first[0], out)
-            if c is not prev:  # a c the kernel did not make
-                c_view = c[self.box]
             out_view += mul(self.decay_box, c_view, self.box_product)
             return out
-        if self.k_rows is None:
-            return np.add(c, mul(self.hb[0], first[1], out), out)
         add, ci, stage, ks = np.add, self.ci, self.stage, self.ks
         for i, row in enumerate(self.ha, 1):
             # out holds each h a_ij k_j until the final sum
@@ -254,10 +248,15 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     """
     grid = u0.grid
     if cfg.scheme not in EXPONENTIAL and cfg.h > stability_limit(grid):
+        # the warning names the first line outside the package, so a call
+        # through step_rk4 or a probe names the user's line
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_globals.get("__name__", "").startswith(_PREFIX):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"step {cfg.h} exceeds the explicit stability limit "
             f"{stability_limit(grid):.3e} for scheme {cfg.scheme}",
-            stacklevel=2,
+            stacklevel=level,
         )
     h = cfg.h
     n_steps = int(round(cfg.t_end / h))
@@ -327,14 +326,14 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
     """Estimate the convergence order of a scheme by Richardson comparison.
 
     Runs the retracted scheme at each h in ``h_list`` (geometric, at least
-    three entries) against an RK4 reference at min(h) / 16 and returns the
-    least-squares slope of log error versus log h.  A reference step, or
-    for an explicit scheme a step in ``h_list``, above the stability limit
-    raises ValueError before any run.
+    three distinct entries) against an RK4 reference at min(h) / 16 and
+    returns the least-squares slope of log error versus log h.  A reference
+    step, or for an explicit scheme a step in ``h_list``, above the
+    stability limit raises ValueError before any run.
     """
     h_list = sorted(float(h) for h in h_list)
-    if len(h_list) < 3:
-        raise ValueError("need at least three step sizes")
+    if len(set(h_list)) < 3:  # fewer make the least-squares fit rank-deficient
+        raise ValueError(f"h_list must hold at least three distinct step sizes, got {h_list}")
 
     def config(name, h):
         return StepperConfig(scheme=name, h=h, t_end=t_end, record_every=10**9,

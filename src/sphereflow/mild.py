@@ -52,16 +52,14 @@ class TruncationTheta:
 
 
 def theta_eval(th: TruncationTheta, x):
-    """Evaluate the cutoff at x >= 0 (scalar or array); NaN raises."""
-    if isinstance(x, (float, int)):
-        # same IEEE operations as the array path, without its array calls
-        if not x >= 0:
-            raise ValueError(f"theta is defined on nonnegative arguments, got {x!r}")
-        return min(1.0, max(0.0, 2.0 - x / th.m))
+    """Evaluate the cutoff at x >= 0, a float for a scalar x and an array
+    for an array; NaN or x < 0 raises.  The array's own ``min`` (NaN fails
+    the test) and np.minimum and np.maximum in place of np.all and np.clip
+    give the same bits at about half the cost of a 4-element call."""
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0):
+    if not x.min(initial=np.inf) >= 0:
         raise ValueError("theta is defined on nonnegative arguments, got NaN or x < 0")
-    out = np.clip(2.0 - x / th.m, 0.0, 1.0)
+    out = np.minimum(np.maximum(2.0 - x / th.m, 0.0), 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -82,8 +80,8 @@ class SpaceTimeGrid:
         if self.times.size < 2 or self.times[0] != 0.0:
             raise ValueError("time grid must start at 0 and hold at least 2 points")
         dt = np.diff(self.times)
-        if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0) or dt[0] <= 0:
-            raise ValueError("time grid must be uniform and increasing")
+        if not np.allclose(dt, dt[0], rtol=1e-12, atol=0.0) or not 0 < dt[0] < np.inf:
+            raise ValueError("time grid must be uniform, increasing and finite")
         self.coeffs = _grid_array(self.grid, self.coeffs, "coefficients", self.times.size)
 
     @classmethod
@@ -264,6 +262,8 @@ def picard_solve(u0: Field, th: TruncationTheta, p: ModelParams, T: float,
     is whenever it holds a NaN or inf entry.
     """
     _check_horizon(T)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     check_on_manifold(u0)
     times = np.linspace(0.0, T, num_points)
     free = SpaceTimeGrid.from_semigroup(u0, times)

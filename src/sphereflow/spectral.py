@@ -318,6 +318,8 @@ def basis_mode(grid: SpectralGrid, k) -> Field:
         k = (k,)
     if len(k) != grid.spec.dim:
         raise GridMismatch("multi-index rank does not match grid dimension")
+    if any(ki % 1 != 0 for ki in k):  # NaN and inf fail too
+        raise ValueError(f"mode index {k} must be integral")
     idx = tuple(int(ki) - 1 for ki in k)
     if any(i < 0 or i >= n for i, n in zip(idx, grid.shape)):
         raise ValueError(f"mode index {k} out of range for {grid.shape}")

@@ -289,6 +289,17 @@ class TestIntegrate:
                 pass
         assert any("stability" in str(w.message) for w in caught)
 
+    def test_stability_warning_names_the_callers_file(self):
+        # through step_rk4 too, the warning names this file, not integrators.py
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (64, 64)))
+        u, p, h = random_unit_field(g, np.random.default_rng(7)), ModelParams(n=2), 1e-6
+        calls = (lambda: integrate(u, p, StepperConfig("rk4", h, h, keep_snapshots=False)),
+                 lambda: integrators.step_rk4(u, p, h))
+        for call in calls:
+            with pytest.warns(UserWarning, match="stability") as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__]
+
     def test_gronwall_separation_proxy(self):
         # nearby states separate at most exponentially; the fitted gain is
         # finite and stable under step refinement
@@ -417,8 +428,12 @@ class TestBlowUpGuard:
         steps = []
 
         def zero_at_3(self, c, first):
+            # zeroed in place: the kernel steps only the arrays it made
             steps.append(None)
-            return np.zeros_like(c) if len(steps) == 3 else advance(self, c, first)
+            out = advance(self, c, first)
+            if len(steps) == 3:
+                out[...] = 0.0
+            return out
 
         def set_a_sq(A_eigs, c, out=None):
             ac, a_sq = a_terms(A_eigs, c, out)
@@ -755,6 +770,10 @@ class TestOrders:
         u0 = basis_mode(g, 1)
         with pytest.raises(ValueError):
             convergence_order_probe(u0, ModelParams(n=1), "etd1", [1e-3, 5e-4])
+        # three entries but fewer distinct steps make the fit rank-deficient
+        for h_list in ([1e-3, 1e-3, 1e-3], [1e-3, 5e-4, 1e-3]):
+            with pytest.raises(ValueError, match="h_list must hold at least three distinct"):
+                convergence_order_probe(u0, ModelParams(n=1), "etd1", h_list)
         with pytest.raises(ValueError):
             convergence_order_probe(u0, ModelParams(n=1), "etd1",
                                     [3e-3, 1.5e-3, 0.75e-3], t_end=0.1)

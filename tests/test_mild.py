@@ -94,6 +94,9 @@ class TestTheta:
             xs = np.concatenate([rng.uniform(0.0, 3.0 * th.m, size=50),
                                  [0.0, th.m, 2.0 * th.m, 1e300, np.inf]])
             arr = theta_eval(th, xs)
+            # np.minimum(np.maximum(.)) gives np.clip's bits on theta's domain
+            assert np.array_equal(arr, np.clip(2.0 - xs / th.m, 0.0, 1.0))
+            assert not np.signbit(arr).any()
             for x, a in zip(xs, arr):
                 for scalar in (float(x), x):
                     assert np.array_equal(theta_eval(th, scalar), a)
@@ -109,6 +112,13 @@ class TestSpaceTimeGrid:
             SpaceTimeGrid(g, np.array([0.0, 0.1, 0.3]), c)
         with pytest.raises(ValueError):
             SpaceTimeGrid(g, np.array([0.1, 0.2, 0.3]), c)
+
+    def test_refuses_nonfinite_times(self):
+        # [0, inf] passes the uniformity test, with dt = inf
+        g, want = grid_1d(16), "time grid must be uniform, increasing and finite"
+        for times in ([0.0, np.inf], [0.0, np.nan], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match=want):
+                SpaceTimeGrid(g, times, np.zeros((len(times),) + g.shape))
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
     def test_refuses_nonfinite_coefficients(self, bad):
@@ -498,6 +508,13 @@ class TestPicard:
         with pytest.raises(ManifoldError):
             picard_solve(1.1 * basis_mode(g, 1), TruncationTheta(10.0),
                          ModelParams(n=1), T=0.01)
+
+    @pytest.mark.parametrize("tol", (0.0, -1e-10, np.nan, np.inf))
+    def test_rejects_bad_tol(self, tol):
+        # a NaN tol would run every iteration and return unconverged
+        u0 = basis_mode(grid_1d(16), 1)
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            picard_solve(u0, TruncationTheta(10.0), ModelParams(n=1), T=0.01, tol=tol)
 
     def test_rejects_bad_horizon(self):
         # named before any time grid is built, so no warning comes first

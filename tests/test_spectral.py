@@ -366,6 +366,16 @@ class TestTransformProperties:
 
 
 class TestOperators:
+    def test_basis_mode_refuses_nonintegral_index(self):
+        # int() would quietly take 1.5 as mode 1
+        for g, k in ((grid_1d(16), 1.5), (grid_1d(16), np.nan), (grid_1d(16), np.inf),
+                     (grid_2d(), (1, 2.5))):
+            with pytest.raises(ValueError, match="must be integral"):
+                basis_mode(g, k)
+        # integral floats and numpy integers name their mode
+        assert np.array_equal(basis_mode(grid_2d(), (2.0, np.int64(3))).values,
+                              basis_mode(grid_2d(), (2, 3)).values)
+
     def test_mode_eigenvalue_action(self):
         g = grid_1d(16)
         tol = 1e-14 * g.mu_max
