@@ -399,6 +399,56 @@ def check_orders(tab: Table, seed: int):
     tab.add_range("RK4 order", est.order, 3.6, 4.4)
 
 
+_SYMMETRY_STEPS = 10  # the steps of each check_symmetry run, each one recorded
+
+
+def _symmetry_deviations(g, u0, p, cfg):
+    """How far one run from u0 is from the runs of its three symmetric
+    images: whether -u0 fails to give exactly -u(t) (0 or 1), and the
+    deviations of the axis reversal and of the reflection x_0 -> L_0 - x_0,
+    each the larger of max |final state difference| and the largest
+    difference of Y over max |Y|."""
+    spec = g.spec
+    reversed_g = SpectralGrid(DomainSpec(spec.dim, spec.lengths[::-1], spec.resolution[::-1]))
+
+    def run(grid, values):
+        traj = integrate(Field(grid, values), p, cfg)
+        return traj.final_state.values, traj.ledger.Y
+
+    u, Y = run(g, u0.values)
+    v, Y_neg = run(g, -u0.values)
+    sign = not (np.array_equal(v.view(np.int64), (-u).view(np.int64))
+                and np.array_equal(Y_neg.view(np.int64), Y.view(np.int64)))
+    devs = []
+    for (v, Y_map), back in ((run(reversed_g, u0.values.T), np.transpose),
+                             (run(g, u0.values[::-1]), lambda x: x[::-1])):
+        devs.append(max(np.abs(back(v) - u).max(), np.abs(Y_map - Y).max() / np.abs(Y).max()))
+    return (sign, *devs)
+
+
+def check_symmetry(tab: Table, seed: int):
+    """The flow commutes with u -> -u, with reversing the axis order (with
+    the lengths and resolutions) and with reflecting axis 0, on grids that
+    are not square and whose lengths differ, for every scheme and for
+    n = 2 with and without dealiasing; ETD1 also runs at h = 1e-2, where
+    the decays of the top modes underflow to 0."""
+    grids = {"2D 32x24": ((2 * PI, 1.5 * PI), (32, 24)),
+             "3D 16x8x10": ((PI, PI, 1.2 * PI), (16, 8, 10))}
+    for name, (lengths, resolution) in grids.items():
+        g = SpectralGrid(DomainSpec(len(lengths), lengths, resolution))
+        u0 = random_unit_field(g, np.random.default_rng(seed + 13))
+        steps = [(scheme, default_step(scheme, g)) for scheme in SCHEMES] + [("etd1", 1e-2)]
+        worst = np.zeros(3)
+        for scheme, h in steps:
+            cfg = StepperConfig(scheme, h, _SYMMETRY_STEPS * h, keep_snapshots=False)
+            for dealias in (None, 2):
+                dev = _symmetry_deviations(g, u0, ModelParams(n=2, dealias=dealias), cfg)
+                worst = np.maximum(worst, dev)
+        tab.add(f"sign map -u0 -> -u(t) bitwise ({name})", worst[0], "== 0", worst[0] == 0)
+        tab.add_le(f"axis reversal symmetry ({name})", worst[1], 1e-14)
+        tab.add_le(f"axis-0 reflection symmetry ({name})", worst[2], 1e-14)
+
+
 ALL_CHECKS = (
     check_spectral_core,
     check_self_adjoint,
@@ -415,6 +465,7 @@ ALL_CHECKS = (
     check_amu,
     check_gradient_system,
     check_orders,
+    check_symmetry,
 )
 
 

@@ -20,7 +20,7 @@ automatic on the unit sphere since |u| = 1 contributes 1 to ||u||_V^2.
 
 from __future__ import annotations
 
-import math
+import itertools
 from collections import namedtuple
 
 import numpy as np
@@ -47,25 +47,27 @@ EnergyReport.__doc__ = """Energy ledger: one record's values, or a whole run's w
 column per field.  ``norm_drift`` is | |u|_L2^2 - 1 |."""
 
 
-def make_report(u: Field | None, p: ModelParams, t: float, ut_l2_sq: float,
-                dissipation_integral: float, norms_sq=None,
-                l2n: float | None = None) -> EnergyReport:
-    """Energy ledger entry at state u.
+def make_report(u: Field | None, p: ModelParams, t, ut_l2_sq, dissipation_integral,
+                norms_sq=None, l2n=None) -> EnergyReport:
+    """Energy ledger entry at state u, or the ledger of a whole run.
 
-    A caller that already holds u's Parseval sums ``norms_sq`` (as
+    The report's fields are t, ut_l2_sq and dissipation_integral as given
+    and the values derived from u's Parseval sums ``norms_sq`` (as
     ``coeff_norms_sq`` returns them) and the integral ``l2n`` of u^(2n) (as
-    F(u) took it) passes them, and the record then costs no transform and
-    no second power, and reads nothing of u, which may be None; otherwise
-    both are computed from u.
+    F(u) took it).  Each is one state's scalar, or a run's column with one
+    entry per record, and the same formulas give the same bits either way.
+    A caller that passes both sums and ``l2n`` reads nothing of u, which
+    may be None, and costs no transform and no second power; otherwise
+    both are computed from the one state u.
     """
     l2sq, h1sq, h2sq = sobolev_norms_sq(u) if norms_sq is None else norms_sq
     vsq = l2sq + 2.0 * h1sq + h2sq
     if l2n is None:
         l2n = l2n_power(u, p.n, p.dealias)
-    # in field order; math.sqrt is correctly rounded, so it gives np.sqrt's bits
-    return EnergyReport(float(t), math.sqrt(l2sq), h1sq, h2sq, vsq, l2n,
-                        0.5 * vsq + l2n / (2.0 * p.n), float(ut_l2_sq),
-                        float(dissipation_integral), abs(l2sq - 1.0))
+    # in field order; np.sqrt is correctly rounded, as math.sqrt is
+    return EnergyReport(t, np.sqrt(l2sq), h1sq, h2sq, vsq, l2n,
+                        0.5 * vsq + l2n / (2.0 * p.n), ut_l2_sq,
+                        dissipation_integral, abs(l2sq - 1.0))
 
 
 def energy_residual(ledger) -> np.ndarray:
@@ -99,9 +101,15 @@ TIMESERIES_COLUMNS = ("t", "l2_norm", "h1_seminorm_sq", "h2_seminorm_sq", "l2n_p
                       "ut_l2_sq", "dissipation_integral", "energy_residual")
 
 
+# the ledger rows write_timeseries_csv formats per block of its columns
+CSV_BLOCK_ROWS = 1024
+
+
 def write_timeseries_csv(traj, path) -> None:
-    """Write the trajectory ledger, one record per row, with write_csv."""
+    """Write the trajectory ledger, one record per row, with write_csv; the
+    rows are taken from the ledger's columns CSV_BLOCK_ROWS at a time."""
     led = traj.ledger
-    table = np.column_stack([getattr(led, name) for name in TIMESERIES_COLUMNS[:-1]]
-                            + [energy_residual(led)])
-    write_csv(path, TIMESERIES_COLUMNS, table.tolist())
+    columns = [getattr(led, name) for name in TIMESERIES_COLUMNS[:-1]] + [energy_residual(led)]
+    blocks = (zip(*(col[lo:lo + CSV_BLOCK_ROWS].tolist() for col in columns))
+              for lo in range(0, len(led.t), CSV_BLOCK_ROWS))
+    write_csv(path, TIMESERIES_COLUMNS, itertools.chain.from_iterable(blocks))

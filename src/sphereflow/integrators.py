@@ -49,6 +49,8 @@ V_NORM_LIMIT = 1e8  # the blow-up guard trips above this V-norm
 # most V_NORM_LIMIT**2.  integrate tests this inline and calls _blow_up.
 _VN_SQ_MAX = V_NORM_LIMIT**2
 _PREFIX = __package__ + "."  # the modules of this package
+# the bytes of coefficients a record block holds when snapshots are off
+_RECORD_BLOCK_BYTES = 1 << 15
 
 
 class BlowUpError(RuntimeError):
@@ -236,13 +238,16 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
 
     The state marches in coefficient space (so unexcited high modes decay
     to the dynamical floor instead of being pinned at transform roundoff).
-    Every ``record_every`` steps and at t_end it records an energy report
-    (norm drift | |u|_L2^2 - 1 | included) from the first stage of the next
-    step, so a record costs no transform, and with ``keep_snapshots`` the
-    state's coefficients c into one preallocated array; the reports are
-    stacked into the ledger's columns once, at the end.  u's values are
-    computed once, for the final state.  The dissipation integral is the
-    trapezoid of |u_t|^2 over every step, with u_t = -A u + F(u).  Raises
+    Every ``record_every`` steps and at t_end it records the state's
+    coefficients c and, from the first stage of the next step, |u_t|^2, the
+    dissipation so far and F's integral of u^(2n), so a record costs no
+    transform: c goes into a block of rows (of the snapshot array with
+    ``keep_snapshots``), the scalars into columns made once.  The Parseval
+    sums are taken per block, and one energy report (norm drift
+    | |u|_L2^2 - 1 | included) is made of the columns at the end: the
+    ledger.  u's values are computed once, for the final state.  The
+    dissipation integral is the trapezoid of |u_t|^2 over every step, with
+    u_t = -A u + F(u).  Raises
     BlowUpError carrying the last valid state and time if the guard trips;
     it trips before F runs on the offending state.
     """
@@ -273,13 +278,26 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             raise ValueError("cannot renormalize the zero field")
         c /= r
 
-    rows = []
     # steps 0, record_every, 2 record_every, ... and the last step
     n_records = math.ceil(n_steps / record_every) + 1
+    # a record copies c into the current block of ``window`` and its scalars
+    # into columns; the Parseval sums are taken once per block of per_block
+    # records.  With snapshots a block is a range of rows of coeffs, and
+    # without it is one buffer of about _RECORD_BLOCK_BYTES, or c itself
+    # when a state outgrows that (per_block = 1, window None)
+    per_block = max(1, _RECORD_BLOCK_BYTES // c.nbytes)
     coeffs = np.empty((n_records,) + grid.shape) if cfg.keep_snapshots else None
+    if coeffs is not None:
+        window = coeffs[:per_block]
+    else:
+        window = np.empty((min(per_block, n_records),) + grid.shape) if per_block > 1 else None
+    ut_col, dissipation_col, s_col = np.empty((3, n_records))
+    sums = np.empty((3, n_records))
+    r = lo = 0  # records made, and the first record of the current block
     dissipation = 0.0
+    norm = np.empty(())  # the retraction's divisor, as a float64 0-d array
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
-        advance, stage_at = kernel.advance, kernel.stage
+        advance, stage_at, divide = kernel.advance, kernel.stage, np.divide
         # unretracted, c is u0's and stage 0 takes u0's values as given
         stage = stage_at(c, None if renormalize else u0.values)
         for i in range(n_steps + 1):
@@ -289,18 +307,25 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
             prev_ut_sq = ut_sq
             if i % record_every == 0 or i == n_steps:
-                sums = coeff_norms_sq(grid, c)
-                if coeffs is not None:
-                    coeffs[len(rows)] = c
-                rows.append(energy.make_report(None, p, i * h, ut_sq, dissipation, sums, s))
+                if window is not None:
+                    window[r - lo] = c
+                ut_col[r], dissipation_col[r], s_col[r] = ut_sq, dissipation, s
+                r += 1
+                if r - lo == per_block:
+                    block = c[np.newaxis] if window is None else window
+                    coeff_norms_sq(grid, block, sums[:, lo:r])
+                    lo = r
+                    if coeffs is not None:
+                        window = coeffs[r:r + per_block]
             if i == n_steps:
                 break
             last, c = c, advance(c, stage)
             r_sq = float(_vdot(c, c))
             if not math.isfinite(r_sq):
                 _blow_up(grid, r_sq, (i + 1) * h, last)
-            if renormalize:
-                c /= math.sqrt(r_sq)  # c is the kernel's array, not last
+            if renormalize:  # c is the kernel's array, not last
+                norm[()] = math.sqrt(r_sq)
+                divide(c, norm, c)
             a_terms = _a_terms(A_eigs, c, ac)
             a_sq = a_terms[1]
             # |c|_V^2 of the state advance reached, before it is retracted
@@ -309,7 +334,12 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
                 _blow_up(grid, vn_sq, (i + 1) * h, last)
             stage = stage_at(c, None, a_terms)
 
-    ledger = energy.EnergyReport(*map(np.array, zip(*rows)))
+    if r > lo:  # the last block, short of per_block records
+        coeff_norms_sq(grid, window[:r - lo], sums[:, lo:r])
+    # record j is at step j record_every, the last at step n_steps; the
+    # integer step index times h has the bits of the Python product i * h
+    t = np.minimum(np.arange(n_records) * record_every, n_steps) * h
+    ledger = energy.make_report(None, p, t, ut_col, dissipation_col, sums, s_col)
     return TrajectoryRecord(ledger=ledger, coeffs=coeffs,
                             final_state=Field._wrap(grid, grid.to_values(c, None, ac)))
 

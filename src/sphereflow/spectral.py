@@ -395,13 +395,20 @@ def sobolev_norms_sq(u: Field):
     return coeff_norms_sq(u.grid, u.grid.to_coeffs(u.values))
 
 
-def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray):
+def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray, out: np.ndarray | None = None):
     """sobolev_norms_sq from coefficients already at hand: the Parseval
-    sums |c|^2, <lam c, c> and |lam c|^2 as three BLAS dots, with lam c the
-    one temporary."""
-    lam_c = np.multiply(grid.lap_eigs, coeffs)
-    return (float(_vdot(coeffs, coeffs)), float(_vdot(lam_c, coeffs)),
-            float(_vdot(lam_c, lam_c)))
+    sums |c|^2, <lam c, c> and |lam c|^2 of one state, as three floats, or
+    of each state of a stack along a leading axis, as the rows of ``out``
+    (shaped (3, states), a new array when None), which is returned.  Each
+    sum is one BLAS dot per state, through np.vecdot over the flat states,
+    and lam c of every state is the one temporary."""
+    rows = coeffs.reshape(-1, grid.num_points)
+    lam_c = np.multiply(grid.lap_eigs.reshape(-1), rows)
+    sums = np.empty((3, len(rows))) if out is None else out
+    np.vecdot(rows, rows, out=sums[0])
+    np.vecdot(lam_c, rows, out=sums[1])
+    np.vecdot(lam_c, lam_c, out=sums[2])
+    return tuple(sums[:, 0].tolist()) if coeffs.ndim == len(grid.shape) else sums
 
 
 # -- exponential integrator weights -----------------------------------------

@@ -93,3 +93,13 @@ def test_cmd_check_writes_each_check_seconds_apart(tmp_path, monkeypatch):
         reports.append((tmp_path / "check_report.csv").read_bytes())
     # the timings do not reach check_report.csv
     assert reports[0] == reports[1]
+
+
+def test_symmetry_rows_pass_on_non_square_grids():
+    # the sign map bitwise and the axis reversal and reflection to 1e-14,
+    # each on the 2D 32 x 24 and the 3D 16 x 8 x 10 grid
+    tab = checks.Table()
+    checks.check_symmetry(tab, 0)
+    assert len(tab.rows) == 6
+    assert all(r["passed"] for r in tab.rows), tab.rows
+    assert [r["measured"] for r in tab.rows if "sign" in r["name"]] == [0.0, 0.0]

@@ -17,7 +17,7 @@ from sphereflow import (
     v_norm_sq,
     write_timeseries_csv,
 )
-from sphereflow.energy import TIMESERIES_COLUMNS, EnergyReport, write_csv
+from sphereflow.energy import CSV_BLOCK_ROWS, TIMESERIES_COLUMNS, EnergyReport, write_csv
 
 PI = np.pi
 
@@ -121,6 +121,26 @@ class TestReports:
             rep.l2_norm**2 + 2 * rep.h1_seminorm_sq + rep.h2_seminorm_sq
         )
 
+    def test_columns_give_each_scalar_reports_bits(self):
+        # make_report on a run's columns gives, field by field, the bits of
+        # one scalar call per record
+        rng = np.random.default_rng(25)
+        m = 300
+        l2sq = 1.0 + rng.uniform(-0.5, 0.5, m) * 10.0 ** rng.integers(-17, 1, m)
+        l2sq[:3] = 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        h1, h2, l2n = (rng.uniform(0, 10.0**k, m) for k in (2, 4, 1))
+        t, ut, d = rng.uniform(0, 1, m), rng.uniform(0, 1e3, m), rng.uniform(0, 10, m)
+        for n in (1, 2, 3):
+            p = ModelParams(n=n)
+            cols = make_report(None, p, t, ut, d, np.array([l2sq, h1, h2]), l2n)
+            assert all(isinstance(col, np.ndarray) and col.shape == (m,) for col in cols)
+            for i in range(m):
+                ref = make_report(None, p, t[i].item(), ut[i].item(), d[i].item(),
+                                  (l2sq[i].item(), h1[i].item(), h2[i].item()), l2n[i].item())
+                got = [col[i] for col in cols]
+                assert np.array_equal(np.array(got).view(np.int64),
+                                      np.array(ref, dtype=float).view(np.int64)), (n, i)
+
     def test_dissipation_integral_nondecreasing(self):
         g = grid_1d(64)
         traj = integrate(
@@ -145,6 +165,24 @@ class TestReports:
         # .17g formatting round-trips exactly
         assert float(first["Y"]) == traj.ledger.Y[0]
         assert float(first["l2_norm"]) == traj.ledger.l2_norm[0]
+
+    @pytest.mark.parametrize("rows", (1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                      CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1))
+    def test_blocks_write_the_row_wise_bytes(self, tmp_path, rows):
+        # write_timeseries_csv formats CSV_BLOCK_ROWS rows of the columns at
+        # a time: the bytes of write_csv on the ledger's rows, one by one
+        rng = np.random.default_rng(rows)
+        ledger = EnergyReport(*rng.standard_normal((len(EnergyReport._fields), rows))
+                              * 10.0 ** rng.integers(-300, 300, (1, rows)))
+        columns = [getattr(ledger, name) for name in TIMESERIES_COLUMNS[:-1]]
+        residual = np.abs(ledger.Y - ledger.Y[0] + ledger.dissipation_integral)
+        want = [tuple(float(col[i]) for col in columns) + (float(residual[i]),)
+                for i in range(rows)]
+        write_csv(tmp_path / "rows.csv", TIMESERIES_COLUMNS, want)
+        write_timeseries_csv(SimpleNamespace(ledger=ledger), tmp_path / "blocks.csv")
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.count(b"\n") == rows + 1
 
     def test_write_csv_cells(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -695,6 +696,73 @@ class TestKernel:
         assert np.array_equal(np.asarray(traj.ledger).view(np.int64),
                               np.asarray(reports).T.view(np.int64))
         assert np.array_equal(traj.coeffs.view(np.int64), np.asarray(rows).view(np.int64))
+
+
+class TestLedgerColumns:
+    """integrate keeps a record's c in a block of rows and its scalars in
+    columns, takes the Parseval sums once per block and makes one report
+    of the columns: the ledger is bitwise the per-record reference's
+    (np.vdot sums and a scalar make_report per record) on both sides of
+    each block boundary, with and without snapshots."""
+
+    @pytest.mark.parametrize("resolution", ((12,), (16, 12), (8, 8, 10), (64, 72)))
+    def test_bitwise_equal_to_per_record_reference(self, resolution):
+        dim = len(resolution)
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
+        u0 = random_unit_field(g, np.random.default_rng(22))
+        # the records of a block without snapshots: 341, 21 and 6 here, and
+        # 1 on the 64 x 72 grid, whose block is c itself
+        per_block = max(1, integrators._RECORD_BLOCK_BYTES // (8 * g.num_points))
+        assert (per_block == 1) == (resolution == (64, 72))
+        counts = sorted({max(1, per_block - 1), per_block, per_block + 1, 2 * per_block + 1})
+        h = 1e-3
+        for n, dealias in ((1, None), (1, 1), (2, None), (2, 2)):
+            p = ModelParams(n=n, dealias=dealias)
+            for records in counts:
+                cfg = StepperConfig("etd1", h, (records - 1) * h)
+                _, reports, rows = TestKernel.reference_integrate(u0, p, cfg)
+                want = np.asarray(reports).T.view(np.int64)
+                for keep in (True, False):
+                    case = (n, dealias, records, keep)
+                    traj = integrate(u0, p, replace(cfg, keep_snapshots=keep))
+                    assert traj.ledger.t.shape == (records,), case
+                    assert np.array_equal(np.asarray(traj.ledger).view(np.int64), want), case
+                    if keep:
+                        assert np.array_equal(traj.coeffs.view(np.int64),
+                                              np.asarray(rows).view(np.int64)), case
+                    else:
+                        assert traj.coeffs is None
+
+    def test_one_report_per_run(self, monkeypatch):
+        calls = []
+        make = integrators.energy.make_report
+        monkeypatch.setattr(integrators.energy, "make_report",
+                            lambda *args: calls.append(args) or make(*args))
+        g = grid_1d(12)
+        traj = integrate(random_unit_field(g, np.random.default_rng(23)), ModelParams(n=2),
+                         StepperConfig("rk4", 1e-5, 1e-3, keep_snapshots=False))
+        assert len(calls) == 1 and traj.ledger.t.shape == (101,)
+
+    def test_ledger_memory_per_record(self):
+        # the columns are the ledger's only per-record memory: 3 scalar
+        # columns, 3 sums and the report's new columns, about 10 float64s
+        g = grid_1d(12)
+        u0 = random_unit_field(g, np.random.default_rng(24))
+        p, h = ModelParams(n=2), 1e-3
+
+        def peak(records):
+            cfg = StepperConfig("etd1", h, (records - 1) * h, keep_snapshots=False)
+            integrate(u0, p, cfg)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                integrate(u0, p, cfg)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        per_record = (peak(5000) - peak(1000)) / 4000
+        assert per_record <= 1.5 * 10 * 8
 
 
 class TestWorkspace:
