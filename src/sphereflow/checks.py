@@ -383,20 +383,20 @@ def check_gradient_system(tab: Table, seed: int):
                abs(rayleigh_quotient(rep.limit_candidate) - 3.0), 1e-6)
 
 
+def _order_rows(seed: int) -> tuple:
+    """Each check_orders row: (name, u0, scheme, h_list, t_end, lo, hi), all
+    at n = 2."""
+    u0 = random_unit_field(_grid(8), np.random.default_rng(seed + 12))
+    u2 = random_unit_field(_grid(8, L=2 * PI), np.random.default_rng(5), decay=1.5)
+    return (("ETD1 order", u0, "etd1", (4e-3, 2e-3, 1e-3), 0.2, 0.8, 1.2),
+            ("projected Euler order", u0, "projected_euler", (4e-4, 2e-4, 1e-4), 0.05, 0.8, 1.2),
+            ("RK4 order", u2, "rk4", (2e-3, 1e-3, 5e-4), 0.5, 3.6, 4.4))
+
+
 def check_orders(tab: Table, seed: int):
-    rng = np.random.default_rng(seed + 12)
-    g = _grid(8)
-    p = ModelParams(n=2)
-    u0 = random_unit_field(g, rng)
-    est = convergence_order_probe(u0, p, "etd1", [4e-3, 2e-3, 1e-3], t_end=0.2)
-    tab.add_range("ETD1 order", est.order, 0.8, 1.2)
-    est = convergence_order_probe(u0, p, "projected_euler",
-                                  [4e-4, 2e-4, 1e-4], t_end=0.05)
-    tab.add_range("projected Euler order", est.order, 0.8, 1.2)
-    g2 = _grid(8, L=2 * PI)
-    u0 = random_unit_field(g2, np.random.default_rng(5), decay=1.5)
-    est = convergence_order_probe(u0, p, "rk4", [2e-3, 1e-3, 5e-4], t_end=0.5)
-    tab.add_range("RK4 order", est.order, 3.6, 4.4)
+    for name, u0, scheme, h_list, t_end, lo, hi in _order_rows(seed):
+        est = convergence_order_probe(u0, ModelParams(n=2), scheme, h_list, t_end)
+        tab.add_range(name, est.order, lo, hi)
 
 
 _SYMMETRY_STEPS = 10  # the steps of each check_symmetry run, each one recorded

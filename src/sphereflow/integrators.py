@@ -12,19 +12,21 @@ stage coefficients (a, b) in ``TABLEAUS``:
 ETD1 is exact on the stiff linear part; the explicit schemes are subject to
 the stability limit h <~ 2 / mu_max.  A per-step L2 renormalization (the
 cheapest retraction consistent with the invariance of the unit sphere) is
-applied by default, and a blow-up guard turns runaway V-norms into errors.
-With V = 1 + A the guard reads |c|_V^2 = |c|^2 + <A c, c> of each new state
-from sums the step takes anyway: |c|^2 from the retraction and <A c, c>
-from the next stage, before that stage takes F.  The state never leaves
-coefficient space: u's values are computed for the final state only, or
-for the last valid state when the guard trips.
+applied by default, and two guards turn a run that leaves the flow into an
+error, both from sums the step takes anyway.  The blow-up guard reads
+|c|_V^2 = |c|^2 + <A c, c> of each new state (V = 1 + A): |c|^2 from the
+retraction and <A c, c> from the next stage, before that stage takes F.
+On the sphere the flow is a gradient flow, so its energy
+Y = (1 + <A c, c>) / 2 + s / (2n), s the integral of u^(2n) that the next
+stage's F takes, never rises; a step that raises it by more than
+ENERGY_RISE_MAX * Y(u0) is unstable, at any step size.  The state never
+leaves coefficient space: u's values are computed for the final state
+only, or for the last valid state when a guard trips.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +50,16 @@ V_NORM_LIMIT = 1e8  # the blow-up guard trips above this V-norm
 # -inf < vn_sq <= _VN_SQ_MAX: finite, NaN failing both comparisons, and at
 # most V_NORM_LIMIT**2.  integrate tests this inline and calls _blow_up.
 _VN_SQ_MAX = V_NORM_LIMIT**2
-_PREFIX = __package__ + "."  # the modules of this package
+# a retracted run fails when one step raises Y by more than this times
+# Y(u0): valid runs rise by at most ~4e-16 of it, unstable ones by 1e-6 or more
+ENERGY_RISE_MAX = 1e-12
 # the bytes of coefficients a record block holds when snapshots are off
 _RECORD_BLOCK_BYTES = 1 << 15
 
 
 class BlowUpError(RuntimeError):
-    """The V-norm crossed the blow-up guard; carries the last valid state."""
+    """The V-norm crossed the blow-up guard, or a retracted step raised the
+    energy; carries the last valid state."""
 
     def __init__(self, message, t=None, last_state=None):
         super().__init__(message)
@@ -204,14 +209,24 @@ class _Kernel:
         return add(c, out, out)
 
 
-def _blow_up(grid, vn_sq: float, t: float, last: np.ndarray) -> None:
-    """Raise the BlowUpError of a squared V-norm ``vn_sq`` that failed the
-    guard at time t; ``last`` holds the coefficients of the state before."""
-    raise BlowUpError(
-        f"blow-up at t = {t:.6g}: V-norm {math.sqrt(max(vn_sq, 0.0))!r} "
-        f"exceeded {V_NORM_LIMIT:g}",
-        t=t, last_state=Field._wrap(grid, grid.to_values(last)),
-    )
+def _blow_up(grid, t: float, last: np.ndarray, cause: str) -> None:
+    """Raise the BlowUpError of the state a step reached at time t, for the
+    cause named; ``last`` holds the coefficients of the state before."""
+    raise BlowUpError(f"blow-up at t = {t:.6g}: {cause}", t=t,
+                      last_state=Field._wrap(grid, grid.to_values(last)))
+
+
+def _v_norm_cause(vn_sq: float) -> str:
+    """The cause of a squared V-norm ``vn_sq`` that failed the guard."""
+    return f"V-norm {math.sqrt(max(vn_sq, 0.0))!r} exceeded {V_NORM_LIMIT:g}"
+
+
+def _rise_cause(cfg: StepperConfig, grid, rise: float, y_u0: float) -> str:
+    """The cause of a retracted step that raised the energy by ``rise``,
+    given Y(u0) = ``y_u0``."""
+    return (f"the energy Y rose by {rise:.3g} ({rise / y_u0:.2g} Y(u0)) in one step, which "
+            f"the flow on the sphere never does: the step is unstable ({cfg.scheme} at "
+            f"h = {cfg.h:.4g}; explicit stability limit {stability_limit(grid):.4g})")
 
 
 # one unretracted integrate step each, kept for the benchmark's per-step time
@@ -247,22 +262,13 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     | |u|_L2^2 - 1 | included) is made of the columns at the end: the
     ledger.  u's values are computed once, for the final state.  The
     dissipation integral is the trapezoid of |u_t|^2 over every step, with
-    u_t = -A u + F(u).  Raises
-    BlowUpError carrying the last valid state and time if the guard trips;
-    it trips before F runs on the offending state.
+    u_t = -A u + F(u).  Raises BlowUpError carrying the last valid state and
+    time if the V-norm guard trips, before F runs on the offending state, or
+    if a retracted step raises the energy Y by more than ENERGY_RISE_MAX *
+    Y(u0), which the next stage's F tells; that error names the rise, the
+    scheme, h and the explicit stability limit.
     """
     grid = u0.grid
-    if cfg.scheme not in EXPONENTIAL and cfg.h > stability_limit(grid):
-        # the warning names the first line outside the package, so a call
-        # through step_rk4 or a probe names the user's line
-        frame, level = sys._getframe(1), 2
-        while frame is not None and frame.f_globals.get("__name__", "").startswith(_PREFIX):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"step {cfg.h} exceeds the explicit stability limit "
-            f"{stability_limit(grid):.3e} for scheme {cfg.scheme}",
-            stacklevel=level,
-        )
     h = cfg.h
     n_steps = int(round(cfg.t_end / h))
     kernel = _Kernel(cfg.scheme, grid, p, h)
@@ -298,13 +304,25 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     norm = np.empty(())  # the retraction's divisor, as a float64 0-d array
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         advance, stage_at, divide = kernel.advance, kernel.stage, np.divide
+        a_terms = _a_terms(A_eigs, c, ac)
+        a_sq = a_terms[1]
         # unretracted, c is u0's and stage 0 takes u0's values as given
-        stage = stage_at(c, None if renormalize else u0.values)
+        stage = stage_at(c, None if renormalize else u0.values, a_terms)
+        # the law reads 2 Y - 1 = <A c, c> + s / n of each state on the
+        # sphere; off it the law does not hold, and no rise trips
+        inv_n = 1.0 / p.n  # a float product costs less than a division by an int
+        prev_y = y0 = a_sq + stage[2] * inv_n
+        rise_max = ENERGY_RISE_MAX * (y0 + 1.0) if renormalize else math.inf
         for i in range(n_steps + 1):
             _, k, s = stage
             ut_sq = float(_vdot(k, k))
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
+                y = a_sq + s * inv_n
+                if y - prev_y > rise_max:
+                    _blow_up(grid, i * h, last,
+                             _rise_cause(cfg, grid, (y - prev_y) / 2, (y0 + 1.0) / 2))
+                prev_y = y
             prev_ut_sq = ut_sq
             if i % record_every == 0 or i == n_steps:
                 if window is not None:
@@ -322,7 +340,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             last, c = c, advance(c, stage)
             r_sq = float(_vdot(c, c))
             if not math.isfinite(r_sq):
-                _blow_up(grid, r_sq, (i + 1) * h, last)
+                _blow_up(grid, (i + 1) * h, last, _v_norm_cause(r_sq))
             if renormalize:  # c is the kernel's array, not last
                 norm[()] = math.sqrt(r_sq)
                 divide(c, norm, c)
@@ -331,7 +349,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             # |c|_V^2 of the state advance reached, before it is retracted
             vn_sq = r_sq * (1.0 + a_sq) if renormalize else r_sq + a_sq
             if not -math.inf < vn_sq <= _VN_SQ_MAX:
-                _blow_up(grid, vn_sq, (i + 1) * h, last)
+                _blow_up(grid, (i + 1) * h, last, _v_norm_cause(vn_sq))
             stage = stage_at(c, None, a_terms)
 
     if r > lo:  # the last block, short of per_block records
@@ -351,15 +369,27 @@ class OrderEstimate:
     h_list: tuple
 
 
+def _reference_step(grid, scheme: str, h_min: float, t_end: float) -> float:
+    """The step of convergence_order_probe's RK4 reference for a scheme
+    whose finest step is h_min: the largest step that divides t_end and is
+    at most both the stability limit and h_min, or h_min / 4 when the
+    scheme is RK4 itself.  RK4 at a first-order scheme's finest step is
+    orders of magnitude more accurate than that scheme there; against RK4
+    a quarter of its step puts the reference's error at 4^-4 of the finest
+    error, near the floor its rounding sets."""
+    h = min(h_min / 4 if scheme == "rk4" else h_min, stability_limit(grid))
+    return t_end / max(1, math.ceil(t_end / h - 1e-9))
+
+
 def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
                             t_end: float = 0.05) -> OrderEstimate:
     """Estimate the convergence order of a scheme by Richardson comparison.
 
     Runs the retracted scheme at each h in ``h_list`` (geometric, at least
-    three distinct entries) against an RK4 reference at min(h) / 16 and
-    returns the least-squares slope of log error versus log h.  A reference
-    step, or for an explicit scheme a step in ``h_list``, above the
-    stability limit raises ValueError before any run.
+    three distinct entries) against an RK4 reference at ``_reference_step``
+    and returns the least-squares slope of log error versus log h.  For an
+    explicit scheme a step in ``h_list`` above the stability limit raises
+    ValueError before any run.
     """
     h_list = sorted(float(h) for h in h_list)
     if len(set(h_list)) < 3:  # fewer make the least-squares fit rank-deficient
@@ -370,15 +400,12 @@ def convergence_order_probe(u0: Field, p: ModelParams, scheme: str, h_list,
                              keep_snapshots=False)
 
     # every step is checked against t_end before the first run
-    ref_cfg = config("rk4", h_list[0] / 16)
     cfgs = [config(scheme, h) for h in h_list]
     limit = stability_limit(u0.grid)
-    if ref_cfg.h > limit:
-        raise ValueError(f"RK4 reference step {ref_cfg.h:.3e} exceeds the stability "
-                         f"limit {limit:.3e}; use smaller steps")
     if scheme not in EXPONENTIAL and h_list[-1] > limit:
         raise ValueError(f"{scheme} step {h_list[-1]:.3e} exceeds the stability "
                          f"limit {limit:.3e}; use smaller steps")
+    ref_cfg = config("rk4", _reference_step(u0.grid, scheme, h_list[0], t_end))
     ref = integrate(u0, p, ref_cfg).final_state
     errors = [norm_l2(integrate(u0, p, cfg).final_state - ref) for cfg in cfgs]
     x = np.log(np.asarray(h_list))

@@ -460,6 +460,18 @@ class TestMainEntry:
         assert "set stepper.t_end below 1.0" in err
         assert not (out / "picard.csv").exists()
 
+    def test_unstable_rk4_run_exits_1_naming_the_stability_limit(self, tmp_path, capsys):
+        # RK4 at 1.5 times the limit 1.192e-7 of the default 1D N = 64 grid:
+        # the energy rises at step 8, so the run fails there and writes nothing
+        out = tmp_path / "r"
+        code = main(["--out", str(out), "--set", "stepper.scheme=rk4", "--set", "stepper.h=1.8e-7",
+                     "--set", "stepper.t_end=7.2e-4", "--set", "model.n=2", "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BlowUpError: blow-up at t = 1.44e-06: the energy Y rose by ")
+        assert "(rk4 at h = 1.8e-07; explicit stability limit 1.192e-07)" in err
+        assert not (out / "timeseries.csv").exists()
+
     @pytest.mark.parametrize("m", ("nan", "0", "-1", "inf"))
     def test_picard_bad_truncation_level_is_config_error(self, tmp_path, capsys, m):
         cfg = self.write_cfg(tmp_path)

@@ -32,6 +32,7 @@ from sphereflow import (
 from sphereflow import integrators, spectral
 from sphereflow.integrators import (EXPONENTIAL, SCHEMES, TABLEAUS, V_NORM_LIMIT, _Kernel,
                                     stability_limit)
+from sphereflow.checks import _order_rows
 from sphereflow.model import _fine_grid, _power, _Work
 
 PI = np.pi
@@ -259,8 +260,7 @@ class TestIntegrate:
     def test_blow_up_guard(self):
         g = grid_1d(16)
         u0 = random_unit_field(g, np.random.default_rng(6))
-        with pytest.warns(UserWarning, match="stability"), \
-                pytest.raises(BlowUpError) as err:
+        with pytest.raises(BlowUpError) as err:
             # retraction disabled: on the sphere the V-norm cannot exceed
             # 1 + lam_max, so the guard can only trip on a free run
             integrate(
@@ -277,29 +277,19 @@ class TestIntegrate:
         assert err.value.last_state is not None
         assert np.all(np.isfinite(err.value.last_state.values))
 
-    def test_stability_warning_for_explicit_scheme(self):
+    def test_unstable_explicit_step_fails_without_a_warning(self):
+        # the rounding in the ground mode's top modes grows at RK4 far above
+        # the stability limit: the first step raises the energy, and the
+        # error, not a warning, names the limit
         g = grid_1d(32)
         u0 = basis_mode(g, 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                integrate(u0, ModelParams(n=1),
-                          StepperConfig(scheme="rk4", h=1e-2, t_end=0.02,
-                                        keep_snapshots=False))
-            except (BlowUpError, ValueError, OverflowError):
-                pass
-        assert any("stability" in str(w.message) for w in caught)
-
-    def test_stability_warning_names_the_callers_file(self):
-        # through step_rk4 too, the warning names this file, not integrators.py
-        g = SpectralGrid(DomainSpec(2, (PI, PI), (64, 64)))
-        u, p, h = random_unit_field(g, np.random.default_rng(7)), ModelParams(n=2), 1e-6
-        calls = (lambda: integrate(u, p, StepperConfig("rk4", h, h, keep_snapshots=False)),
-                 lambda: integrators.step_rk4(u, p, h))
-        for call in calls:
-            with pytest.warns(UserWarning, match="stability") as caught:
-                call()
-            assert [w.filename for w in caught] == [__file__]
+        cfg = StepperConfig(scheme="rk4", h=1e-2, t_end=0.02, keep_snapshots=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError, match="explicit stability limit 1.904e-06") as err:
+                integrate(u0, ModelParams(n=1), cfg)
+        assert err.value.t == cfg.h
+        assert np.abs(err.value.last_state.values - u0.values).max() < 1e-14
 
     def test_gronwall_separation_proxy(self):
         # nearby states separate at most exponentially; the fitted gain is
@@ -326,10 +316,11 @@ class TestIntegrate:
 
 
 class TestBlowUpGuard:
-    # retracted: the pre-retraction V-norm first crosses the bound at step 6;
+    # retracted: the pre-retraction V-norm crosses the bound on the first
+    # step, before the energy law, which needs that state's F, can trip;
     # free: the run of test_blow_up_guard
     RUNS = {
-        "retracted": (56, StepperConfig(scheme="projected_euler", h=1e-2, t_end=1.0,
+        "retracted": (16, StepperConfig(scheme="rk4", h=1e-2, t_end=1.0,
                                          keep_snapshots=False)),
         "free": (16, StepperConfig(scheme="projected_euler", h=1e-3, t_end=1.0,
                                    renormalize=False, keep_snapshots=False)),
@@ -367,8 +358,7 @@ class TestBlowUpGuard:
         calls, F = [], integrators._F_values
         monkeypatch.setattr(integrators, "_F_values",
                             lambda *args: calls.append(None) or F(*args))
-        with pytest.warns(UserWarning, match="stability"), \
-                pytest.raises(BlowUpError) as err:
+        with pytest.raises(BlowUpError) as err:
             integrate(u0, p, cfg)
         f_calls = len(calls)
         return err.value, self.two_pass_blow_up(u0, p, cfg), f_calls
@@ -379,11 +369,9 @@ class TestBlowUpGuard:
         h = self.RUNS[name][1].h
         assert err.t == t
         assert np.array_equal(err.last_state.values, last_values)
-        # one stage per step, each state before the offending one: F never
+        # every stage of each step before the offending state: F never
         # runs on the state that trips the guard
-        assert f_calls == round(t / h)
-        if name == "retracted":
-            assert t > h  # not on the first step
+        assert f_calls == len(TABLEAUS[self.RUNS[name][1].scheme][1]) * round(t / h)
 
     @pytest.mark.parametrize("name", ("retracted", "free"))
     def test_reported_v_norm_is_the_two_pass_v_norm(self, monkeypatch, name):
@@ -482,6 +470,112 @@ class TestBlowUpGuard:
         u = random_unit_field(grid_1d(16), np.random.default_rng(15))
         for out in (nonlinearity_F(u, ModelParams(n=1)), power_term(u, 1)):
             assert not np.shares_memory(out.values, u.values)
+
+
+def cli_default_u0(n=64):
+    """The CLI's default initial state: 1D on (0, pi), random with seed 0."""
+    return renormalize(random_unit_field(grid_1d(n), np.random.default_rng(0)))
+
+
+def literal_y(grid, c, p):
+    """The energy Y of the state with coefficients c, from its values."""
+    return make_report(Field(grid, grid.to_values(c)), p, 0.0, 0.0, 0.0).Y
+
+
+class TestEnergyLaw:
+    """On the sphere the flow is a gradient flow, so Y never rises: a
+    retracted step that raises it by more than ENERGY_RISE_MAX * Y(u0)
+    fails, and no valid run comes near that."""
+
+    # the CLI's default grid and state at n = 2, whose limit is 1.192e-7
+    UNSTABLE = {"rk4": 1.5, "projected_euler": 1.1}
+
+    @pytest.mark.parametrize("scheme", UNSTABLE)
+    def test_unstable_runs_fail_within_20_steps(self, scheme):
+        u0 = cli_default_u0()
+        limit = stability_limit(u0.grid)
+        h = 1.8e-7 if scheme == "rk4" else self.UNSTABLE[scheme] * limit
+        assert h / limit == pytest.approx(self.UNSTABLE[scheme], rel=1e-2)
+        cfg = StepperConfig(scheme, h, 1000 * h, keep_snapshots=False)
+        with pytest.raises(BlowUpError) as err:
+            integrate(u0, ModelParams(n=2), cfg)
+        assert err.value.t <= 20 * h
+        assert f"({scheme} at h = {h:.4g}; explicit stability limit {limit:.4g})" in str(err.value)
+        assert np.all(np.isfinite(err.value.last_state.values))
+
+    @staticmethod
+    def literal_rise(u0, p, cfg):
+        """Step the kernel by hand with the retraction, as integrate does,
+        and take Y of each state from its values; returns the time of the
+        first step that raises Y by more than ENERGY_RISE_MAX * Y(u0), the
+        rise and u before that step."""
+        grid, h = u0.grid, cfg.h
+        kernel = _Kernel(cfg.scheme, grid, p, h)
+        c = grid.to_coeffs(u0.values)
+        c = c / math.sqrt(np.vdot(c, c))
+        y0 = y = literal_y(grid, c, p)
+        with np.errstate(over="ignore"):
+            for i in range(int(round(cfg.t_end / h))):
+                last, c = c, kernel.advance(c, kernel.stage(c))
+                c = c / math.sqrt(np.vdot(c, c))
+                prev, y = y, literal_y(grid, c, p)
+                if y - prev > integrators.ENERGY_RISE_MAX * y0:
+                    return (i + 1) * h, y - prev, grid.to_values(last)
+        raise AssertionError("Y never rises")
+
+    @pytest.mark.parametrize("scheme", UNSTABLE)
+    def test_trips_where_the_literal_energy_rises(self, monkeypatch, scheme):
+        u0, p = cli_default_u0(), ModelParams(n=2)
+        h = self.UNSTABLE[scheme] * stability_limit(u0.grid)
+        cfg = StepperConfig(scheme, h, 100 * h, keep_snapshots=False)
+        calls, F = [], integrators._F_values
+        monkeypatch.setattr(integrators, "_F_values",
+                            lambda *args: calls.append(None) or F(*args))
+        with pytest.raises(BlowUpError) as err:
+            integrate(u0, p, cfg)
+        f_calls = len(calls)
+        t, rise, last_values = self.literal_rise(u0, p, cfg)
+        assert err.value.t == t
+        assert np.array_equal(err.value.last_state.values, last_values)
+        reported = float(str(err.value).split("rose by ")[1].split()[0])
+        assert reported == pytest.approx(rise, rel=5e-3)
+        # the law reads the offending state's s, so F ran on it once
+        assert f_calls == len(TABLEAUS[scheme][1]) * round(t / h) + 1
+
+    # small-grid versions of the benchmark's four configurations: domain,
+    # N, n, scheme, h, steps
+    BENCHMARK = {
+        "ground_1d": (1, 64, 1, "etd1", 1e-3, 200),
+        "pattern_2d": (2, 32, 2, "etd1", 1e-3, 50),
+        "stiff_rk4": (1, 12, 2, "rk4", 1e-5, 200),
+        "picard_2d": (2, 16, 2, "etd1", 1e-3, 20),
+    }
+
+    @staticmethod
+    def largest_rise(u0, p, scheme, h, steps):
+        """max over steps of (Y_{k+1} - Y_k) / Y_0 on the retracted run, which
+        ends normally."""
+        cfg = StepperConfig(scheme, h, steps * h, keep_snapshots=False)
+        Y = integrate(u0, p, cfg).ledger.Y
+        assert Y.size == steps + 1
+        return np.diff(Y).max() / Y[0]
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("case", BENCHMARK)
+    def test_benchmark_configurations_never_rise(self, case, sign):
+        dim, N, n, scheme, h, steps = self.BENCHMARK[case]
+        grid = SpectralGrid(DomainSpec(dim, (PI,) * dim, (N,) * dim))
+        u0 = random_unit_field(grid, np.random.default_rng(7))
+        u0 = Field(grid, sign * u0.values)
+        assert self.largest_rise(u0, ModelParams(n=n), scheme, h, steps) <= 1e-15
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("scheme, h", (("etd1", 1e-3), ("etd1", 1.0),
+                                           ("rk4", None), ("projected_euler", None)))
+    def test_valid_runs_never_rise(self, scheme, h, n):
+        u0 = cli_default_u0()
+        h = default_step(scheme, u0.grid) if h is None else h
+        assert self.largest_rise(u0, ModelParams(n=n), scheme, h, 100) <= 1e-15
 
 
 class TestKernel:
@@ -833,6 +927,27 @@ class TestOrders:
                                       [2e-3, 1e-3, 5e-4], t_end=0.5)
         assert est.order == pytest.approx(4.0, abs=0.4)
 
+    # the share of a row's finest error that its reference's error may be:
+    # RK4 rounds to 1.6e-3-2.7e-3 of the RK4 row's 3.9e-12 at any finer step
+    REFERENCE_SHARE = {"etd1": 1e-3, "projected_euler": 1e-3, "rk4": 1e-2}
+
+    @pytest.mark.parametrize("row", range(3), ids=("etd1", "projected_euler", "rk4"))
+    def test_reference_is_accurate_for_each_check_row(self, row):
+        # a reference at half the step moves it by a small share of the
+        # smallest error the row measures
+        name, u0, scheme, h_list, t_end, lo, hi = _order_rows(0)[row]
+        p = ModelParams(n=2)
+        est = convergence_order_probe(u0, p, scheme, h_list, t_end)
+        h = integrators._reference_step(u0.grid, scheme, min(h_list), t_end)
+        assert h <= stability_limit(u0.grid)
+
+        def run(step):
+            cfg = StepperConfig("rk4", step, t_end, record_every=10**9, keep_snapshots=False)
+            return integrate(u0, p, cfg).final_state
+
+        assert norm_l2(run(h) - run(h / 2)) <= self.REFERENCE_SHARE[scheme] * min(est.errors)
+        assert lo <= est.order <= hi
+
     def test_probe_validation(self):
         g = grid_1d()
         u0 = basis_mode(g, 1)
@@ -845,10 +960,10 @@ class TestOrders:
         with pytest.raises(ValueError):
             convergence_order_probe(u0, ModelParams(n=1), "etd1",
                                     [3e-3, 1.5e-3, 0.75e-3], t_end=0.1)
-        # the RK4 reference at 1e-3 / 16 = 6.25e-5 is above 2 / mu_max = 3.03e-5
-        with pytest.raises(ValueError, match="reference step 6.250e-05.*limit 3.028e-05"):
-            convergence_order_probe(u0, ModelParams(n=1), "etd1",
-                                    [4e-3, 2e-3, 1e-3], t_end=0.02)
+        # the RK4 reference stays under 2 / mu_max = 3.03e-5, far below these
+        # steps, at the largest step that divides t_end
+        h = integrators._reference_step(g, "etd1", 1e-3, 0.02)
+        assert h == 0.02 / 661 and h <= stability_limit(g) < 0.02 / 660
         # an explicit step above the limit is refused too, not run unstably
         with pytest.raises(ValueError, match="projected_euler step 1.600e-04.*limit 3.028e-05"):
             convergence_order_probe(u0, ModelParams(n=2), "projected_euler",
