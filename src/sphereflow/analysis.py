@@ -154,12 +154,13 @@ def invariance_growth_test(u: Field, p: ModelParams,
     h = min(1e-5, 0.2 / u.grid.mu_max)
     cfg = StepperConfig("rk4", h, 2 * h, renormalize=False)
     c0, c1, c2 = integrate(u0_off, p, cfg).coeffs
-    psi0 = float(np.vdot(c0, c0)) - 1.0
+    dot = u.grid.dot
+    psi0 = float(dot(c0, c0)) - 1.0
     if abs(psi0) < 1e-13:
         raise ValueError("psi(0) = 0 is degenerate: the defect stays zero")
     # log(psi_k / psi_0) / (k h), taking psi_k - psi_0 as <c_k - c_0, c_k + c_0>,
     # which does not cancel as |c_k|^2 - 1 does
-    r1, r2 = (np.log1p(float(np.vdot(c - c0, c + c0)) / psi0) / (k * h)
+    r1, r2 = (np.log1p(float(dot(c - c0, c + c0)) / psi0) / (k * h)
               for k, c in ((1, c1), (2, c2)))
     measured = 2.0 * r1 - r2  # Richardson: removes the O(h) bias
     predicted = predicted_psi_rate(u0_off, p)

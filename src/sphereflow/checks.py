@@ -6,10 +6,11 @@ tangent projection, the equivalence of the literal and expanded vector
 fields, manifold invariance under retraction, the energy dissipation
 identity, the global V-bound, ground-state convergence, the truncated
 fixed-point construction, the Lipschitz envelope, the off-manifold growth
-rate, fractional-power orbit bounds, the Lyapunov-stall criterion and the
-convergence orders of the steppers.  Each check prints one line and the
-whole table lands in check_report.csv; the exit code is 0 iff every row
-passes.
+rate, fractional-power orbit bounds, the Lyapunov-stall criterion, the
+convergence orders of the steppers, the flow's symmetries, and 3D
+stationary states with their grid convergence.  Each check prints one
+line and the whole table lands in check_report.csv; the exit code is 0
+iff every row passes.
 """
 
 from __future__ import annotations
@@ -449,6 +450,30 @@ def check_symmetry(tab: Table, seed: int):
         tab.add_le(f"axis-0 reflection symmetry ({name})", worst[2], 1e-14)
 
 
+def check_3d(tab: Table, seed: int):
+    """Stationary answers on (0, pi)^3, reached by ETD1 at h = 1e-2 to T = 3:
+    ETD1's fixed points are exact (N = A c), so each is met to roundoff.
+    For n = 1 the ground state is mode (1, 1, 1), with A-eigenvalue 15 and
+    Y = (1 + 15) / 2 + 1 / 2 = 8.5; for n = 2 the stationary Y of one seed
+    on 8^3 and on 12^3 agree, as a converged answer must."""
+    cfg = StepperConfig("etd1", 1e-2, 3.0, keep_snapshots=False)
+    runs = {}
+    for n, N in ((1, 8), (2, 8), (2, 12)):
+        u0 = random_unit_field(_grid(N, dim=3), np.random.default_rng(seed + 6))
+        runs[n, N] = integrate(u0, ModelParams(n=n), cfg)
+    ground = runs[1, 8]
+    tab.add_le("3D ground state: Y -> 8.5 and Rayleigh quotient -> 15 (n=1; 8^3)",
+               max(abs(ground.ledger.Y[-1] - 8.5),
+                   abs(rayleigh_quotient(ground.final_state) - 15.0)), 1e-12)
+    y8, y12 = runs[2, 8].ledger.Y[-1], runs[2, 12].ledger.Y[-1]
+    tab.add_le("3D grid convergence: stationary Y on 8^3 vs 12^3 (n=2)",
+               abs(y8 - y12) / y12, 1e-12)
+    fine = runs[2, 12]
+    tab.add_le("3D retraction drift | |u|^2 - 1 | every step (n=2; 12^3)",
+               fine.ledger.norm_drift.max(), 1e-14)
+    tab.add_global_bound("3D 12^3", fine)
+
+
 ALL_CHECKS = (
     check_spectral_core,
     check_self_adjoint,
@@ -466,6 +491,7 @@ ALL_CHECKS = (
     check_gradient_system,
     check_orders,
     check_symmetry,
+    check_3d,
 )
 
 

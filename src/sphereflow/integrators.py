@@ -33,7 +33,7 @@ import numpy as np
 
 from . import energy
 from .model import ModelParams, _a_terms, _F_values, _Work
-from .spectral import Field, _vdot, coeff_norms_sq, norm_l2, phi_weights
+from .spectral import Field, coeff_norms_sq, norm_l2, phi_weights
 
 
 # scheme -> (a, b) as in the module docstring
@@ -144,7 +144,7 @@ class _Kernel:
 
     def __init__(self, scheme: str, grid, p: ModelParams, h: float):
         a, b = TABLEAUS[scheme]
-        self.A_eigs = grid.A_eigs  # read once, not on every stage
+        self.grid = grid
         # the nonzero (j, h a_ij) of each stage row.  h a_ij is a float64
         # 0-d array: times an array it gives the bits of the Python float,
         # which numpy would convert again on every product
@@ -180,8 +180,8 @@ class _Kernel:
     def stage(self, c: np.ndarray, values: np.ndarray | None = None,
               a_terms: tuple | None = None, i: int = 0) -> tuple:
         """Stage i at c; a caller that holds u at c (``values``) or
-        ``_a_terms(A_eigs, c, ks[i])`` passes them."""
-        ac, a_sq = _a_terms(self.A_eigs, c, self.ks[i]) if a_terms is None else a_terms
+        ``_a_terms(grid, c, ks[i])`` passes them."""
+        ac, a_sq = _a_terms(self.grid, c, self.ks[i]) if a_terms is None else a_terms
         n, s = _F_values(self.work, c, a_sq, values)
         return n, np.subtract(n, ac, ac), s
 
@@ -275,11 +275,11 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
 
     # the state starts in the pair, and ks[0] is the transforms' middle
     # product until the first stage and after the last one
-    A_eigs, ac = kernel.A_eigs, kernel.ks[0]
+    ac, dot = kernel.ks[0], grid.dot
     c = grid.to_coeffs(u0.values, kernel.pair[1], ac)
     record_every, renormalize = cfg.record_every, cfg.renormalize
     if renormalize:
-        r = math.sqrt(_vdot(c, c))
+        r = math.sqrt(dot(c, c))
         if r == 0.0:
             raise ValueError("cannot renormalize the zero field")
         c /= r
@@ -304,7 +304,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     norm = np.empty(())  # the retraction's divisor, as a float64 0-d array
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         advance, stage_at, divide = kernel.advance, kernel.stage, np.divide
-        a_terms = _a_terms(A_eigs, c, ac)
+        a_terms = _a_terms(grid, c, ac)
         a_sq = a_terms[1]
         # unretracted, c is u0's and stage 0 takes u0's values as given
         stage = stage_at(c, None if renormalize else u0.values, a_terms)
@@ -315,7 +315,7 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
         rise_max = ENERGY_RISE_MAX * (y0 + 1.0) if renormalize else math.inf
         for i in range(n_steps + 1):
             _, k, s = stage
-            ut_sq = float(_vdot(k, k))
+            ut_sq = float(dot(k, k))
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
                 y = a_sq + s * inv_n
@@ -338,13 +338,13 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
             if i == n_steps:
                 break
             last, c = c, advance(c, stage)
-            r_sq = float(_vdot(c, c))
+            r_sq = float(dot(c, c))
             if not math.isfinite(r_sq):
                 _blow_up(grid, (i + 1) * h, last, _v_norm_cause(r_sq))
             if renormalize:  # c is the kernel's array, not last
                 norm[()] = math.sqrt(r_sq)
                 divide(c, norm, c)
-            a_terms = _a_terms(A_eigs, c, ac)
+            a_terms = _a_terms(grid, c, ac)
             a_sq = a_terms[1]
             # |c|_V^2 of the state advance reached, before it is retracted
             vn_sq = r_sq * (1.0 + a_sq) if renormalize else r_sq + a_sq

@@ -186,12 +186,12 @@ def phi_map(u: SpaceTimeGrid, free: SpaceTimeGrid, th: TruncationTheta, p: Model
     # fc holds the squared coefficients until the loop below overwrites it
     theta = theta_eval(th, np.sqrt(_running_xt_sq(u, scratch=fc)))
     # one workspace of F serves every slot of the map
-    A_eigs, work = grid.A_eigs, model._Work(grid, p)
+    work = model._Work(grid, p)
     with np.errstate(over="ignore"):  # _F_values raises on an overflowing power
         for i, c in enumerate(u.coeffs):
             # A c goes to the slot's row of fc, which then takes F; both calls
             # go through the module, so that wrappers of model._F_values see them
-            a_sq = model._a_terms(A_eigs, c, fc[i])[1]
+            a_sq = model._a_terms(grid, c, fc[i])[1]
             fc[i] = model._F_values(work, c, a_sq)[0]
     fc *= theta.reshape((-1,) + (1,) * len(grid.shape))
     out = convolve_semigroup(SpaceTimeGrid._wrap(grid, u.times, fc), out).coeffs

@@ -35,7 +35,6 @@ from .spectral import (
     DomainSpec,
     Field,
     SpectralGrid,
-    _vdot,
     apply_A,
     inner_l2,
     norm_l2,
@@ -172,12 +171,12 @@ def _power(work: _Work, values: np.ndarray | None, coeffs: np.ndarray | None = N
         v = work.grid.to_values(coeffs, work.values, work.mid)
     n = p.n
     if n == 1:
-        s = work.fine.weight * float(_vdot(v, v))
+        s = work.fine.weight * float(work.fine.dot(v, v))
     else:
         sq = q = np.multiply(v, v, work.square)
         for _ in range(n - 2):
             q = np.multiply(q, sq, work.power)
-        s = work.fine.weight * float(_vdot(q, sq))
+        s = work.fine.weight * float(work.fine.dot(q, sq))
     if not math.isfinite(s):
         _raise_overflow(v)
     if n == 1:
@@ -227,21 +226,20 @@ def l2n_power(u: Field, n: int, dealias: int | None = None) -> float:
         return _power(_Work(u.grid, ModelParams(n=n, dealias=dealias)), u.values)[1]
 
 
-def _a_terms(A_eigs: np.ndarray, coeffs: np.ndarray,
+def _a_terms(grid: SpectralGrid, coeffs: np.ndarray,
              out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(A c, <A c, c>) for u's coefficients c, given the grid's ``A_eigs``:
-    the linear term of the vector field, written into ``out`` (a new array
-    when None), and |u|_H2^2 + 2|u|_H1^2 as the single Parseval sum of
-    A_k c_k^2."""
-    ac = np.multiply(A_eigs, coeffs, out)
-    return ac, float(_vdot(ac, coeffs))
+    """(A c, <A c, c>) for u's coefficients c on ``grid``: the linear term
+    of the vector field, written into ``out`` (a new array when None), and
+    |u|_H2^2 + 2|u|_H1^2 as the single Parseval sum of A_k c_k^2."""
+    ac = np.multiply(grid.A_eigs, coeffs, out)
+    return ac, float(grid.dot(ac, coeffs))
 
 
 def _F_values(work: _Work, coeffs: np.ndarray, a_sq: float,
               values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(N, s) on ``work``'s grid and model: the coefficients N of
     F(u) = u ((a_sq + s) - u^(2n-2)), for u's coefficients c, and the
-    integral s of u^(2n), given ``a_sq = _a_terms(grid.A_eigs, c)[1]``,
+    integral s of u^(2n), given ``a_sq = _a_terms(grid, c)[1]``,
     which the caller shares with the blow-up guard.
 
     For n = 1 F is the number (a_sq + s) - 1 times u, so N is that number
@@ -253,7 +251,7 @@ def _F_values(work: _Work, coeffs: np.ndarray, a_sq: float,
     energy records reuse it.  The caller holds ``np.errstate(over="ignore")``.
     """
     if work.p.n == 1:
-        s = float(_vdot(coeffs, coeffs))
+        s = float(work.grid.dot(coeffs, coeffs))
         if not math.isfinite(s):
             _raise_overflow(work.grid.to_values(coeffs))
         work.factor[()] = (a_sq + s) - 1.0
@@ -270,7 +268,7 @@ def nonlinearity_F(u: Field, p: ModelParams) -> Field:
     ``_F_values`` is the same F on coefficients."""
     grid = u.grid
     c = grid.to_coeffs(u.values)
-    return Field._wrap(grid, _one_shot(u, p, c, _a_terms(grid.A_eigs, c)[1]))
+    return Field._wrap(grid, _one_shot(u, p, c, _a_terms(grid, c)[1]))
 
 
 def project_tangent(u: Field, h: Field) -> Field:

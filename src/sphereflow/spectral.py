@@ -23,6 +23,29 @@ _DENSE_AXIS_LIMIT = 256
 # of a 64-point dot; a step takes several dots of plain arrays
 _vdot = getattr(np.vdot, "__wrapped__", np.vdot)
 
+# OpenBLAS threads ddot somewhere above 10^4 elements, and a threaded ddot
+# sums in an order that depends on the thread count.  So every dot of the
+# package follows one rule: up to _DOT_CHUNK elements it is one ddot, and
+# above it the ddots of the full chunks of _DOT_CHUNK elements, summed by
+# np.add.reduce, plus the ddot of the tail (a fixed reduction order, as in
+# Demmel & Nguyen 2015).  No ddot is long enough to be threaded, so no sum
+# depends on the thread count.
+_DOT_CHUNK = 8192
+
+
+def _chunked_dot(x: np.ndarray, y: np.ndarray):
+    """The rule's dot of two arrays of more than _DOT_CHUNK elements each."""
+    x, y = x.reshape(-1), y.reshape(-1)
+    body = x.size - x.size % _DOT_CHUNK
+    partials = np.vecdot(x[:body].reshape(-1, _DOT_CHUNK), y[:body].reshape(-1, _DOT_CHUNK))
+    return np.add.reduce(partials) + _vdot(x[body:], y[body:])
+
+
+def dot_rule(size: int):
+    """The rule's dot of two arrays of ``size`` elements: ``_vdot`` itself up
+    to _DOT_CHUNK elements, so that a small grid's dot costs no extra call."""
+    return _vdot if size <= _DOT_CHUNK else _chunked_dot
+
 
 class GridMismatch(ValueError):
     """Fields living on incompatible grids were combined."""
@@ -145,6 +168,7 @@ class SpectralGrid:
         self.spec = spec
         self.shape = spec.resolution
         self.num_points = math.prod(self.shape)
+        self.dot = dot_rule(self.num_points)  # the dot of two of its arrays
         self.mu_min, self.mu_max, self.weight = spec.mu_min, spec.mu_max, spec.weight
 
         step = [L / (n + 1) for L, n in zip(spec.lengths, spec.resolution)]
@@ -387,7 +411,7 @@ def inner_l2(u: Field, v: Field) -> float:
 
 
 def norm_l2(u: Field) -> float:
-    return float(np.sqrt(u.grid.weight) * np.linalg.norm(u.values))
+    return float(np.sqrt(u.grid.weight) * math.sqrt(u.grid.dot(u.values, u.values)))
 
 
 def sobolev_norms_sq(u: Field):
@@ -397,18 +421,24 @@ def sobolev_norms_sq(u: Field):
 
 def coeff_norms_sq(grid: SpectralGrid, coeffs: np.ndarray, out: np.ndarray | None = None):
     """sobolev_norms_sq from coefficients already at hand: the Parseval
-    sums |c|^2, <lam c, c> and |lam c|^2 of one state, as three floats, or
-    of each state of a stack along a leading axis, as the rows of ``out``
-    (shaped (3, states), a new array when None), which is returned.  Each
-    sum is one BLAS dot per state, through np.vecdot over the flat states,
-    and lam c of every state is the one temporary."""
+    sums |c|^2, <lam c, c> and |lam c|^2 of one state, as three floats from
+    three dots of the grid's rule, or of each state of a stack along a
+    leading axis, as the rows of ``out`` (shaped (3, states), a new array
+    when None), which is returned, with the bits of the one-state sums;
+    lam c of every state is the one temporary."""
+    dot = grid.dot
+    if coeffs.ndim == len(grid.shape):
+        lam_c = grid.lap_eigs * coeffs
+        return float(dot(coeffs, coeffs)), float(dot(lam_c, coeffs)), float(dot(lam_c, lam_c))
     rows = coeffs.reshape(-1, grid.num_points)
     lam_c = np.multiply(grid.lap_eigs.reshape(-1), rows)
     sums = np.empty((3, len(rows))) if out is None else out
-    np.vecdot(rows, rows, out=sums[0])
-    np.vecdot(lam_c, rows, out=sums[1])
-    np.vecdot(lam_c, lam_c, out=sums[2])
-    return tuple(sums[:, 0].tolist()) if coeffs.ndim == len(grid.shape) else sums
+    for row, (x, y) in zip(sums, ((rows, rows), (lam_c, rows), (lam_c, lam_c))):
+        if dot is _vdot:  # one ddot per state, the states' at once
+            np.vecdot(x, y, out=row)
+        else:  # integrate's record block holds one state of this size
+            row[:] = [dot(a, b) for a, b in zip(x, y)]
+    return sums
 
 
 # -- exponential integrator weights -----------------------------------------

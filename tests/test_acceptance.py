@@ -64,6 +64,11 @@ CRITERIA = {
          ("check_gradient_system",), 60.0),
     14: (("ETD1 order", "projected Euler order", "RK4 order"),
          ("check_orders",), 120.0),
+    15: (("3D ground state: Y -> 8.5 and Rayleigh quotient -> 15 (n=1; 8^3)",
+          "3D grid convergence: stationary Y on 8^3 vs 12^3 (n=2)",
+          "3D retraction drift | |u|^2 - 1 | every step (n=2; 12^3)",
+          "global bound on the 3D 12^3 run"),
+         ("check_3d",), 1.0),
 }
 
 
@@ -143,6 +148,10 @@ def test_criterion_13_gradient_system(suite):
 
 def test_criterion_14_scheme_orders(suite):
     _assert_criterion(suite, 14)
+
+
+def test_criterion_15_3d_and_grid_convergence(suite):
+    _assert_criterion(suite, 15)
 
 
 def test_full_check_suite_under_ten_minutes(suite):

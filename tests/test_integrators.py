@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from literal_dot import literal_dot
 
 from sphereflow import (
     BlowUpError,
@@ -677,9 +678,9 @@ class TestKernel:
         values u ((a_sq + s) - q), q = (u^2)^(n-1) and s the quadrature of
         q u^2, on the padded grid and truncated with dealiasing; fresh
         arrays throughout, generator sums for the stage states, the sum of
-        h b_j k_j as one np.dot over the stacked k's for RK4, and
-        np.vdot Parseval sums.  Returns the final values, the reports and a
-        copy of c at each record."""
+        h b_j k_j as one np.dot over the stacked k's for RK4, and every
+        Parseval and quadrature sum a literal_dot.  Returns the final
+        values, the reports and a copy of c at each record."""
         grid, h = u0.grid, cfg.h
         a, b = TABLEAUS[cfg.scheme]
         ha = [[h * x for x in row] for row in a]
@@ -692,9 +693,9 @@ class TestKernel:
         modes = tuple(map(slice, grid.shape))
 
         def stage(c):
-            a_sq = float(np.vdot(grid.A_eigs * c, c))
+            a_sq = float(literal_dot(grid.A_eigs * c, c))
             if p.n == 1:
-                s = float(np.vdot(c, c))
+                s = float(literal_dot(c, c))
                 n = ((a_sq + s) - 1.0) * c
             else:
                 padded = np.zeros(fine.shape)
@@ -703,7 +704,7 @@ class TestKernel:
                 sq = q = v * v
                 for _ in range(p.n - 2):
                     q = q * sq
-                s = fine.weight * float(np.vdot(q, sq))
+                s = fine.weight * float(literal_dot(q, sq))
                 n = np.ascontiguousarray(fine.to_coeffs(v * ((a_sq + s) - q))[modes])
             return n, n - grid.A_eigs * c, s
 
@@ -718,26 +719,26 @@ class TestKernel:
             return c + np.dot(np.array(hb), np.stack(ks).reshape(len(ks), -1)).reshape(c.shape)
 
         c = grid.to_coeffs(u0.values)
-        c = c / math.sqrt(np.vdot(c, c))
+        c = c / math.sqrt(literal_dot(c, c))
         n_steps = int(round(cfg.t_end / h))
         reports, rows, dissipation = [], [], 0.0
         st = stage(c)
         for i in range(n_steps + 1):
             _, k, s = st
-            ut_sq = float(np.vdot(k, k))
+            ut_sq = float(literal_dot(k, k))
             if i:
                 dissipation += 0.5 * h * (prev_ut_sq + ut_sq)
             prev_ut_sq = ut_sq
             if i % cfg.record_every == 0 or i == n_steps:
                 lam_c = grid.lap_eigs * c
-                sums = (float(np.vdot(c, c)), float(np.vdot(lam_c, c)),
-                        float(np.vdot(lam_c, lam_c)))
+                sums = (float(literal_dot(c, c)), float(literal_dot(lam_c, c)),
+                        float(literal_dot(lam_c, lam_c)))
                 reports.append(make_report(None, p, i * h, ut_sq, dissipation, sums, s))
                 rows.append(c.copy())
             if i == n_steps:
                 return grid.to_values(c), reports, rows
             c = advance(c, st)
-            c = c / math.sqrt(np.vdot(c, c))
+            c = c / math.sqrt(literal_dot(c, c))
             st = stage(c)
 
     @pytest.mark.parametrize("scheme", ("etd1", "projected_euler", "rk4"))
@@ -796,18 +797,19 @@ class TestLedgerColumns:
     """integrate keeps a record's c in a block of rows and its scalars in
     columns, takes the Parseval sums once per block and makes one report
     of the columns: the ledger is bitwise the per-record reference's
-    (np.vdot sums and a scalar make_report per record) on both sides of
-    each block boundary, with and without snapshots."""
+    (literal_dot sums and a scalar make_report per record) on both sides of
+    each block boundary, with and without snapshots.  The 96 x 96 grid has
+    more than 8192 points, so each of its sums is a chunked dot."""
 
-    @pytest.mark.parametrize("resolution", ((12,), (16, 12), (8, 8, 10), (64, 72)))
+    @pytest.mark.parametrize("resolution", ((12,), (16, 12), (8, 8, 10), (64, 72), (96, 96)))
     def test_bitwise_equal_to_per_record_reference(self, resolution):
         dim = len(resolution)
         g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
         u0 = random_unit_field(g, np.random.default_rng(22))
         # the records of a block without snapshots: 341, 21 and 6 here, and
-        # 1 on the 64 x 72 grid, whose block is c itself
+        # 1 on the 64 x 72 and 96 x 96 grids, whose block is c itself
         per_block = max(1, integrators._RECORD_BLOCK_BYTES // (8 * g.num_points))
-        assert (per_block == 1) == (resolution == (64, 72))
+        assert (per_block == 1) == (dim == 2 and resolution[0] >= 64)
         counts = sorted({max(1, per_block - 1), per_block, per_block + 1, 2 * per_block + 1})
         h = 1e-3
         for n, dealias in ((1, None), (1, 1), (2, None), (2, 2)):

@@ -46,7 +46,7 @@ def score_F(name, n, dealias):
     c = g.to_coeffs(u.values)
     with np.errstate(over="ignore"):
         N, s = _F_values(_Work(g, ModelParams(n=n, dealias=dealias)), c,
-                         _a_terms(g.A_eigs, c)[1])
+                         _a_terms(g, c)[1])
     N_ref, s_ref = oracle.F(og, c, n, dealias)
     return {"N": oracle.relative_error(N, N_ref), "s": oracle.relative_error(s, s_ref)}
 

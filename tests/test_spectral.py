@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from literal_dot import literal_dot
 from scipy.integrate import quad
 
 from sphereflow import (
@@ -32,7 +33,7 @@ from sphereflow import (
     transform_inverse,
     write_snapshot,
 )
-from sphereflow.spectral import _dst1, _phi2, _sine_matrix
+from sphereflow.spectral import _dst1, _phi2, _sine_matrix, _vdot, coeff_norms_sq, dot_rule
 
 PI = np.pi
 
@@ -483,6 +484,68 @@ class TestNorms:
         g = grid_1d(64)
         u = basis_mode(g, 1)
         assert abs(l2n_power(u, 2) ** 0.25 - target ** 0.25) < 1e-10
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestDotRule:
+    """Every dot of the package follows dot_rule: one ddot up to 8192
+    elements, and above it the ddots of 8192-element chunks summed by
+    np.add.reduce, plus the tail's; no ddot is long enough for OpenBLAS to
+    thread, so no sum depends on the thread count."""
+
+    @pytest.mark.parametrize("size", (8191, 8192, 8193, 3 * 8192 + 5, 65536))
+    def test_bitwise_equal_to_literal_reference(self, size):
+        x, y = np.random.default_rng(size).standard_normal((2, size))
+        want = bits(literal_dot(x, y))
+        assert bits(dot_rule(size)(x, y)) == want
+        if size == 65536:  # a grid's array is shaped, not flat
+            assert bits(dot_rule(size)(x.reshape(256, 256), y.reshape(256, 256))) == want
+
+    @pytest.mark.parametrize("size", (1, 12, 64, 1000, 8191, 8192))
+    def test_one_ddot_up_to_the_chunk(self, size):
+        x, y = np.random.default_rng(size).standard_normal((2, size))
+        assert dot_rule(size) is _vdot
+        assert bits(dot_rule(size)(x, y)) == bits(np.vdot(x, y))
+
+    def test_grid_chooses_the_rule_from_its_point_count(self):
+        for shape, chunked in (((90, 90), False), ((64, 128), False), ((20, 20, 20), False),
+                               ((96, 96), True), ((8194,), True), ((22, 22, 22), True)):
+            g = SpectralGrid(DomainSpec(len(shape), (PI,) * len(shape), shape))
+            assert (g.dot is not _vdot) == chunked, shape
+            assert g.dot is dot_rule(g.num_points)
+
+    @pytest.mark.parametrize("resolution", ((12,), (32, 32), (96, 96)))
+    def test_coeff_norms_sq_takes_three_dots_of_the_rule(self, resolution):
+        dim = len(resolution)
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
+        stack = np.random.default_rng(dim).standard_normal((5,) + g.shape)
+        one = []
+        for c in stack:
+            lam_c = g.lap_eigs * c
+            want = (literal_dot(c, c), literal_dot(lam_c, c), literal_dot(lam_c, lam_c))
+            got = coeff_norms_sq(g, c)
+            assert type(got) is tuple and all(type(x) is float for x in got)
+            assert np.array_equal(bits(got), bits(want))
+            one.append(got)
+        # a stack is its rows taken one by one, also into a slice of out
+        assert np.array_equal(bits(coeff_norms_sq(g, stack)), bits(np.transpose(one)))
+        out = np.zeros((3, 8))
+        assert coeff_norms_sq(g, stack[1:4], out[:, 2:5]).base is out
+        assert np.array_equal(bits(out[:, 2:5]), bits(np.transpose(one[1:4])))
+        assert not out[:, :2].any() and not out[:, 5:].any()
+
+    @pytest.mark.parametrize("resolution", ((64,), (96, 96)))
+    def test_norm_l2_takes_the_rule(self, resolution):
+        dim = len(resolution)
+        g = SpectralGrid(DomainSpec(dim, (PI,) * dim, resolution))
+        u = random_coeff_field(g, np.random.default_rng(dim))
+        v = u.values
+        assert bits(norm_l2(u)) == bits(np.sqrt(g.weight) * np.sqrt(literal_dot(v, v)))
+        if g.num_points <= 8192:  # np.linalg.norm's ddot, bit for bit
+            assert bits(norm_l2(u)) == bits(np.sqrt(g.weight) * np.linalg.norm(v))
 
 
 class TestPhi1:
