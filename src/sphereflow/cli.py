@@ -318,8 +318,6 @@ PROBES = {"lipschitz": _probe_lipschitz, "invariance": _probe_invariance,
 
 
 def cmd_probe(cfg: RunConfig, which: str, samples: int) -> int:
-    if which not in PROBES:
-        raise ConfigError(f"unknown probe {which!r}")
     if which in ("amu", "omega") and cfg.t_end <= 0:
         raise ConfigError(f"stepper.t_end: probe {which} needs a positive horizon")
     if which == "lipschitz" and samples < 1:

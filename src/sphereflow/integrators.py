@@ -358,8 +358,9 @@ def integrate(u0: Field, p: ModelParams, cfg: StepperConfig) -> TrajectoryRecord
     # integer step index times h has the bits of the Python product i * h
     t = np.minimum(np.arange(n_records) * record_every, n_steps) * h
     ledger = energy.make_report(None, p, t, ut_col, dissipation_col, sums, s_col)
-    return TrajectoryRecord(ledger=ledger, coeffs=coeffs,
-                            final_state=Field._wrap(grid, grid.to_values(c, None, ac)))
+    # u's values go into the array of the pair that c is not
+    values = grid.to_values(c, kernel.pair[c is kernel.pair[0]], ac)
+    return TrajectoryRecord(ledger=ledger, coeffs=coeffs, final_state=Field._wrap(grid, values))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -102,20 +102,46 @@ def _sine_matrix(n: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (n + 1))) / (n + 1))
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
+def _dst1_work(shape: tuple) -> tuple:
+    """The work arrays of _dst1 on an array of ``shape``, flat: the odd
+    extensions and their rffts, each as long as the longest axis needs, and
+    the result of each axis, of ``shape``'s size."""
+    size = math.prod(shape)
+    return (np.empty(max(size // n * (2 * n + 2) for n in shape)),
+            np.empty(max(size // n * (n + 2) for n in shape), complex), np.empty(size))
+
+
+def _dst1(x: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Orthonormal DST-I along every axis. DST-I of size n is a real DFT of
     size 2(n + 1): minus the imaginary part of the rfft of the odd
     extension [0, x, 0, -x reversed] (Frigo & Johnson 2005). The scale
     1/sqrt(prod 2(n + 1)) is rounded once from long double and applied on
-    the first axis, as pocketfft does, so the result is bitwise scipy's dstn."""
+    the first axis, as pocketfft does, so the result is bitwise scipy's dstn.
+
+    Every array is a view of ``work`` (``_dst1_work(x.shape)``, made here
+    when None), and so is the result, which the next call overwrites.  A
+    ufunc on a strided view, such as an extension's tail or the rfft's
+    imaginary part, would buffer a copy of its own, so strided views are
+    only assigned and ufuncs run on whole buffers: -x goes into the rfft's
+    array, which is idle until the extension it is copied into is full."""
+    ext_buf, rfft_buf, y_buf = _dst1_work(x.shape) if work is None else work
+    neg_buf = rfft_buf.view(float)
     scale = -float(1 / np.sqrt(np.longdouble(math.prod(2 * n + 2 for n in x.shape))))
+    neg = np.negative(x, out=neg_buf[:x.size].reshape(x.shape))
     for axis, n in enumerate(x.shape):
-        x = np.moveaxis(x, axis, -1)
-        ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
+        x, neg = np.moveaxis(x, axis, -1), np.moveaxis(neg, axis, -1)
+        lines, rows = x.size // n, x.shape[:-1]
+        ext = ext_buf[:lines * (2 * n + 2)].reshape(rows + (2 * n + 2,))
+        ext[..., 0] = ext[..., n + 1] = 0.0
         ext[..., 1:n + 1] = x
-        np.negative(x[..., ::-1], out=ext[..., n + 2:])
-        y = np.fft.rfft(ext)[..., 1:n + 1].imag * scale
+        ext[..., n + 2:] = neg[..., ::-1]
+        spectrum = np.fft.rfft(ext, out=rfft_buf[:lines * (n + 2)].reshape(rows + (n + 2,)))
+        y = y_buf.reshape(x.shape)
+        y[...] = spectrum[..., 1:n + 1].imag
+        y *= scale
         x, scale = np.moveaxis(y, -1, axis), -1.0
+        if axis + 1 < x.ndim:
+            neg = np.moveaxis(np.negative(y, out=neg_buf[:y.size].reshape(y.shape)), -1, axis)
     return x
 
 
@@ -132,26 +158,6 @@ def _contract_axes(mats, x: np.ndarray, out: np.ndarray | None,
     y = np.matmul(mats[1], y.reshape(a, b, c), mid)  # batched over the first axis
     np.matmul(mats[0], y.reshape(a, b * c), out.reshape(a, b * c))
     return out
-
-
-class _per_mode:
-    """A grid attribute built on first read, like functools.cached_property,
-    but stored with setattr: cached_property writes through the instance's
-    ``__dict__``, which once read makes every plain attribute read of that
-    grid (``weight``, ``shape``) about 2.5x slower for good."""
-
-    def __init__(self, build):
-        self.build, self.__doc__ = build, build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, grid, owner=None):
-        if grid is None:
-            return self
-        value = self.build(grid)
-        setattr(grid, self.name, value)  # read from the instance from now on
-        return value
 
 
 class SpectralGrid:
@@ -192,25 +198,35 @@ class SpectralGrid:
             self._coeff_mats = [m for m, _ in axes]
             self._value_mats = [m for _, m in axes]
 
-    @_per_mode
-    def lap_eigs(self) -> np.ndarray:
+    def __getattr__(self, name):
+        # called only for a name the grid does not hold: a per-mode array
+        # or the FFT path's work arrays, built on the first read by the
+        # method _build_<name> and then held as a plain attribute
+        build = getattr(SpectralGrid, "_build_" + name, None)
+        if build is None:
+            raise AttributeError(f"'SpectralGrid' object has no attribute {name!r}")
+        value = build(self)
+        setattr(self, name, value)
+        return value
+
+    def _build_lap_eigs(self) -> np.ndarray:
         return reduce(np.add.outer, [(np.arange(1, n + 1) * np.pi / L) ** 2
                                      for n, L in zip(self.shape, self.spec.lengths)])
 
-    @_per_mode
-    def A_eigs(self) -> np.ndarray:
+    def _build_A_eigs(self) -> np.ndarray:
         return self.lap_eigs**2 + 2.0 * self.lap_eigs
 
-    @_per_mode
-    def V_eigs(self) -> np.ndarray:
+    def _build_V_eigs(self) -> np.ndarray:
         """Per-mode weight of the V-norm |u|^2 + 2|grad u|^2 + |lap u|^2."""
         return 1.0 + 2.0 * self.lap_eigs + self.lap_eigs**2
 
-    @_per_mode
-    def mode_magnitude(self) -> np.ndarray:
+    def _build_mode_magnitude(self) -> np.ndarray:
         """|k| of each mode's 1-based multi-index k."""
         sq = reduce(np.add.outer, [np.arange(1, n + 1, dtype=float) ** 2 for n in self.shape])
         return np.sqrt(sq, out=sq)
+
+    def _build__fft_work(self) -> tuple:
+        return _dst1_work(self.shape)
 
     # -- transforms -------------------------------------------------------
 
@@ -228,7 +244,7 @@ class SpectralGrid:
                   mid: np.ndarray | None = None) -> np.ndarray:
         mats = self._coeff_mats
         if mats is None:
-            return np.multiply(self._sqrt_weight, _dst1(values), out)
+            return np.multiply(self._sqrt_weight, _dst1(values, self._fft_work), out)
         if values.ndim == 1:
             return mats[0].dot(values, out)
         return _contract_axes(mats, values, out, mid)
@@ -237,7 +253,7 @@ class SpectralGrid:
                   mid: np.ndarray | None = None) -> np.ndarray:
         mats = self._value_mats
         if mats is None:
-            return np.divide(_dst1(coeffs), self._sqrt_weight, out)
+            return np.divide(_dst1(coeffs, self._fft_work), self._sqrt_weight, out)
         if coeffs.ndim == 1:
             return mats[0].dot(coeffs, out)
         return _contract_axes(mats, coeffs, out, mid)
@@ -485,9 +501,6 @@ def _phi2(z):
     return np.where(small, series, (zs + np.expm1(-zs)) / zs / zs)
 
 
-_phi_weights_cache: dict = {}
-
-
 def _phi_columns(grid: SpectralGrid, h: float, name: str) -> dict:
     """Column ``name`` of the phi-weight table, with the column built in the
     same pass: the convolution pair shares phi1 and phi2."""
@@ -500,6 +513,12 @@ def _phi_columns(grid: SpectralGrid, h: float, name: str) -> dict:
     return {"h_phi1_phi2": h * (p1 - p2), "h_phi2": h * p2}
 
 
+@lru_cache(maxsize=1)
+def _phi_table(spec: DomainSpec, h: float) -> dict:
+    """The phi-weight table of (spec, h), filled by phi_weights."""
+    return {}
+
+
 def phi_weights(grid: SpectralGrid, h: float, *names: str) -> tuple:
     """The read-only columns ``names`` of the weights of an exponential step
     h, at z = h mu per eigenvalue mu of A: "decay" exp(-z), "h_phi1"
@@ -509,11 +528,7 @@ def phi_weights(grid: SpectralGrid, h: float, *names: str) -> tuple:
     names it.  Only the last (grid.spec, h) is kept: every repeated use
     (runs on one grid, the one-step wrappers, the maps of a Picard solve)
     asks for it again, and one entry bounds the memory held."""
-    key = (grid.spec, h)
-    table = _phi_weights_cache.get(key)
-    if table is None:
-        _phi_weights_cache.clear()
-        table = _phi_weights_cache[key] = {}
+    table = _phi_table(grid.spec, h)
     for name in names:
         if name not in table:
             for column, w in _phi_columns(grid, h, name).items():

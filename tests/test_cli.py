@@ -108,6 +108,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate key 'model.n'"):
             parse_config(MINIMAL + "model.n = 1\nmodel.n = 2\n")
 
+    def test_override_without_equals_named(self):
+        with pytest.raises(ConfigError, match="override 'model.n' is not of the form key=value"):
+            parse_config(MINIMAL, ["model.n"])
+
     def test_missing_required_key_named(self):
         with pytest.raises(ConfigError, match="domain.N"):
             parse_config("domain.dim = 1\ndomain.L = 1.0\n")
@@ -258,6 +262,13 @@ class TestMainEntry:
             + extra
         )
         return cfg
+
+    def test_unknown_probe_refused_by_name(self, capsys):
+        # argparse's choices are the probes' one list
+        with pytest.raises(SystemExit) as err:
+            main(["probe", "lyapunov"])
+        assert err.value.code == 2
+        assert "invalid choice: 'lyapunov'" in capsys.readouterr().err
 
     def test_run_writes_timeseries_and_snapshots(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "output.snapshots = true\n")

@@ -193,6 +193,11 @@ class TestRenormalize:
 
 
 class TestIntegrate:
+    def test_zero_field_refused(self):
+        g = grid_1d(16)
+        with pytest.raises(ValueError, match="cannot renormalize the zero field"):
+            integrate(Field(g, np.zeros(16)), ModelParams(n=1), StepperConfig(h=1e-3, t_end=1e-3))
+
     def test_records_aligned_and_increasing(self):
         g = grid_1d(16)
         traj = integrate(
@@ -641,14 +646,17 @@ class TestKernel:
         u = random_unit_field(g, np.random.default_rng(16))
         p, h = ModelParams(n=2), 1e-3
         builds, phi2 = [], spectral._phi2
-        monkeypatch.setattr(spectral, "_phi_weights_cache", {})
+        spectral._phi_table.cache_clear()
         monkeypatch.setattr(spectral, "_phi2", lambda z: builds.append(None) or phi2(z))
         step_etd1(step_etd1(u, p, h), p, h)
         integrate(u, p, StepperConfig(h=h, t_end=5 * h))
         kernel = _Kernel("etd1", g, p, h)
-        # ETD1 builds exp(-hA) and h phi1 once, and no convolution column
+        # ETD1 builds one table, with exp(-hA) and h phi1 once, and no
+        # convolution column
         assert not builds
-        (table,) = spectral._phi_weights_cache.values()
+        info = spectral._phi_table.cache_info()
+        assert info.currsize == 1 and info.misses == 1
+        table = spectral._phi_table(g.spec, h)
         assert table.keys() == {"decay", "h_phi1"}
         decay, h_phi1 = spectral.phi_weights(g, h, "decay", "h_phi1")
         assert kernel.decay is decay
@@ -891,9 +899,17 @@ class TestWorkspace:
         steady = max(m[1] for m in marks[2:]) - marks[1][0]
         return peak - before, steady
 
-    @pytest.mark.parametrize("scheme, dealias", (("etd1", None), ("rk4", None), ("etd1", 2)))
-    def test_memory_does_not_grow_with_steps(self, monkeypatch, scheme, dealias):
-        g = SpectralGrid(DomainSpec(2, (PI, PI), (64, 64)))
+    # the (258, 32) grid takes the FFT transform path, on the grid and, with
+    # dealiasing, on the padded grid: its work arrays are made on the grid's
+    # first transform.  Its steps also free and make small Python objects
+    # (the views of the FFT path), whose memory tracemalloc still counts for
+    # a while: up to ~40 KB, more than one array of a 258 x 12 grid
+    @pytest.mark.parametrize("scheme, dealias, shape", (
+        ("etd1", None, (64, 64)), ("rk4", None, (64, 64)), ("etd1", 2, (64, 64)),
+        ("etd1", None, (258, 32)), ("etd1", 2, (258, 32))),
+        ids=("etd1-None", "rk4-None", "etd1-2", "etd1-None-fft", "etd1-2-fft"))
+    def test_memory_does_not_grow_with_steps(self, monkeypatch, scheme, dealias, shape):
+        g = SpectralGrid(DomainSpec(2, (PI, PI), shape))
         u0 = random_unit_field(g, np.random.default_rng(19))
         p, h = ModelParams(n=2, dealias=dealias), default_step(scheme, g)
         array = 8 * g.num_points
@@ -905,6 +921,25 @@ class TestWorkspace:
         assert abs(peak_200 - peak_20) <= array
         # from the second step on, no step allocates a grid-sized array
         assert max(steady_20, steady_200) < array
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_final_values_take_the_idle_array_of_the_pair(self, monkeypatch, scheme):
+        # u's final values go into the array of the kernel's pair that the
+        # final c is not, with the bits of a transform into a new array
+        kernels, init = [], _Kernel.__init__
+        monkeypatch.setattr(_Kernel, "__init__",
+                            lambda self, *args: kernels.append(self) or init(self, *args))
+        g = SpectralGrid(DomainSpec(2, (PI, PI), (12, 8)))
+        u0 = random_unit_field(g, np.random.default_rng(25))
+        h = default_step(scheme, g)
+        for steps in (0, 1, 2):
+            cfg = StepperConfig(scheme=scheme, h=h, t_end=steps * h)
+            traj = integrate(u0, ModelParams(n=2), cfg)
+            values, pair = traj.final_state.values, kernels[-1].pair
+            assert any(values is x for x in pair)
+            c = pair[values is pair[0]]
+            assert np.array_equal(c.view(np.int64), traj.coeffs[-1].view(np.int64))
+            assert np.array_equal(values.view(np.int64), g.to_values(c).view(np.int64))
 
 
 class TestOrders:

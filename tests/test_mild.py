@@ -215,7 +215,11 @@ class TestXtNorm:
 
 class TestConvolution:
     def test_weights_cached_once_per_spec_and_step(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(spectral, "_phi_weights_cache", {})
+        # every table phi_weights reads is the one the cache built
+        tables, table_of = [], spectral._phi_table
+        table_of.cache_clear()
+        monkeypatch.setattr(spectral, "_phi_table",
+                            lambda spec, h: tables.append(table_of(spec, h)) or tables[-1])
         cfg = tmp_path / "p.cfg"
         cfg.write_text("domain.dim = 1\ndomain.L = 3.141592653589793\n"
                        "domain.N = 16\nstepper.t_end = 0.01\n"
@@ -223,9 +227,11 @@ class TestConvolution:
         for k in range(3):
             out = tmp_path / f"p{k}"
             assert main(["--config", str(cfg), "--out", str(out), "picard"]) == 0
-        assert len(spectral._phi_weights_cache) == 1
+        info = table_of.cache_info()
+        assert info.currsize == 1 and info.misses == 1
+        table = tables[0]
+        assert len(tables) >= 3 and all(t is table for t in tables)
         # the table holds the convolution's three columns and no other
-        table = next(iter(spectral._phi_weights_cache.values()))
         assert table.keys() == {"decay", "h_phi1_phi2", "h_phi2"}
         for w in table.values():
             assert not w.flags.writeable

@@ -137,6 +137,21 @@ class TestPowerTerm:
         message = str(err.value)
         assert "index (7,) with 1e+300" in message and "np." not in message
 
+    def test_n1_overflow_of_the_coefficient_norm_reports_location(self):
+        # an n = 1 stage takes s = |c|^2 from the coefficients; a non-finite
+        # one raises, naming the peak of u's values
+        g = grid_1d(16)
+        u = Field(g, 1e200 * basis_mode(g, 3).values)
+        c = g.to_coeffs(u.values)
+        i = int(np.argmax(np.abs(u.values)))
+        want = rf"u\^\(2n-1\) overflowed; \|u\| peaks at index \({i},\) with "
+        with pytest.raises(OverflowError, match=want):
+            _F_values(_Work(g, ModelParams(n=1)), c, 0.0)
+        # as the first stage of an unretracted run does
+        cfg = StepperConfig(h=1e-3, t_end=1e-3, renormalize=False)
+        with pytest.raises(OverflowError, match=want):
+            integrate(u, ModelParams(n=1), cfg)
+
     def test_overflow_raises_rather_than_warns(self):
         # a unit-norm state whose power overflows: |u| peaks at 14.04 and
         # 14.04^399 is past the float range

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -33,7 +34,8 @@ from sphereflow import (
     transform_inverse,
     write_snapshot,
 )
-from sphereflow.spectral import _dst1, _phi2, _sine_matrix, _vdot, coeff_norms_sq, dot_rule
+from sphereflow.spectral import (_dst1, _dst1_work, _phi2, _sine_matrix, _vdot, coeff_norms_sq,
+                                 dot_rule)
 
 PI = np.pi
 
@@ -154,13 +156,18 @@ class TestEigenstructure:
 
     def test_per_mode_arrays_are_built_once_and_kept_on_the_grid(self):
         # each is built on its first read and set as a plain attribute of the
-        # grid, which every later read returns (a new build is a new array)
+        # grid, which every later read returns (a new build is a new array);
+        # the class holds no attribute of that name, only the builder
         g = SpectralGrid(DomainSpec(2, (PI, 2.0), (12, 8)))
         names = ("lap_eigs", "A_eigs", "V_eigs", "mode_magnitude")
+        assert not set(names) & g.__dict__.keys()
         first = {name: getattr(g, name) for name in names}
         for name in names:
             assert getattr(g, name) is first[name]
-            assert name in g.__dict__ and name in vars(SpectralGrid)
+            assert name in g.__dict__ and name not in vars(SpectralGrid)
+            assert callable(vars(SpectralGrid)["_build_" + name])
+        with pytest.raises(AttributeError, match="no attribute 'A_eig'"):
+            g.A_eig
 
 
 class TestTransforms:
@@ -247,6 +254,12 @@ class TestTransforms:
             y = _dst1(x)
             scale = np.max(np.abs(y))
             assert np.array_equal(y, dstn(x, type=1, norm="ortho"))
+            # in work arrays made beforehand and holding stale values, as a
+            # grid's are after its last transform, the same bits
+            work = _dst1_work(shape)
+            for w in work:
+                w.fill(np.nan)
+            assert np.array_equal(_dst1(x, work), y)
             dense = x
             for ax, n in enumerate(shape):
                 dense = np.moveaxis(np.tensordot(sine(n), dense, axes=(1, ax)), 0, ax)
@@ -376,6 +389,19 @@ class TestOperators:
         # integral floats and numpy integers name their mode
         assert np.array_equal(basis_mode(grid_2d(), (2.0, np.int64(3))).values,
                               basis_mode(grid_2d(), (2, 3)).values)
+
+    def test_basis_mode_refuses_wrong_rank_and_out_of_range_index(self):
+        rank = "multi-index rank does not match grid dimension"
+        for g, k in ((grid_2d(), 1), (grid_2d(), (1, 2, 3)), (grid_1d(16), (1, 1))):
+            with pytest.raises(GridMismatch, match=rank):
+                basis_mode(g, k)
+        for g, k in ((grid_1d(16), (0,)), (grid_1d(16), (17,)), (grid_2d(), (12, 9)),
+                     (grid_2d(), (-1, 1))):
+            want = f"mode index {k} out of range for {g.shape}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                basis_mode(g, k)
+        with pytest.raises(ValueError, match=re.escape("mode index (17,) out of range for (16,)")):
+            basis_mode(grid_1d(16), 17)
 
     def test_mode_eigenvalue_action(self):
         g = grid_1d(16)
